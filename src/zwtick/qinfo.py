@@ -58,19 +58,17 @@ def partial_transpose(rho: Matrix, first_block: int) -> Matrix:
 
 
 def min_pt_eigenvalue(rho: Matrix, first_block: int) -> float:
+    """Smallest eigenvalue of the partial transpose, in floating point (display only)."""
     pt = partial_transpose(rho, first_block)
     eigs = np.linalg.eigvalsh(pt.to_numpy())
     return float(eigs[0])
 
 
 def ppt_check(rho: Matrix, first_block: int) -> bool:
-    """Necessary separability test: does the partial transpose stay PSD?"""
+    """Necessary separability test: is the partial transpose PSD?  Exact."""
     if not rho.is_hermitian():
         raise SemanticsError("ppt_check requires an exactly Hermitian matrix")
-    verdict = is_psd(partial_transpose(rho, first_block))
-    if verdict is None:
-        raise SemanticsError("PSD eigenvalue computation failed")
-    return verdict
+    return is_psd(partial_transpose(rho, first_block))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ basis {1, w, w^2, w^3} with the single reduction rule w^4 = -1.  This field
 contains the imaginary unit (i = w^2), sqrt(2) = w - w^3, and every scalar
 the engine ever produces: spider parameters, matrix entries, normal-form
 coefficients.  All arithmetic is exact; floats appear only at the very edge
-(`to_complex_float`) when a numeric embedding is requested.
+(`Scalar.to_complex`) when a numeric embedding is requested.
 
 Complex conjugation acts on coordinates as (a0, a1, a2, a3) ->
 (a0, -a3, -a2, -a1), since conj(w^k) = w^{-k} = -w^{4-k} for k = 1..3.
@@ -195,36 +195,8 @@ I = Scalar(0, 0, 1)  # w^2
 SQRT2 = Scalar(0, 1, 0, -1)  # w - w^3
 
 
-def scalar(a0: _Rat = 0, a1: _Rat = 0, a2: _Rat = 0, a3: _Rat = 0) -> Scalar:
-    return Scalar(a0, a1, a2, a3)
-
-
-def add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def sub(x: Scalar, y: Scalar) -> Scalar:
-    return x - y
-
-
-def mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def negate(x: Scalar) -> Scalar:
-    return -x
-
-
-def inverse(x: Scalar) -> Scalar:
-    return x.inverse()
-
-
 def conjugate(x: Scalar) -> Scalar:
     return x.conj()
-
-
-def to_complex_float(x: Scalar) -> complex:
-    return x.to_complex()
 
 
 # -- text form -----------------------------------------------------------

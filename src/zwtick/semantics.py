@@ -21,9 +21,7 @@ the bit sequence x1 y1 x2 y2 ...
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,20 +48,6 @@ from .diagram import (
     tensor_many,
 )
 from .scalar import MINUS_ONE, ONE, ZERO, Scalar, format_scalar, parse_scalar
-
-DEFAULT_TOLERANCE = 1e-9
-
-
-def tolerance() -> float:
-    """Numeric PSD tolerance; the ZWT_TOLERANCE env var overrides the default."""
-    raw = os.environ.get("ZWT_TOLERANCE")
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        return float(raw)
-    except ValueError:
-        return DEFAULT_TOLERANCE
-
 
 class SemanticsError(ValueError):
     pass
@@ -228,15 +212,6 @@ class SMat:
         for (i, j), v in self.entries.items():
             m.data[i][j] = v
         return m
-
-    @staticmethod
-    def from_matrix(m: Matrix) -> "SMat":
-        entries = {}
-        for i, row in enumerate(m.data):
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    entries[(i, j)] = v
-        return SMat(m.rows, m.cols, entries)
 
 
 def _gen_smat(g: Diagram) -> SMat:
@@ -566,76 +541,49 @@ def is_hermiticity_preserving(d: Diagram) -> bool:
 # -- positivity ----------------------------------------------------------
 
 
-def _principal_minors_nonneg(m: Matrix) -> bool:
-    idx = list(range(m.rows))
-    for size in range(1, m.rows + 1):
-        for subset in _subsets(idx, size):
-            det = _det_exact([[m.data[i][j] for j in subset] for i in subset])
-            if not det.is_real() or det.sign_real() < 0:
-                return False
-    return True
+def is_psd(m: Matrix) -> bool:
+    """Exact positive semidefiniteness of a matrix over Q(w), at any dimension.
 
-
-def _subsets(items: list[int], size: int):
-    from itertools import combinations
-
-    return combinations(items, size)
-
-
-def _det_exact(rows: list[list[Scalar]]) -> Scalar:
-    """Determinant by fraction-free-ish Gaussian elimination over the field."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = ONE
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        p = a[col][col]
-        det = det * p
-        inv = p.inverse()
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f.is_zero():
-                continue
-            for c in range(col, n):
-                a[r][c] = a[r][c] - f * a[col][c]
-    return det
-
-
-def is_psd(m: Matrix, tol: float | None = None) -> bool | None:
-    """Positive semidefiniteness of an exactly Hermitian matrix.
-
-    Small matrices (dimension <= 4) get the exact principal-minor test;
-    larger ones fall back to numeric eigenvalues with the given tolerance.
-    Returns None when the numeric computation fails to converge.
+    A matrix that is not exactly Hermitian is not PSD.  Otherwise run a
+    symmetric elimination with diagonal pivoting: any negative diagonal entry
+    refutes positivity; a positive one is eliminated, replacing the rest by
+    its Schur complement, which is PSD exactly when the matrix was; when no
+    positive diagonal entry is left, the rest is PSD exactly when it is zero.
+    Signs in Q(sqrt 2) are decided exactly by `Scalar.sign_real`.
     """
     if not m.is_hermitian():
         return False
-    if m.rows <= 4:
-        return _principal_minors_nonneg(m)
-    if tol is None:
-        tol = tolerance()
-    try:
-        eigs = np.linalg.eigvalsh(m.to_numpy())
-    except np.linalg.LinAlgError:
-        return None
-    return bool(eigs.min(initial=0.0) >= -tol)
+    a = [row[:] for row in m.data]
+    live = list(range(m.rows))
+    while live:
+        pivot = None
+        for i in live:
+            sign = a[i][i].sign_real()
+            if sign < 0:
+                return False
+            if sign > 0 and pivot is None:
+                pivot = i
+        if pivot is None:
+            return all(a[i][j].is_zero() for i in live for j in live)
+        live.remove(pivot)
+        inv = a[pivot][pivot].inverse()
+        rows = [i for i in live if not a[i][pivot].is_zero()]
+        # The complement stays Hermitian: update the upper triangle, mirror it.
+        conj = [a[i][pivot].conj() for i in rows]
+        for k, i in enumerate(rows):
+            row = a[i]
+            f = row[pivot] * inv
+            row[i] = row[i] - f * conj[k]
+            for j, c in zip(rows[k + 1 :], conj[k + 1 :]):
+                v = row[j] - f * c
+                row[j] = v
+                a[j][i] = v.conj()
+    return True
 
 
-def is_completely_positive(d: Diagram, tol: float | None = None) -> bool | None:
-    """CP test via positivity of the Choi matrix; None means indeterminate."""
-    c = choi(d)
-    if not c.is_hermitian():
-        return False
-    return is_psd(c, tol)
+def is_completely_positive(d: Diagram) -> bool:
+    """Exact CP test: positivity of the Choi matrix."""
+    return is_psd(choi(d))
 
 
 # -- the bent (Hermitian-preserving) presentation ------------------------
@@ -837,21 +785,6 @@ def psi_inv(l: LinZW) -> Diagram:
     layers.append(tensor_many([id_n(2 * m), _cup_pairs(n)]))
     layers.append(permutation_diagram(_interleave_perm(m)))
     return compose_many(layers)
-
-
-def superop_matrix_of_pure(p: Diagram, n: int, m: int) -> Matrix:
-    """Read a bent pure diagram as a superoperator matrix on vectorized states.
-
-    Returns the 4^m x 4^n matrix T with vec2(S(rho)) = T vec2(rho); used to
-    compare the bent route against the doubling route entry by entry.
-    """
-    mat = interp_sparse(p)
-    out = {}
-    for (r, c), v in mat.entries.items():
-        bi, ko = r >> m, r & ((1 << m) - 1)
-        kin, bo = c >> m, c & ((1 << m) - 1)
-        out[(_interleave_index(ko, bo, m), _interleave_index(kin, bi, n))] = v
-    return SMat(1 << (2 * m), 1 << (2 * n), out).to_matrix()
 
 
 # -- matrix text form ----------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zwtick import (
@@ -41,10 +42,11 @@ from zwtick import (
     not_gate,
     parse_matrix,
     proper_choi,
+    ppt_check,
     psi,
+    psi_inv,
     state_operator,
     ticked_cap,
-    tolerance,
     unzip,
 )
 
@@ -53,6 +55,8 @@ from _support import (
     mat_kron,
     mat_mul,
     random_hermitian,
+    random_real_scalar,
+    random_scalar,
     random_state,
     random_term,
 )
@@ -212,6 +216,14 @@ class TestHPPresentation:
             rhs = psi(unzip(d), d.n_in, d.n_out)
             assert interp(iota(lhs)) == interp(iota(rhs))
 
+    def test_psi_inv_unbends(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            d = random_term(rng)
+            doubled = interp(unzip(d))
+            assert interp(psi_inv(psi(unzip(d), d.n_in, d.n_out))) == doubled
+            assert interp(psi_inv(hp(d))) == doubled
+
     def test_ground_traces(self):
         rng = random.Random(19)
         for _ in range(10):
@@ -232,11 +244,67 @@ class TestPsd:
         sq = mat_mul(h, mat_dagger(h))
         assert is_psd(sq) is True
 
-    def test_tolerance_env(self, monkeypatch):
-        monkeypatch.setenv("ZWT_TOLERANCE", "0.5")
-        assert tolerance() == 0.5
-        monkeypatch.delenv("ZWT_TOLERANCE")
-        assert tolerance() == 1e-9
+    def test_tiny_negative_eigenvalue_at_dim_8(self):
+        diag = [ONE] * 8
+        diag[5] = Scalar(Fraction(-1, 10**12))
+        assert is_psd(_diagonal(diag)) is False
+
+    def test_zero_pivot_with_nonzero_row_at_dim_8(self):
+        m = _diagonal([ONE] * 8)
+        m.data[3][3] = m.data[6][6] = ZERO
+        m.data[3][6] = m.data[6][3] = HALF
+        assert is_psd(m) is False
+
+    def test_rank_deficient_gram_at_dim_16(self):
+        rng = random.Random(24)
+        h = Matrix([[random_scalar(rng) for _ in range(3)] for _ in range(16)])
+        assert is_psd(mat_mul(h, mat_dagger(h))) is True
+
+    def test_ppt_at_the_werner_boundary(self):
+        # Werner(1/3) (x) qubit: the partial transpose has eigenvalue exactly 0.
+        p = Fraction(1, 3)
+        q = Scalar((1 - p) / 4)
+        werner = _diagonal([q] * 4)
+        for i, j, v in ((1, 1, 1), (2, 2, 1), (1, 2, -1), (2, 1, -1)):
+            werner.data[i][j] = werner.data[i][j] + Scalar(p * v / 2)
+        off = Scalar(0, 0, Fraction(1, 4))
+        qubit = M([[Scalar(Fraction(1, 3)), off], [off.conj(), Scalar(Fraction(2, 3))]])
+        assert ppt_check(mat_kron(werner, qubit), 1) is True
+
+    def test_matches_float_eigenvalues(self):
+        # Each matrix is shifted so its smallest eigenvalue sits near +-1/4,
+        # far enough from 0 that the float verdict is unambiguous.
+        rng = random.Random(25)
+        for dim in (2, 3, 4, 5, 7, 8, 12, 16, 24, 32, 48, 64):
+            data = _hermitian_of_dim(rng, dim, min(1.0, 3 / dim))
+            low = np.linalg.eigvalsh(Matrix(data).to_numpy())[0]
+            for target in (0.25, -0.25):
+                shift = Scalar(Fraction(round((target - low) * 8), 8))
+                m = Matrix(
+                    [[v + shift if i == j else v for j, v in enumerate(row)] for i, row in enumerate(data)]
+                )
+                shifted = np.linalg.eigvalsh(m.to_numpy())[0]
+                assert abs(shifted) >= 0.1
+                assert is_psd(m) is bool(shifted > 0)
+
+
+def _diagonal(entries):
+    m = Matrix.zeros(len(entries), len(entries))
+    for i, v in enumerate(entries):
+        m.data[i][i] = v
+    return m
+
+
+def _hermitian_of_dim(rng, dim, density):
+    data = [[ZERO] * dim for _ in range(dim)]
+    for x in range(dim):
+        data[x][x] = random_real_scalar(rng)
+        for y in range(x + 1, dim):
+            if rng.random() < density:
+                c = random_scalar(rng)
+                data[x][y] = c
+                data[y][x] = c.conj()
+    return data
 
 
 class TestMatrixText:
