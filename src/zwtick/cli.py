@@ -254,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return _USAGE_ERROR
+    except RecursionError:
+        print("error: term nested too deeply", file=sys.stderr)
+        return _USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -3,20 +3,26 @@
 Two semantic levels live here.  A tick-free diagram n -> m denotes a plain
 2^m x 2^n matrix over the cyclotomic field (`interp`).  A general diagram,
 ticks allowed, denotes a Hermiticity-preserving superoperator on density
-operators; it is evaluated by doubling every wire into a (plain, conjugate)
-pair (`unzip`) and reading the doubled pure matrix against the interleaved
-vectorization (`apply_superop`, `state_operator`).
+operators: each generator G acts as rho -> G rho G^dagger and the tick as a
+partial transpose on its wire.  Both levels are computed by one netlist
+evaluator: the term is flattened, without recursion, into generators placed
+at wire offsets, and each is applied locally to a sparse operator over the
+live wires (`interp`, `apply_superop`, `state_operator`, hence `choi`).
+
+The doubling construction is kept as the reference the evaluator is tested
+against: `unzip` doubles every wire into a (plain, conjugate) pair, and
+`interp_sparse`, a plain recursion over matrix and Kronecker products, reads
+the doubled pure matrix against the interleaved vectorization, which sends
+|x><y| to the basis vector indexed by the bit sequence x1 y1 x2 y2 ...
 
 The same superoperator also has a purely diagrammatic presentation: `hp`
 rewrites a diagram n -> m into a pure diagram (n+m) -> (n+m) whose matrix
 encodes the superoperator with bra lines bent to the other side; `psi` /
-`psi_inv` convert between the doubled form and that bent form.  Both routes
+`psi_inv` convert between the doubled form and that bent form.  All routes
 agree exactly, which the test-suite checks entry by entry.
 
 Basis conventions: wire 0 is the most significant bit of a basis index; a
 matrix row ranges over output bitstrings, a column over input bitstrings.
-The interleaved vectorization sends |x><y| to the basis vector indexed by
-the bit sequence x1 y1 x2 y2 ...
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .diagram import (
     compose_many,
     conjugate_term,
     dagger,
-    has_tick,
     id_n,
     permutation_diagram,
     tensor_many,
@@ -252,133 +257,192 @@ def _gen_smat(g: Diagram) -> SMat:
     raise TypeError(f"not a generator: {g!r}")
 
 
-_INTERP_CACHE: dict[Diagram, SMat] = {}
-_INTERP_CACHE_LIMIT = 20000
-_CACHEABLE_SIZE = 64
+def interp_sparse(d: Diagram) -> SMat:
+    """Reference pure semantics: matrix and Kronecker products of the generators.
 
-_PERM_CACHE: dict[Diagram, "list[int] | None"] = {}
-
-
-def _wire_perm(d: Diagram) -> "list[int] | None":
-    """The wire routing of a pure-wiring term (Id/Swap/Empty only), else None.
-
-    Entry i is the output position of input wire i.  Wiring layers appear at
-    every composition seam, and applying them as index remaps instead of
-    materialized matrices keeps wide diagrams tractable.
+    A plain recursion over the term, kept as the oracle the netlist evaluator
+    is tested against; the library itself evaluates through `interp`.
     """
-    if d is Id:
-        return [0]
-    if d is Swap:
-        return [1, 0]
-    if d is Empty:
-        return []
-    if isinstance(d, Generator):
-        return None
-    hit = _PERM_CACHE.get(d)
-    if hit is not None or d in _PERM_CACHE:
-        return hit
-    out: "list[int] | None"
-    if isinstance(d, Compose):
-        pa = _wire_perm(d.after)
-        pb = _wire_perm(d.before) if pa is not None else None
-        out = None if pa is None or pb is None else [pa[pb[i]] for i in range(len(pb))]
-    elif isinstance(d, Tensor):
-        pl = _wire_perm(d.left)
-        pr = _wire_perm(d.right) if pl is not None else None
-        if pl is None or pr is None:
-            out = None
-        else:
-            k = len(pl)
-            out = pl + [k + p for p in pr]
-    else:
-        raise TypeError(f"not a diagram: {d!r}")
-    if len(_PERM_CACHE) >= _INTERP_CACHE_LIMIT:
-        _PERM_CACHE.clear()
-    _PERM_CACHE[d] = out
-    return out
-
-
-def _permute_index(idx: int, perm: list[int], w: int) -> int:
-    out = 0
-    for i in range(w):
-        bit = (idx >> (w - 1 - i)) & 1
-        if bit:
-            out |= 1 << (w - 1 - perm[i])
-    return out
-
-
-def _perm_rows(m: SMat, perm: list[int]) -> SMat:
-    w = len(perm)
-    return SMat(
-        m.rows,
-        m.cols,
-        {(_permute_index(r, perm, w), c): v for (r, c), v in m.entries.items()},
-    )
-
-
-def _perm_cols(m: SMat, perm: list[int]) -> SMat:
-    # Composing with a routing layer on the input side selects column p(c).
-    w = len(perm)
-    inv = [0] * w
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return SMat(
-        m.rows,
-        m.cols,
-        {(r, _permute_index(c, inv, w)): v for (r, c), v in m.entries.items()},
-    )
-
-
-def _perm_smat(perm: list[int]) -> SMat:
-    w = len(perm)
-    dim = 1 << w
-    return SMat(dim, dim, {(_permute_index(i, perm, w), i): ONE for i in range(dim)})
-
-
-def _interp_rec(d: Diagram) -> SMat:
     if isinstance(d, Generator):
         return _gen_smat(d)
-    cached = _INTERP_CACHE.get(d)
-    if cached is not None:
-        return cached
     if isinstance(d, Compose):
-        pa = _wire_perm(d.after)
-        if pa is not None:
-            out = _perm_rows(_interp_rec(d.before), pa)
-        else:
-            pb = _wire_perm(d.before)
-            if pb is not None:
-                out = _perm_cols(_interp_rec(d.after), pb)
-            else:
-                out = _interp_rec(d.after).matmul(_interp_rec(d.before))
-    elif isinstance(d, Tensor):
-        p = _wire_perm(d)
-        if p is not None:
-            out = _perm_smat(p)
-        else:
-            out = _interp_rec(d.left).kron(_interp_rec(d.right))
-    else:
-        raise TypeError(f"not a diagram: {d!r}")
-    # Small subterms (routing layers, identity bundles) recur across calls;
-    # large ones are one-shot and only bloat the cache.
-    from .diagram import generator_count
+        return interp_sparse(d.after).matmul(interp_sparse(d.before))
+    if isinstance(d, Tensor):
+        return interp_sparse(d.left).kron(interp_sparse(d.right))
+    raise TypeError(f"not a diagram: {d!r}")
 
-    if generator_count(d) <= _CACHEABLE_SIZE and len(out.entries) <= 1 << 14:
-        if len(_INTERP_CACHE) >= _INTERP_CACHE_LIMIT:
-            _INTERP_CACHE.clear()
-        _INTERP_CACHE[d] = out
+
+# -- the netlist evaluator -----------------------------------------------
+#
+# A term is flattened into steps in application order, and each step acts on
+# a sparse operator {(x, y): nonzero scalar} over the live wires, touching
+# only the bits of its own wires.  Wire k of w live wires is bit w-1-k of a
+# basis index, so a step is placed by `lo`, the number of live wires below
+# its inputs.  Doubled, x is the ket index and y the bra index: a generator
+# G acts as rho -> G rho G^dagger and the tick exchanges its bit between x
+# and y.  Pure, y is the column index of the input and only x is acted on.
+
+def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
+    """The steps of d in application order, each (apply function, *args).
+
+    Plain wires and units are dropped, and each run of consecutive swaps is
+    fused into one bit permutation.  A generator's column lists and, doubled,
+    its lazily filled table of (ket, bra) branches are shared by the steps
+    of that generator at one placement.
+    """
+    steps: list[tuple] = []
+    tables: dict[tuple[Generator, int], tuple[dict, dict]] = {}
+    routing: dict[int, int] = {}  # pending swap run: output bit <- input bit
+    width = d.n_in
+    stack: list[tuple[Diagram, int]] = [(d, 0)]
+    while stack:
+        node, off = stack.pop()
+        if isinstance(node, Compose):
+            stack.append((node.after, off))
+            stack.append((node.before, off))
+            continue
+        if isinstance(node, Tensor):
+            stack.append((node.right, off + node.left.n_out))
+            stack.append((node.left, off))
+            continue
+        if not isinstance(node, Generator):
+            raise TypeError(f"not a diagram: {node!r}")
+        if node is Id or node is Empty:
+            continue
+        lo = width - off - node.n_in
+        if node is Swap:
+            routing[lo], routing[lo + 1] = routing.get(lo + 1, lo + 1), routing.get(lo, lo)
+            continue
+        if routing:
+            steps.extend(_perm_step(routing))
+            routing = {}
+        if node is Tick:
+            if not doubled:
+                raise SemanticsError("pure interpretation undefined for ticked diagram")
+            steps.append((_apply_tick, lo))
+            continue
+        table = tables.get((node, lo))
+        if table is None:
+            table = tables[node, lo] = (_columns(node, lo), {})
+        steps.append((_apply_gen, lo, node.n_in, node.n_out, *table))
+        width += node.n_out - node.n_in
+    if routing:
+        steps.extend(_perm_step(routing))
+    return steps
+
+
+def _perm_step(routing: dict[int, int]) -> list[tuple]:
+    moves = [(src, dst) for dst, src in routing.items() if src != dst]
+    moved = 0
+    for _, dst in moves:
+        moved |= 1 << dst
+    return [(_apply_perm, moved, moves)] if moves else []
+
+
+def _columns(g: Generator, lo: int) -> dict[int, list[tuple[int, Scalar]]]:
+    """Input bits c of g -> [(output bits << lo, entry)] over nonzero entries."""
+    cols: dict[int, list[tuple[int, Scalar]]] = {}
+    for (row, col), v in _gen_smat(g).entries.items():
+        cols.setdefault(col, []).append((row << lo, v))
+    return cols
+
+
+def _pair_branches(cols: dict, cx: int, cy: int) -> list[tuple[int, int, Scalar]]:
+    """Doubled branches of ket bits cx and bra bits cy: G on x, conj(G) on y."""
+    out = []
+    for rx, a in cols.get(cx, ()):
+        for ry, b in cols.get(cy, ()):
+            c = a * b.conj()
+            out.append((rx, ry, ONE if c == ONE else c))
     return out
 
 
-def interp_sparse(d: Diagram) -> SMat:
-    return _interp_rec(d)
+def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, cols: dict, pairs: dict) -> dict:
+    nmask = (1 << n) - 1
+    lomask = (1 << lo) - 1
+    hi, new_hi = lo + n, lo + m
+    out: dict[tuple[int, int], Scalar] = {}
+    clashes = []
+    if doubled:
+        for (x, y), v in ops.items():
+            cx = (x >> lo) & nmask
+            cy = (y >> lo) & nmask
+            branches = pairs.get((cx << n) | cy)
+            if branches is None:
+                branches = pairs[(cx << n) | cy] = _pair_branches(cols, cx, cy)
+            if not branches:
+                continue
+            bx = ((x >> hi) << new_hi) | (x & lomask)
+            by = ((y >> hi) << new_hi) | (y & lomask)
+            for rx, ry, c in branches:
+                key = (bx | rx, by | ry)
+                nv = v if c is ONE else v * c
+                if key in out:
+                    nv = out[key] + nv
+                    clashes.append(key)
+                out[key] = nv
+    else:
+        for (x, y), v in ops.items():
+            branches = cols.get((x >> lo) & nmask)
+            if branches is None:
+                continue
+            bx = ((x >> hi) << new_hi) | (x & lomask)
+            for rx, c in branches:
+                key = (bx | rx, y)
+                nv = v if c is ONE else v * c
+                if key in out:
+                    nv = out[key] + nv
+                    clashes.append(key)
+                out[key] = nv
+    for key in clashes:
+        if key in out and out[key].is_zero():
+            del out[key]
+    return out
+
+
+def _apply_perm(ops: dict, doubled: bool, moved: int, moves: list[tuple[int, int]]) -> dict:
+    """Route the `moved` bits of every index; each bit pattern is routed once."""
+    routed: dict[int, int] = {}
+
+    def route(i: int) -> int:
+        f = i & moved
+        r = routed.get(f)
+        if r is None:
+            r = 0
+            for src, dst in moves:
+                if (f >> src) & 1:
+                    r |= 1 << dst
+            routed[f] = r
+        return (i ^ f) | r
+
+    if doubled:
+        return {(route(x), route(y)): v for (x, y), v in ops.items()}
+    return {(route(x), y): v for (x, y), v in ops.items()}
+
+
+def _apply_tick(ops: dict, doubled: bool, lo: int) -> dict:
+    bit = 1 << lo
+    out = {}
+    for (x, y), v in ops.items():
+        if (x ^ y) & bit:
+            x ^= bit
+            y ^= bit
+        out[(x, y)] = v
+    return out
+
+
+def _evaluate(d: Diagram, ops: dict, doubled: bool) -> dict:
+    """Run the steps of d over the sparse operator `ops` on its input wires."""
+    for apply, *args in _netlist(d, doubled):
+        ops = apply(ops, doubled, *args)
+    return ops
 
 
 def interp(d: Diagram) -> Matrix:
     """Pure matrix of a tick-free diagram: 2^m rows by 2^n columns."""
-    if has_tick(d):
-        raise SemanticsError("pure interpretation undefined for ticked diagram")
-    return interp_sparse(d).to_matrix()
+    cols = 1 << d.n_in
+    out = _evaluate(d, {(c, c): ONE for c in range(cols)}, doubled=False)
+    return SMat(1 << d.n_out, cols, out).to_matrix()
 
 
 # -- wire doubling -------------------------------------------------------
@@ -427,39 +491,6 @@ def unzip(d: Diagram) -> Diagram:
     raise TypeError(f"not a diagram: {d!r}")
 
 
-def _interleave_index(x: int, y: int, n: int) -> int:
-    """Merge two n-bit indices into the 2n-bit index x1 y1 x2 y2 ..."""
-    out = 0
-    for k in range(n):
-        xb = (x >> (n - 1 - k)) & 1
-        yb = (y >> (n - 1 - k)) & 1
-        out = (out << 2) | (xb << 1) | yb
-    return out
-
-
-def vec2(rho: Matrix) -> SMat:
-    """Interleaved vectorization of a square matrix on n qubits."""
-    n = _qubits_of(rho)
-    entries = {}
-    for i, row in enumerate(rho.data):
-        for j, v in enumerate(row):
-            if not v.is_zero():
-                entries[(_interleave_index(i, j, n), 0)] = v
-    return SMat(1 << (2 * n), 1, entries)
-
-
-def unvec2(col: SMat, n: int) -> Matrix:
-    out = Matrix.zeros(1 << n, 1 << n)
-    rev = {}
-    for i in range(1 << n):
-        for j in range(1 << n):
-            rev[_interleave_index(i, j, n)] = (i, j)
-    for (k, _), v in col.entries.items():
-        i, j = rev[k]
-        out.data[i][j] = v
-    return out
-
-
 def _qubits_of(rho: Matrix) -> int:
     if rho.rows != rho.cols:
         raise SemanticsError(f"state matrix must be square, got {rho.rows}x{rho.cols}")
@@ -476,30 +507,22 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
         raise SemanticsError(
             f"state has {n} qubits but diagram consumes {d.n_in}"
         )
-    doubled = interp_sparse(unzip(d))
-    return unvec2(doubled.matmul(vec2(rho)), d.n_out)
+    ops = {
+        (x, y): v
+        for x, row in enumerate(rho.data)
+        for y, v in enumerate(row)
+        if not v.is_zero()
+    }
+    dim = 1 << d.n_out
+    return SMat(dim, dim, _evaluate(d, ops, doubled=True)).to_matrix()
 
 
 def state_operator(d: Diagram) -> Matrix:
     """The Hermitian operator denoted by a 0 -> m diagram."""
     if d.n_in != 0:
         raise SemanticsError(f"state_operator needs a state, got {d.n_in} inputs")
-    m = d.n_out
-    col = interp_sparse(unzip(d))
-    out = Matrix.zeros(1 << m, 1 << m)
-    cache: dict[int, tuple[int, int]] = {}
-    for (k, _), v in col.entries.items():
-        ij = cache.get(k)
-        if ij is None:
-            x = y = 0
-            for b in range(m):
-                pair = (k >> (2 * (m - 1 - b))) & 3
-                x = (x << 1) | (pair >> 1)
-                y = (y << 1) | (pair & 1)
-            ij = (x, y)
-            cache[k] = ij
-        out.data[ij[0]][ij[1]] = v
-    return out
+    dim = 1 << d.n_out
+    return SMat(dim, dim, _evaluate(d, {(0, 0): ONE}, doubled=True)).to_matrix()
 
 
 # -- Choi matrices -------------------------------------------------------

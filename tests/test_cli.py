@@ -167,6 +167,13 @@ class TestFailureModes:
         assert main(["interp", f]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_deeply_nested_term(self, tmp_path, capsys):
+        depth = 3000
+        text = "(compose (w 1 1) " * depth + "(w 1 1)" + ")" * depth
+        f = write(tmp_path, "deep.zwt", text)
+        assert main(["interp", f]) == 2
+        assert capsys.readouterr().err == "error: term nested too deeply\n"
+
     def test_bad_matrix_text(self, tmp_path, capsys):
         d = write(tmp_path, "d.zwt", "tick")
         r = write(tmp_path, "rho.mat", "2 2\n1 0\n")

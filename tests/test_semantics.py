@@ -16,6 +16,7 @@ from zwtick import (
     Id,
     MINUS_ONE,
     Matrix,
+    OMEGA,
     ONE,
     Scalar,
     SemanticsError,
@@ -28,6 +29,7 @@ from zwtick import (
     apply_superop,
     bend_inputs,
     choi,
+    compose_many,
     dagger,
     format_matrix,
     ground,
@@ -49,6 +51,7 @@ from zwtick import (
     ticked_cap,
     unzip,
 )
+from zwtick.semantics import SMat, interp_sparse
 
 from _support import (
     mat_dagger,
@@ -205,6 +208,71 @@ class TestChoi:
         rng = random.Random(17)
         for _ in range(25):
             assert is_completely_positive(random_term(rng, allow_tick=False))
+
+
+def _interleaved(x, y, n):
+    """Index of |x><y| in the vectorization x1 y1 x2 y2 ... of n qubits."""
+    k = 0
+    for b in range(n - 1, -1, -1):
+        k = (k << 2) | (((x >> b) & 1) << 1) | ((y >> b) & 1)
+    return k
+
+
+def _unvec(col, n):
+    """Read an interleaved column vector back as a 2^n x 2^n operator."""
+    dim = 1 << n
+    return Matrix(
+        [[col.entries.get((_interleaved(x, y, n), 0), ZERO) for y in range(dim)] for x in range(dim)]
+    )
+
+
+class TestNetlistEvaluator:
+    """The direct evaluator against the Kronecker reference interp_sparse(unzip(d))."""
+
+    def test_state_operator_matches_reference(self):
+        rng = random.Random(26)
+        for _ in range(60):
+            s = bend_inputs(random_term(rng, max_gens=10))
+            assert state_operator(s) == _unvec(interp_sparse(unzip(s)), s.n_out)
+
+    def test_apply_superop_matches_reference(self):
+        rng = random.Random(27)
+        for _ in range(60):
+            d = random_term(rng, max_gens=10)
+            rho = random_hermitian(rng, d.n_in)
+            n = d.n_in
+            vec = SMat(
+                1 << (2 * n),
+                1,
+                {
+                    (_interleaved(x, y, n), 0): v
+                    for x, row in enumerate(rho.data)
+                    for y, v in enumerate(row)
+                    if not v.is_zero()
+                },
+            )
+            want = _unvec(interp_sparse(unzip(d)).matmul(vec), d.n_out)
+            assert apply_superop(d, rho) == want
+
+    def test_interp_matches_reference(self):
+        rng = random.Random(28)
+        for _ in range(60):
+            d = random_term(rng, allow_tick=False)
+            assert interp(d) == interp_sparse(d).to_matrix()
+            doubled = unzip(random_term(rng, max_gens=8))
+            assert interp(doubled) == interp_sparse(doubled).to_matrix()
+
+    def test_deep_chain_is_stack_safe(self):
+        layers = 10_000
+        chain = compose_many([ZSpider(OMEGA, 1, 1)] * layers)
+        phase = ONE
+        for _ in range(layers % 8):
+            phase = phase * OMEGA
+        assert interp(chain) == M([[ONE, ZERO], [ZERO, phase]])
+        rho = random_hermitian(random.Random(29), 1, density=1.0)
+        (a, b), (c, e) = rho.data
+        assert apply_superop(chain, rho) == M([[a, b * phase.conj()], [c * phase, e]])
+        assert state_operator(Compose(chain, ket0)) == M([[ONE, ZERO], [ZERO, ZERO]])
 
 
 class TestHPPresentation:
