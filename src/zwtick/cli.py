@@ -17,8 +17,9 @@ from .diagram import (
 from .normalform import (
     NormalForm,
     NormalFormError,
+    _bits,
     canonical_of_map,
-    diagrams_equal,
+    first_difference,
     format_nf,
     nf_of_diagram,
 )
@@ -102,10 +103,19 @@ def _cmd_nf(args: argparse.Namespace) -> int:
 def _cmd_eq(args: argparse.Namespace) -> int:
     d1 = _load_diagram(args.file1)
     d2 = _load_diagram(args.file2)
-    if diagrams_equal(d1, d2):
+    if (d1.n_in, d1.n_out) != (d2.n_in, d2.n_out):
+        print("not equal")
+        print(f"arities differ: {d1.n_in} -> {d1.n_out} vs {d2.n_in} -> {d2.n_out}", file=sys.stderr)
+        return 1
+    nf1, nf2 = canonical_of_map(d1), canonical_of_map(d2)
+    if nf1 == nf2:
         print("equal")
         return 0
+    # The verdict stays alone on stdout; the witness goes to stderr under it.
     print("not equal")
+    x, y, lhs, rhs = first_difference(nf1, nf2)
+    n = nf1.qubits
+    print(f"first difference at {_bits(x, n)} {_bits(y, n)}: {lhs} vs {rhs}", file=sys.stderr)
     return 1
 
 

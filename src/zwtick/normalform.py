@@ -91,10 +91,10 @@ def nf_from_matrix(m: Matrix) -> NormalForm:
     if not m.is_hermitian():
         raise NormalFormError("matrix is not Hermitian")
     terms = []
-    for x in range(m.rows):
+    for x, row in enumerate(m.data):
         for y in range(x, m.cols):
-            v = m.data[x][y]
-            if not v.is_zero():
+            v = row[y]
+            if v is not ZERO and not v.is_zero():
                 terms.append(NFTerm(x, y, v))
     return NormalForm(n, tuple(terms))
 
@@ -216,6 +216,20 @@ def nf_of_diagram(d: Diagram) -> NormalForm:
 def canonical_of_map(d: Diagram) -> NormalForm:
     """Complete invariant of a general diagram: normal form of its bent state."""
     return nf_from_matrix(state_operator(bend_inputs(d)))
+
+
+def first_difference(a: NormalForm, b: NormalForm) -> "tuple[int, int, Scalar, Scalar] | None":
+    """First entry (x, y, a's coefficient, b's) in (x, y) order where a and b differ.
+
+    An entry missing from one side reads as 0.  None when the entries agree.
+    """
+    ca = {(t.x, t.y): t.coeff for t in a.terms}
+    cb = {(t.x, t.y): t.coeff for t in b.terms}
+    for key in sorted(ca.keys() | cb.keys()):
+        u, v = ca.get(key, ZERO), cb.get(key, ZERO)
+        if u != v:
+            return key[0], key[1], u, v
+    return None
 
 
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:

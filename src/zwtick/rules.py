@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
 from .diagram import (
@@ -40,7 +41,7 @@ from .diagram import (
     ticked_cap,
     ticked_cup,
 )
-from .normalform import NFTerm, NormalForm, canonical_of_map, nf_to_diagram
+from .normalform import NFTerm, NormalForm, canonical_of_map, first_difference, nf_to_diagram
 from .scalar import HALF, I, MINUS_ONE, ONE, OMEGA, Scalar, ZERO
 
 
@@ -373,12 +374,19 @@ def instantiate(rule: RuleSchema, params: dict) -> tuple[Diagram, Diagram]:
 
 @dataclass(frozen=True)
 class CheckEntry:
-    """Outcome of one certified equation instance."""
+    """Outcome of one certified equation instance.
+
+    `seconds` is the wall time of the decision; it is left out of comparisons,
+    so equal reports stay equal.  On FAIL, `witness` is the first entry
+    (x, y, lhs, rhs) where the normal forms of the two sides differ.
+    """
 
     kind: str
     name: str
     params: tuple[tuple[str, object], ...]
     ok: bool
+    seconds: float = field(default=0.0, compare=False)
+    witness: "tuple[int, int, Scalar, Scalar] | None" = None
 
     def line(self) -> str:
         bits = [self.kind, self.name]
@@ -388,11 +396,17 @@ class CheckEntry:
         return " ".join(bits)
 
     def as_dict(self) -> dict:
+        witness = None
+        if self.witness is not None:
+            x, y, lhs, rhs = self.witness
+            witness = {"x": x, "y": y, "lhs": str(lhs), "rhs": str(rhs)}
         return {
             "kind": self.kind,
             "name": self.name,
             "params": {k: str(v) for k, v in self.params},
             "ok": self.ok,
+            "seconds": self.seconds,
+            "witness": witness,
         }
 
 
@@ -487,10 +501,18 @@ def check_soundness(
         )
         for params in samples:
             lhs, rhs = instantiate(rule, params)
-            ok = canonical_of_map(lhs) == canonical_of_map(rhs)
             keyed = tuple((k, params[k]) for k in (*rule.scalar_params, *rule.arity_params))
-            entries.append(CheckEntry("RULE", rule.name, keyed, ok))
+            entries.append(_certify("RULE", rule.name, keyed, lhs, rhs))
     return CheckReport(tuple(entries))
+
+
+def _certify(kind: str, name: str, params: tuple, lhs: Diagram, rhs: Diagram) -> CheckEntry:
+    """Decide lhs = rhs by comparing canonical forms, timing the decision."""
+    t0 = perf_counter()
+    a, b = canonical_of_map(lhs), canonical_of_map(rhs)
+    ok = a == b
+    witness = None if ok else first_difference(a, b)
+    return CheckEntry(kind, name, params, ok, perf_counter() - t0, witness)
 
 
 @dataclass(frozen=True)
@@ -676,8 +698,7 @@ def lemma_corpus() -> list[EquationCorpusEntry]:
 def check_corpus() -> CheckReport:
     entries = []
     for e in lemma_corpus():
-        ok = canonical_of_map(e.lhs) == canonical_of_map(e.rhs)
-        entries.append(CheckEntry("LEMMA", e.name, (("source", e.source),), ok))
+        entries.append(_certify("LEMMA", e.name, (("source", e.source),), e.lhs, e.rhs))
     return CheckReport(tuple(entries))
 
 

@@ -1,158 +1,166 @@
 """Exact arithmetic in the cyclotomic field Q[w], w = exp(i*pi/4).
 
-A scalar is stored as four rational coordinates (a0, a1, a2, a3) over the
-basis {1, w, w^2, w^3} with the single reduction rule w^4 = -1.  This field
-contains the imaginary unit (i = w^2), sqrt(2) = w - w^3, and every scalar
-the engine ever produces: spider parameters, matrix entries, normal-form
-coefficients.  All arithmetic is exact; floats appear only at the very edge
-(`Scalar.to_complex`) when a numeric embedding is requested.
-
-Complex conjugation acts on coordinates as (a0, a1, a2, a3) ->
-(a0, -a3, -a2, -a1), since conj(w^k) = w^{-k} = -w^{4-k} for k = 1..3.
+A scalar is (n0 + n1*w + n2*w^2 + n3*w^3) / d: four integer coordinates on
+the basis {1, w, w^2, w^3}, reduced by w^4 = -1, over one denominator d > 0
+with gcd(n0, n1, n2, n3, d) = 1, as number-field elements are kept in
+FLINT/Antic (`nf_elem`, https://flintlib.org).  The form is unique, so
+equality and hashing compare integers; `Scalar.a` gives the coordinates as
+`Fraction`s.  The field holds i = w^2, sqrt(2) = w - w^3 and every scalar the
+engine produces.  Floats appear only in `Scalar.to_complex`.  Conjugation
+maps (n0, n1, n2, n3) to (n0, -n3, -n2, -n1), as conj(w^k) = -w^{4-k}.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd, lcm, sqrt
 from typing import Union
 
 _Rat = Union[int, Fraction]
 
-_ONE_COORDS = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-
-_SQRT1_2 = math.sqrt(0.5)
+_SQRT1_2 = sqrt(0.5)
 
 # Embeddings of the basis powers w^0..w^3 into floating-point C.
-_BASIS_COMPLEX = (
-    complex(1.0, 0.0),
-    complex(_SQRT1_2, _SQRT1_2),
-    complex(0.0, 1.0),
-    complex(-_SQRT1_2, _SQRT1_2),
-)
+_BASIS_COMPLEX = (1 + 0j, complex(_SQRT1_2, _SQRT1_2), 1j, complex(-_SQRT1_2, _SQRT1_2))
+
+
+def _new(n: tuple, d: int) -> "Scalar":
+    """A scalar from coordinates already in canonical form."""
+    s = object.__new__(Scalar)
+    s.n, s.d = n, d
+    return s
+
+
+def _canon(n0: int, n1: int, n2: int, n3: int, d: int) -> "Scalar":
+    """(n0 + n1 w + n2 w^2 + n3 w^3) / d for d > 0, divided by the common gcd."""
+    g = gcd(n0, n1, n2, n3, d)
+    if g != 1:
+        return _new((n0 // g, n1 // g, n2 // g, n3 // g), d // g)
+    return _new((n0, n1, n2, n3), d)
 
 
 class Scalar:
-    """An element a0 + a1*w + a2*w^2 + a3*w^3 of Q[w] with exact coordinates."""
+    """An element (n0 + n1*w + n2*w^2 + n3*w^3) / d of Q[w], kept gcd-reduced."""
 
-    __slots__ = ("a",)
+    __slots__ = ("n", "d")
 
     def __init__(self, a0: _Rat = 0, a1: _Rat = 0, a2: _Rat = 0, a3: _Rat = 0):
-        self.a = (Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3))
+        if type(a0) is int and type(a1) is int and type(a2) is int and type(a3) is int:
+            self.n, self.d = (a0, a1, a2, a3), 1
+            return
+        f = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in (a0, a1, a2, a3)]
+        self.d = d = lcm(f[0].denominator, f[1].denominator, f[2].denominator, f[3].denominator)
+        self.n = tuple([c.numerator * (d // c.denominator) for c in f])
 
-    @staticmethod
-    def _raw(coeffs: tuple) -> "Scalar":
-        s = object.__new__(Scalar)
-        s.a = coeffs
-        return s
+    @property
+    def a(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The four rational coordinates on the basis 1, w, w^2, w^3."""
+        return tuple(Fraction(c, self.d) for c in self.n)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        x, y = self.a, other.a
-        return Scalar._raw((x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]))
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        d, e = self.d, other.d
+        if d == e:
+            if d == 1:
+                return _new((a0 + b0, a1 + b1, a2 + b2, a3 + b3), 1)
+            return _canon(a0 + b0, a1 + b1, a2 + b2, a3 + b3, d)
+        return _canon(a0 * e + b0 * d, a1 * e + b1 * d, a2 * e + b2 * d, a3 * e + b3 * d, d * e)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        x, y = self.a, other.a
-        return Scalar._raw((x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]))
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        d, e = self.d, other.d
+        if d == e:
+            if d == 1:
+                return _new((a0 - b0, a1 - b1, a2 - b2, a3 - b3), 1)
+            return _canon(a0 - b0, a1 - b1, a2 - b2, a3 - b3, d)
+        return _canon(a0 * e - b0 * d, a1 * e - b1 * d, a2 * e - b2 * d, a3 * e - b3 * d, d * e)
 
     def __neg__(self) -> "Scalar":
-        x = self.a
-        return Scalar._raw((-x[0], -x[1], -x[2], -x[3]))
+        a0, a1, a2, a3 = self.n
+        return _new((-a0, -a1, -a2, -a3), self.d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         # Convolution of coordinates folded by w^4 = -1.
-        if self.a == _ONE_COORDS:
-            return other
-        if other.a == _ONE_COORDS:
-            return self
-        x, y = self.a, other.a
-        out = [Fraction(0)] * 4
-        for i in range(4):
-            xi = x[i]
-            if not xi:
-                continue
-            for j in range(4):
-                yj = y[j]
-                if not yj:
-                    continue
-                k = i + j
-                if k >= 4:
-                    out[k - 4] -= xi * yj
-                else:
-                    out[k] += xi * yj
-        return Scalar._raw(tuple(out))
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        c0 = a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1
+        c1 = a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2
+        c2 = a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3
+        c3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+        d = self.d * other.d
+        if d == 1:
+            return _new((c0, c1, c2, c3), 1)
+        return _canon(c0, c1, c2, c3, d)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
 
     def galois(self, k: int) -> "Scalar":
         """Apply the field automorphism w -> w^k (k odd mod 8)."""
-        out = [Fraction(0)] * 4
-        for j, c in enumerate(self.a):
-            if not c:
-                continue
+        out = [0, 0, 0, 0]
+        for j, c in enumerate(self.n):
             e = (j * k) % 8
-            if e >= 4:
-                out[e - 4] -= c
-            else:
-                out[e] += c
-        return Scalar._raw(tuple(out))
+            out[e % 4] += c if e < 4 else -c
+        return _new(tuple(out), self.d)
 
     def inverse(self) -> "Scalar":
-        """Field inverse via the Galois conjugates; raises ZeroDivisionError on 0."""
+        """Field inverse; raises ZeroDivisionError on 0.
+
+        Real x = (p + q*sqrt(2)) / d: 1/x = d (p - q*sqrt(2)) / (p^2 - 2q^2), whose
+        denominator is nonzero but may be negative.  Else 1/x = conj(x) / (x conj(x)).
+        """
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        g3, g5, g7 = self.galois(3), self.galois(5), self.galois(7)
-        cofactor = g3 * g5 * g7
-        norm = self * cofactor
-        a = norm.a
-        assert a[1] == 0 and a[2] == 0 and a[3] == 0, "field norm must be rational"
-        n = a[0]
-        return Scalar._raw(tuple(c / n for c in cofactor.a))
+        if not self.is_real():
+            c = self.conj()
+            return c * (self * c).inverse()
+        p, q = self.n[0], self.n[1]
+        norm = p * p - 2 * q * q
+        if norm < 0:
+            norm, p, q = -norm, -p, -q
+        d = self.d
+        return _canon(d * p, -d * q, 0, d * q, norm)
 
     def conj(self) -> "Scalar":
-        a = self.a
-        return Scalar._raw((a[0], -a[3], -a[2], -a[1]))
+        a0, a1, a2, a3 = self.n
+        return _new((a0, -a3, -a2, -a1), self.d)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.a)
+        return not any(self.n)
 
     def is_real(self) -> bool:
-        return self.a[2] == 0 and self.a[3] == -self.a[1]
+        return self.n[2] == 0 and self.n[3] == -self.n[1]
 
     def is_rational(self) -> bool:
-        return self.a[1] == 0 and self.a[2] == 0 and self.a[3] == 0
+        return not (self.n[1] or self.n[2] or self.n[3])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not rational")
-        return self.a[0]
+        return Fraction(self.n[0], self.d)
 
     def real_parts(self) -> tuple[Fraction, Fraction]:
         """For a real scalar p + q*sqrt(2), return (p, q) exactly."""
         if not self.is_real():
             raise ValueError(f"scalar {self} is not real")
-        return self.a[0], self.a[1]
+        return Fraction(self.n[0], self.d), Fraction(self.n[1], self.d)
 
     def sign_real(self) -> int:
-        """Exact sign (-1, 0, 1) of a real scalar p + q*sqrt(2)."""
-        p, q = self.real_parts()
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # Opposite signs: compare p^2 against 2 q^2; sqrt(2) is irrational so
-        # p + q*sqrt(2) = 0 can never happen with p, q rational nonzero.
-        if p > 0:  # q < 0
-            return 1 if p * p > 2 * q * q else -1
-        return 1 if p * p < 2 * q * q else -1
+        """Exact sign (-1, 0, 1) of a real scalar (p + q*sqrt(2)) / d."""
+        if not self.is_real():
+            raise ValueError(f"scalar {self} is not real")
+        p, q = self.n[0], self.n[1]  # d > 0 does not change the sign
+        if (p >= 0) == (q >= 0) or not p or not q:
+            return (p > 0) - (p < 0) or (q > 0) - (q < 0)
+        # Opposite signs: the larger of p^2 and 2q^2 wins; they never tie,
+        # since sqrt(2) is irrational.
+        return (1 if p > 0 else -1) if p * p > 2 * q * q else (1 if q > 0 else -1)
 
     def real(self) -> "Scalar":
         return (self + self.conj()) * HALF
@@ -164,19 +172,16 @@ class Scalar:
     # -- embeddings ------------------------------------------------------
 
     def to_complex(self) -> complex:
-        z = 0j
-        for c, b in zip(self.a, _BASIS_COMPLEX):
-            if c:
-                z += float(c) * b
-        return z
+        d = self.d
+        return sum((c / d * b for c, b in zip(self.n, _BASIS_COMPLEX) if c), 0j)
 
     # -- protocol --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Scalar) and self.a == other.a
+        return isinstance(other, Scalar) and self.d == other.d and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash(self.a)
+        return hash((self.n, self.d))
 
     def __repr__(self) -> str:
         return f"Scalar({format_scalar(self)!r})"
@@ -247,8 +252,8 @@ def parse_scalar(text: str) -> Scalar:
             raise ScalarParseError(f"dangling sign in {text!r}")
 
         coef = Fraction(1)
-        have_coef = False
-        if s[pos].isdigit():
+        have_coef = s[pos].isdigit()
+        if have_coef:
             num = parse_uint()
             den = 1
             if pos < n and s[pos] == "/":
@@ -257,7 +262,6 @@ def parse_scalar(text: str) -> Scalar:
                 if den == 0:
                     raise ScalarParseError(f"zero denominator in {text!r}")
             coef = Fraction(num, den)
-            have_coef = True
         power = 0
         if pos < n and s[pos] == "w":
             pos += 1
@@ -282,17 +286,11 @@ _POWER_SUFFIX = ("", "w", "w^2", "w^3")
 def format_scalar(x: Scalar) -> str:
     """Canonical text for a scalar; `parse_scalar` round-trips it exactly."""
     parts: list[str] = []
-    for k in range(4):
-        c = x.a[k]
+    for k, c in enumerate(x.a):
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = _POWER_SUFFIX[k]
-        else:
-            body = f"{mag}{_POWER_SUFFIX[k]}"
-        parts.append(sign + body)
+        body = str(mag) if k == 0 or mag != 1 else ""
+        parts.append(f"{sign}{body}{_POWER_SUFFIX[k]}")
     return "".join(parts) if parts else "0"

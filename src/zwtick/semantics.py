@@ -58,6 +58,19 @@ class SemanticsError(ValueError):
     pass
 
 
+#: Dense results (`interp`, `apply_superop`, `state_operator`) hold at most
+#: 2^MAX_DENSE_LOG2 entries: a 2^24-entry table is already 128 MB of row
+#: pointers before any arithmetic, so wider boundaries are refused up front.
+MAX_DENSE_LOG2 = 24
+
+
+def _check_dense(rows_log2: int, cols_log2: int) -> None:
+    if rows_log2 + cols_log2 > MAX_DENSE_LOG2:
+        raise SemanticsError(
+            f"dense result 2^{rows_log2} x 2^{cols_log2} exceeds 2^{MAX_DENSE_LOG2} entries"
+        )
+
+
 # -- dense exact matrices (the public interchange type) -------------------
 
 
@@ -140,11 +153,18 @@ class Matrix:
         return self.transpose().conj()
 
     def is_hermitian(self) -> bool:
+        """Exact test of M = M^dagger, on the integer coordinates of each pair."""
         if self.rows != self.cols:
             return False
-        for i in range(self.rows):
+        data = self.data
+        for i, row in enumerate(data):
             for j in range(i, self.cols):
-                if self.data[i][j] != self.data[j][i].conj():
+                u, v = row[j], data[j][i]
+                if u is ZERO and v is ZERO:  # the shared zero of sparse readouts
+                    continue
+                # u == conj(v): conj maps (n0, n1, n2, n3) to (n0, -n3, -n2, -n1).
+                a, b = u.n, v.n
+                if u.d != v.d or a[0] != b[0] or a[1] != -b[3] or a[2] != -b[2] or a[3] != -b[1]:
                     return False
         return True
 
@@ -440,6 +460,7 @@ def _evaluate(d: Diagram, ops: dict, doubled: bool) -> dict:
 
 def interp(d: Diagram) -> Matrix:
     """Pure matrix of a tick-free diagram: 2^m rows by 2^n columns."""
+    _check_dense(d.n_out, d.n_in)
     cols = 1 << d.n_in
     out = _evaluate(d, {(c, c): ONE for c in range(cols)}, doubled=False)
     return SMat(1 << d.n_out, cols, out).to_matrix()
@@ -507,6 +528,7 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
         raise SemanticsError(
             f"state has {n} qubits but diagram consumes {d.n_in}"
         )
+    _check_dense(d.n_out, d.n_out)
     ops = {
         (x, y): v
         for x, row in enumerate(rho.data)
@@ -521,6 +543,7 @@ def state_operator(d: Diagram) -> Matrix:
     """The Hermitian operator denoted by a 0 -> m diagram."""
     if d.n_in != 0:
         raise SemanticsError(f"state_operator needs a state, got {d.n_in} inputs")
+    _check_dense(d.n_out, d.n_out)
     dim = 1 << d.n_out
     return SMat(dim, dim, _evaluate(d, {(0, 0): ONE}, doubled=True)).to_matrix()
 

@@ -189,3 +189,52 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestWideBoundaries:
+    @pytest.mark.parametrize("verb", ["interp", "choi", "nf", "classify"])
+    def test_id_30_is_refused(self, tmp_path, capsys, verb):
+        f = write(tmp_path, "wide.zwt", "(id 30)")
+        assert main([verb, f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dense result 2^")
+        assert "exceeds 2^24 entries" in captured.err
+
+    def test_superop_onto_30_wires_is_refused(self, tmp_path, capsys):
+        d = write(tmp_path, "wide.zwt", "(z 1 1 30)")
+        r = write(tmp_path, "rho.mat", "2 2\n1 0\n0 0\n")
+        assert main(["superop", d, "--rho", r]) == 2
+        assert capsys.readouterr().err.startswith("error: dense result 2^30 x 2^30")
+
+
+class TestEqWitness:
+    def test_witness_under_not_equal(self, tmp_path, capsys):
+        a = write(tmp_path, "a.zwt", "tick")
+        b = write(tmp_path, "b.zwt", "(id 1)")
+        assert main(["eq", a, b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "not equal\n"
+        assert captured.err == "first difference at 00 11: 0 vs 1\n"
+
+    def test_scalar_witness(self, tmp_path, capsys):
+        a = write(tmp_path, "a.zwt", "(z 1/2 1 1)")
+        b = write(tmp_path, "b.zwt", "(id 1)")
+        assert main(["eq", a, b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "not equal\n"
+        assert captured.err == "first difference at 00 11: 1/2 vs 1\n"
+
+    def test_arity_mismatch(self, tmp_path, capsys):
+        a = write(tmp_path, "a.zwt", "(id 1)")
+        b = write(tmp_path, "b.zwt", "(id 2)")
+        assert main(["eq", a, b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "not equal\n"
+        assert captured.err == "arities differ: 1 -> 1 vs 2 -> 2\n"
+
+    def test_equal_prints_no_witness(self, tmp_path, capsys):
+        a = write(tmp_path, "a.zwt", "(compose tick tick)")
+        b = write(tmp_path, "b.zwt", "(id 1)")
+        assert main(["eq", a, b]) == 0
+        assert capsys.readouterr().err == ""

@@ -23,6 +23,7 @@ from zwtick import (
     ZSpider,
     canonical_of_map,
     diagrams_equal,
+    first_difference,
     format_nf,
     ground,
     id_n,
@@ -198,3 +199,17 @@ class TestTextForm:
         assert nf == NormalForm(
             1, (NFTerm(0, 0, ONE), NFTerm(0, 1, -I), NFTerm(1, 1, Scalar(-2)))
         )
+
+
+class TestFirstDifference:
+    def test_missing_entries_read_as_zero(self):
+        a = NormalForm(1, (NFTerm(0, 0, ONE), NFTerm(0, 1, I)))
+        b = NormalForm(1, (NFTerm(0, 0, ONE), NFTerm(1, 1, ONE)))
+        assert first_difference(a, b) == (0, 1, I, ZERO)
+        assert first_difference(b, a) == (0, 1, ZERO, I)
+        assert first_difference(a, a) is None
+
+    def test_first_in_entry_order(self):
+        a = NormalForm(2, (NFTerm(1, 2, ONE), NFTerm(3, 3, ONE)))
+        b = NormalForm(2, (NFTerm(0, 3, ONE), NFTerm(1, 2, MINUS_ONE)))
+        assert first_difference(a, b) == (0, 3, ZERO, ONE)

@@ -1,6 +1,7 @@
 """Rule schemas, semantic certification, and positional rewriting."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,15 +15,18 @@ from zwtick import (
     RULES,
     RULES_BY_NAME,
     RuleError,
+    RuleSchema,
     Tensor,
     Tick,
     WSpider,
+    ZERO,
     ZSpider,
     apply_rule,
     canonical_of_map,
     check_corpus,
     check_soundness,
     diagrams_equal,
+    first_difference,
     id_n,
     instantiate,
     lemma_corpus,
@@ -158,3 +162,33 @@ class TestStructuralRules:
     def test_normal_form_rules_present(self):
         for name in ("zt", "td", "th"):
             rule_named(name)
+
+
+class TestCertificationReport:
+    def test_entries_carry_seconds_outside_line_and_equality(self):
+        report = check_corpus()
+        assert all(e.seconds > 0 for e in report.entries)
+        e = report.entries[0]
+        assert "seconds" not in e.line() and str(e.seconds) not in e.line()
+        d = e.as_dict()
+        assert d["seconds"] == e.seconds and d["witness"] is None
+        assert json.loads(report.to_json())["entries"][0]["seconds"] == e.seconds
+        assert replace(e, seconds=e.seconds + 1) == e
+        assert hash(replace(e, seconds=e.seconds + 1)) == hash(e)
+
+    def test_fail_carries_first_differing_entry(self):
+        bogus = RuleSchema("bogus-tick-is-id", (), (), lambda: (Tick, Id))
+        report = check_soundness(rules=[bogus])
+        (e,) = report.entries
+        assert not e.ok and e.line() == "RULE bogus-tick-is-id FAIL"
+        # Choi states on wires (reference, output): tick gives the swap, whose
+        # |00><11| entry is 0, where the identity's Bell state has 1.
+        assert e.witness == (0, 3, ZERO, ONE)
+        a, b = canonical_of_map(Tick), canonical_of_map(Id)
+        assert first_difference(a, b) == e.witness
+        assert e.as_dict()["witness"] == {"x": 0, "y": 3, "lhs": "0", "rhs": "1"}
+
+    def test_pass_has_no_witness(self):
+        report = check_soundness(rules=[rule_named("zs")])
+        assert report.all_pass
+        assert all(e.witness is None for e in report.entries)

@@ -1,6 +1,8 @@
 """Ring, field, and embedding laws for the exact cyclotomic scalars."""
 
 import cmath
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,3 +164,129 @@ class TestPredicates:
         assert SQRT2.is_real()
         assert not OMEGA.is_real()
         assert (OMEGA + OMEGA.conj()).is_real()
+
+
+# -- differential tests against a four-Fraction reference -----------------
+#
+# The reference below keeps the four coordinates as separate Fractions and
+# computes the inverse from the three Galois conjugates, the textbook
+# construction, independently of the integer form under test.
+
+
+def ref_mul(x: tuple, y: tuple) -> tuple:
+    out = [Fraction(0)] * 4
+    for i in range(4):
+        for j in range(4):
+            if i + j >= 4:
+                out[i + j - 4] -= x[i] * y[j]
+            else:
+                out[i + j] += x[i] * y[j]
+    return tuple(out)
+
+
+def ref_galois(x: tuple, k: int) -> tuple:
+    out = [Fraction(0)] * 4
+    for j, c in enumerate(x):
+        e = (j * k) % 8
+        if e >= 4:
+            out[e - 4] -= c
+        else:
+            out[e] += c
+    return tuple(out)
+
+
+def ref_inverse(x: tuple) -> tuple:
+    cofactor = ref_mul(ref_mul(ref_galois(x, 3), ref_galois(x, 5)), ref_galois(x, 7))
+    norm = ref_mul(x, cofactor)
+    assert norm[1:] == (0, 0, 0)
+    return tuple(c / norm[0] for c in cofactor)
+
+
+def coords(s: Scalar) -> tuple:
+    """The Fraction coordinates of s, after checking the canonical form."""
+    assert all(type(c) is int for c in s.n) and type(s.d) is int
+    assert s.d > 0
+    assert math.gcd(*s.n, s.d) == 1
+    a = s.a
+    assert all(type(c) is Fraction for c in a)
+    return a
+
+
+def check_ops(x: Scalar, y: Scalar) -> None:
+    a, b = coords(x), coords(y)
+    assert coords(x + y) == tuple(p + q for p, q in zip(a, b))
+    assert coords(x - y) == tuple(p - q for p, q in zip(a, b))
+    assert coords(x * y) == ref_mul(a, b)
+    assert coords(-x) == tuple(-p for p in a)
+    assert coords(x.conj()) == (a[0], -a[3], -a[2], -a[1])
+    for k in (1, 3, 5, 7):
+        assert coords(x.galois(k)) == ref_galois(a, k)
+    if x.is_zero():
+        assert a == (0, 0, 0, 0)
+    else:
+        assert coords(x.inverse()) == ref_inverse(a)
+        assert x * x.inverse() == ONE
+
+
+def big_fraction(rng: random.Random) -> Fraction:
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**30))
+
+
+big_fractions = st.fractions(max_denominator=10**30)
+big_scalars = st.builds(Scalar, big_fractions, big_fractions, big_fractions, big_fractions)
+
+
+class TestIntegerCoordinates:
+    @given(scalars, scalars)
+    def test_small_coordinates_match_reference(self, x, y):
+        check_ops(x, y)
+
+    @given(big_scalars, big_scalars)
+    def test_large_denominators_match_reference(self, x, y):
+        check_ops(x, y)
+
+    def test_seeded_denominators_up_to_1e30(self):
+        rng = random.Random(404)
+        for _ in range(150):
+            x = Scalar(*(big_fraction(rng) for _ in range(4)))
+            y = Scalar(*(big_fraction(rng) for _ in range(4)))
+            check_ops(x, y)
+            check_ops(x, x)  # equal denominators
+            check_ops(x, x.conj())
+
+    def test_inverse_of_real_scalars_with_negative_norm(self):
+        # p + q*sqrt(2) with p^2 < 2q^2: the norm p^2 - 2q^2 down to Q is negative.
+        for p, q in [(1, -1), (-1, 1), (Fraction(1, 3), Fraction(5, 7)), (3, -(10**20) - 1)]:
+            x = Scalar(p, q, 0, -q)
+            assert x.is_real() and p * p - 2 * q * q < 0
+            check_ops(x, ONE)
+        assert (SQRT2 - ONE).inverse() == SQRT2 + ONE
+
+    def test_equal_values_are_equal_and_hash_alike(self):
+        pairs = [
+            (Scalar(Fraction(1, 2)) + Scalar(Fraction(1, 2)), ONE),
+            (Scalar(Fraction(2, 4), 0, 0, 0), HALF),
+            (Scalar(Fraction(3), Fraction(-6, 3)), Scalar(3, -2)),
+            (Scalar(Fraction(1, 3)) * Scalar(3), ONE),
+            (HALF * TWO - ONE, ZERO),
+            (OMEGA * Scalar(Fraction(1, 6)) + OMEGA * Scalar(Fraction(1, 3)), OMEGA * HALF),
+        ]
+        for x, y in pairs:
+            coords(x)
+            assert x == y and hash(x) == hash(y)
+            assert (x.n, x.d) == (y.n, y.d)
+        assert Scalar(Fraction(1, 2)) != Scalar(Fraction(1, 3))
+        assert Scalar(1, 2) != Scalar(1, 2, 0, 1)
+
+    @given(big_scalars)
+    def test_text_round_trip_and_coordinates(self, x):
+        assert parse_scalar(format_scalar(x)) == x
+        assert all(type(c) is Fraction for c in x.a)
+        assert Scalar(*x.a) == x
+
+    def test_int_and_fraction_arguments_agree(self):
+        assert Scalar(1, -2, 3, 0) == Scalar(Fraction(1), Fraction(-2), Fraction(3), Fraction(0))
+        assert Scalar(1, 2, 3, 4).d == 1
+        assert Scalar(Fraction(1, 4), Fraction(1, 6)).d == 12

@@ -1,6 +1,7 @@
 """Pure interpretation, wire doubling, superoperators, and Choi tests."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,12 +17,15 @@ from zwtick import (
     Id,
     MINUS_ONE,
     Matrix,
+    NormalFormError,
     OMEGA,
     ONE,
     Scalar,
+    SQRT2,
     SemanticsError,
     Swap,
     Tensor,
+    TWO,
     Tick,
     WSpider,
     ZERO,
@@ -41,6 +45,7 @@ from zwtick import (
     is_hermiticity_preserving,
     is_psd,
     ket0,
+    nf_from_matrix,
     not_gate,
     parse_matrix,
     proper_choi,
@@ -48,10 +53,11 @@ from zwtick import (
     psi,
     psi_inv,
     state_operator,
+    tensor_many,
     ticked_cap,
     unzip,
 )
-from zwtick.semantics import SMat, interp_sparse
+from zwtick.semantics import MAX_DENSE_LOG2, SMat, interp_sparse
 
 from _support import (
     mat_dagger,
@@ -397,3 +403,58 @@ class TestBending:
     def test_superop_arity_mismatch(self):
         with pytest.raises(SemanticsError):
             apply_superop(Id, Matrix.zeros(4, 4))
+
+
+class TestHermiticityCheck:
+    def test_one_conjugated_coordinate_differs(self):
+        # u = (1 + 2w + 3w^2 + 4w^3) / 5 and conj(u) = (1 - 4w - 3w^2 - 2w^3) / 5.
+        u = Scalar(Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
+        good = M([[ONE, u], [u.conj(), TWO]])
+        assert good.is_hermitian()
+        assert nf_from_matrix(good).terms[1].coeff == u
+        exact = [Fraction(1, 5), Fraction(-4, 5), Fraction(-3, 5), Fraction(-2, 5)]
+        for k in range(4):
+            off = list(exact)
+            off[k] += 1
+            bad = M([[ONE, u], [Scalar(*off), TWO]])
+            assert not bad.is_hermitian(), k
+            assert is_psd(bad) is False
+            with pytest.raises(NormalFormError):
+                nf_from_matrix(bad)
+        # The same coordinates over another denominator.
+        assert not M([[ONE, u], [Scalar(*(c * 5 / 7 for c in exact)), TWO]]).is_hermitian()
+
+    def test_diagonal_must_be_real(self):
+        assert not M([[OMEGA]]).is_hermitian()
+        assert M([[SQRT2]]).is_hermitian()
+
+
+class TestWidthGuard:
+    """Wide boundaries are refused before anything of their size is built."""
+
+    def _refused(self, call, *args):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SemanticsError, match="exceeds"):
+                call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_interp_of_id_30(self):
+        self._refused(interp, id_n(30))
+
+    def test_state_operator_on_30_wires(self):
+        self._refused(state_operator, tensor_many([ket0] * 30))
+        self._refused(choi, id_n(30))
+
+    def test_apply_superop_to_30_wires(self):
+        rho = M([[ONE, ZERO], [ZERO, ZERO]])
+        self._refused(apply_superop, ZSpider(ONE, 1, 30), rho)
+
+    def test_limit_is_on_total_entries(self):
+        assert MAX_DENSE_LOG2 == 24
+        self._refused(interp, ZSpider(ONE, 12, 13))
+        self._refused(state_operator, tensor_many([ket0] * 13))
+        assert interp(ZSpider(ONE, 2, 3)).rows == 8
