@@ -21,7 +21,6 @@ from .normalform import (
     canonical_of_map,
     first_difference,
     format_nf,
-    nf_of_diagram,
 )
 from .qinfo import min_pt_eigenvalue, ppt_check, spin_flip
 from .rules import CheckReport, check_corpus, check_soundness
@@ -64,12 +63,10 @@ def _emit_nf(nf: NormalForm, float_mode: bool) -> None:
     if not float_mode:
         sys.stdout.write(format_nf(nf))
         return
-    text = format_nf(nf)
-    lines = text.splitlines()
-    out = [lines[0]]
-    for t, _line in zip(nf.terms, lines[1:]):
-        x, y, _ = _line.split()
-        out.append(f"{x} {y} {_format_complex(t.coeff.to_complex())}")
+    n = nf.qubits
+    out = [f"n {n}"]
+    for t in nf.terms:
+        out.append(f"{_bits(t.x, n)} {_bits(t.y, n)} {_format_complex(t.coeff.to_complex())}")
     sys.stdout.write("\n".join(out) + "\n")
 
 
@@ -95,8 +92,7 @@ def _cmd_superop(args: argparse.Namespace) -> int:
 
 def _cmd_nf(args: argparse.Namespace) -> int:
     d = _load_diagram(args.file)
-    nf = nf_of_diagram(d) if d.n_in == 0 else canonical_of_map(d)
-    _emit_nf(nf, args.float)
+    _emit_nf(canonical_of_map(d), args.float)
     return 0
 
 
@@ -263,9 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         ValueError,
     ) as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return _USAGE_ERROR
-    except RecursionError:
-        print("error: term nested too deeply", file=sys.stderr)
         return _USAGE_ERROR
 
 

@@ -14,10 +14,11 @@ the same wire cancel semantically but not syntactically.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .scalar import ONE, Scalar, ScalarParseError, conjugate, format_scalar, parse_scalar
+from .scalar import ONE, Scalar, ScalarParseError, format_scalar, parse_scalar
 
 
 class ArityError(ValueError):
@@ -239,14 +240,15 @@ def permutation_diagram(perm: list[int]) -> Diagram:
     return compose_many(layers)
 
 
+def block_transpose(n: int, m: int) -> Diagram:
+    """Route n blocks of m wires to m blocks of n: wire i*m + j goes to j*n + i."""
+    return permutation_diagram([j * n + i for i in range(n) for j in range(m)])
+
+
 def bend_cap(n: int) -> Diagram:
     """0 -> 2n state pairing output k with output n+k (blocked Bell layout)."""
-    pairs = tensor_many([Cap] * n) if n else Empty
     # Cap^(x)n emits interleaved pairs (a1,b1,...,an,bn); route to blocks.
-    perm = []
-    for k in range(n):
-        perm.extend([k, n + k])
-    return Compose(permutation_diagram(perm), pairs)
+    return Compose(block_transpose(n, 2), tensor_many([Cap] * n))
 
 
 def bend_cup(n: int) -> Diagram:
@@ -254,39 +256,67 @@ def bend_cup(n: int) -> Diagram:
     return dagger(bend_cap(n))
 
 
-# -- involutions ---------------------------------------------------------
+# -- folds ---------------------------------------------------------------
+
+# Markers on the fold stack: combine the two values on top.
+_COMPOSE = object()
+_TENSOR = object()
+
+
+def fold(d: Diagram, gen: Callable, compose: Callable, tensor: Callable):
+    """Post-order fold of a term, on an explicit stack so any depth is safe.
+
+    Each generator leaf g becomes gen(g); a `Compose` node becomes
+    compose(after's value, before's value) and a `Tensor` node
+    tensor(left's value, right's value).  Children are visited in
+    application order, `before` then `after` and `left` then `right`, so the
+    calls of `gen` run in that order too.
+    """
+    values: list = []
+    todo: list = [d]
+    while todo:
+        t = todo.pop()
+        if t is _COMPOSE:
+            after = values.pop()
+            values[-1] = compose(after, values[-1])
+        elif t is _TENSOR:
+            right = values.pop()
+            values[-1] = tensor(values[-1], right)
+        elif isinstance(t, Compose):
+            todo += (_COMPOSE, t.after, t.before)
+        elif isinstance(t, Tensor):
+            todo += (_TENSOR, t.right, t.left)
+        elif isinstance(t, Generator):
+            values.append(gen(t))
+        else:
+            raise TypeError(f"not a diagram: {t!r}")
+    return values[0]
+
+
+def _dagger_gen(g: Generator) -> Diagram:
+    if isinstance(g, ZSpider):
+        return ZSpider(g.r.conj(), g.m, g.n)
+    if isinstance(g, WSpider):
+        return WSpider(g.m, g.n)
+    if g is Cup:
+        return Cap
+    if g is Cap:
+        return Cup
+    return g
 
 
 def dagger(d: Diagram) -> Diagram:
     """Adjoint: reverses composition and conjugates Z parameters."""
-    if isinstance(d, ZSpider):
-        return ZSpider(conjugate(d.r), d.m, d.n)
-    if isinstance(d, WSpider):
-        return WSpider(d.m, d.n)
-    if d is Cup:
-        return Cap
-    if d is Cap:
-        return Cup
-    if isinstance(d, Generator):
-        return d
-    if isinstance(d, Compose):
-        return Compose(dagger(d.before), dagger(d.after))
-    if isinstance(d, Tensor):
-        return Tensor(dagger(d.left), dagger(d.right))
-    raise TypeError(f"not a diagram: {d!r}")
+    return fold(d, _dagger_gen, lambda after, before: Compose(before, after), Tensor)
+
+
+def _conjugate_gen(g: Generator) -> Diagram:
+    return ZSpider(g.r.conj(), g.n, g.m) if isinstance(g, ZSpider) else g
 
 
 def conjugate_term(d: Diagram) -> Diagram:
     """Entrywise complex conjugate: conjugates Z parameters, fixes the rest."""
-    if isinstance(d, ZSpider):
-        return ZSpider(conjugate(d.r), d.n, d.m)
-    if isinstance(d, Generator):
-        return d
-    if isinstance(d, Compose):
-        return Compose(conjugate_term(d.after), conjugate_term(d.before))
-    if isinstance(d, Tensor):
-        return Tensor(conjugate_term(d.left), conjugate_term(d.right))
-    raise TypeError(f"not a diagram: {d!r}")
+    return fold(d, _conjugate_gen, Compose, Tensor)
 
 
 def transpose_term(d: Diagram) -> Diagram:
@@ -295,22 +325,12 @@ def transpose_term(d: Diagram) -> Diagram:
 
 
 def has_tick(d: Diagram) -> bool:
-    if d is Tick:
-        return True
-    if isinstance(d, Compose):
-        return has_tick(d.after) or has_tick(d.before)
-    if isinstance(d, Tensor):
-        return has_tick(d.left) or has_tick(d.right)
-    return False
+    return fold(d, lambda g: g is Tick, operator.or_, operator.or_)
 
 
 def generator_count(d: Diagram) -> int:
     """Number of generator leaves (plain wires and the unit included)."""
-    if isinstance(d, Compose):
-        return generator_count(d.after) + generator_count(d.before)
-    if isinstance(d, Tensor):
-        return generator_count(d.left) + generator_count(d.right)
-    return 1
+    return fold(d, lambda g: 1, operator.add, operator.add)
 
 
 def subdiagrams(d: Diagram) -> Iterator[tuple[tuple[int, ...], Diagram]]:
@@ -348,30 +368,21 @@ ticked_cap = dagger(ticked_cup)
 
 # -- text form -----------------------------------------------------------
 
-_SUGAR: dict[str, Diagram] = {}
-
-
-def _init_sugar() -> None:
-    _SUGAR.update(
-        {
-            "fswap": Fswap,
-            "swap": Swap,
-            "cup": Cup,
-            "cap": Cap,
-            "tick": Tick,
-            "ground": ground,
-            "ket0": ket0,
-            "ket1": ket1,
-            "bra0": bra0,
-            "bra1": bra1,
-            "not": not_gate,
-            "tcup": ticked_cup,
-            "tcap": ticked_cap,
-        }
-    )
-
-
-_init_sugar()
+_SUGAR: dict[str, Diagram] = {
+    "fswap": Fswap,
+    "swap": Swap,
+    "cup": Cup,
+    "cap": Cap,
+    "tick": Tick,
+    "ground": ground,
+    "ket0": ket0,
+    "ket1": ket1,
+    "bra0": bra0,
+    "bra1": bra1,
+    "not": not_gate,
+    "tcup": ticked_cup,
+    "tcap": ticked_cap,
+}
 
 
 def _tokenize(text: str) -> list[str]:
@@ -384,7 +395,11 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_diagram(text: str) -> Diagram:
-    """Parse the s-expression diagram syntax; sugar tokens expand to terms."""
+    """Parse the s-expression diagram syntax; sugar tokens expand to terms.
+
+    Open `compose`/`tensor` forms wait on an explicit stack, so any nesting
+    depth parses.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise DiagramParseError("empty diagram text")
@@ -411,26 +426,7 @@ def parse_diagram(text: str) -> Diagram:
             raise DiagramParseError(f"expected a natural number, found {tok!r}")
         return int(tok)
 
-    def parse_term() -> Diagram:
-        tok = next_token()
-        if tok != "(":
-            if tok in _SUGAR:
-                return _SUGAR[tok]
-            raise DiagramParseError(f"unknown diagram token {tok!r}")
-        head = next_token()
-        if head == "compose":
-            after = parse_term()
-            before = parse_term()
-            need(")")
-            try:
-                return Compose(after, before)
-            except ArityError as exc:
-                raise DiagramParseError(str(exc)) from None
-        if head == "tensor":
-            left = parse_term()
-            right = parse_term()
-            need(")")
-            return Tensor(left, right)
+    def parse_leaf_form(head: str) -> Diagram:
         if head == "id":
             n = parse_nat()
             need(")")
@@ -452,37 +448,77 @@ def parse_diagram(text: str) -> Diagram:
             return WSpider(n, m)
         raise DiagramParseError(f"unknown form {head!r}")
 
-    d = parse_term()
+    forms: list[list] = []  # open forms: [head, first argument or None]
+    while True:
+        tok = next_token()
+        if tok == "(":
+            head = next_token()
+            if head == "compose" or head == "tensor":
+                forms.append([head, None])
+                continue
+            d = parse_leaf_form(head)
+        elif tok in _SUGAR:
+            d = _SUGAR[tok]
+        else:
+            raise DiagramParseError(f"unknown diagram token {tok!r}")
+        # d completes every open form that already holds its first argument.
+        while forms and forms[-1][1] is not None:
+            head, first = forms.pop()
+            need(")")
+            if head == "tensor":
+                d = Tensor(first, d)
+                continue
+            try:
+                d = Compose(first, d)
+            except ArityError as exc:
+                raise DiagramParseError(str(exc)) from None
+        if not forms:
+            break
+        forms[-1][1] = d
     if pos != len(tokens):
         raise DiagramParseError(f"trailing tokens starting at {tokens[pos]!r}")
     return d
 
 
+def _generator_text(g: Diagram) -> str:
+    if isinstance(g, ZSpider):
+        return f"(z {format_scalar(g.r)} {g.n} {g.m})"
+    if isinstance(g, WSpider):
+        return f"(w {g.n} {g.m})"
+    if g is Fswap:
+        return "fswap"
+    if g is Tick:
+        return "tick"
+    if g is Id:
+        return "(id 1)"
+    if g is Swap:
+        return "swap"
+    if g is Cup:
+        return "cup"
+    if g is Cap:
+        return "cap"
+    if g is Empty:
+        return "(id 0)"
+    raise TypeError(f"not a diagram: {g!r}")
+
+
 def print_diagram(d: Diagram) -> str:
     """Core-syntax text for a term; `parse_diagram` inverts it exactly."""
-    if isinstance(d, ZSpider):
-        return f"(z {format_scalar(d.r)} {d.n} {d.m})"
-    if isinstance(d, WSpider):
-        return f"(w {d.n} {d.m})"
-    if d is Fswap:
-        return "fswap"
-    if d is Tick:
-        return "tick"
-    if d is Id:
-        return "(id 1)"
-    if d is Swap:
-        return "swap"
-    if d is Cup:
-        return "cup"
-    if d is Cap:
-        return "cap"
-    if d is Empty:
-        return "(id 0)"
-    if isinstance(d, Compose):
-        return f"(compose {print_diagram(d.after)} {print_diagram(d.before)})"
-    if isinstance(d, Tensor):
-        return f"(tensor {print_diagram(d.left)} {print_diagram(d.right)})"
-    raise TypeError(f"not a diagram: {d!r}")
+    out: list[str] = []
+    todo: list = [d]  # terms still to print, and literal text between them
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Compose):
+            out.append("(compose ")
+            todo += (")", t.before, " ", t.after)
+        elif isinstance(t, Tensor):
+            out.append("(tensor ")
+            todo += (")", t.right, " ", t.left)
+        else:
+            out.append(_generator_text(t))
+    return "".join(out)
 
 
 # -- graphviz rendering --------------------------------------------------
@@ -542,7 +578,7 @@ def render_dot(d: Diagram) -> str:
             [new_wire(name) for _ in range(t.n_out)],
         )
 
-    def walk(t: Diagram) -> tuple[list[_Wire], list[_Wire]]:
+    def gen(t: Diagram) -> tuple[list[_Wire], list[_Wire]]:
         if isinstance(t, ZSpider):
             name = fresh_node(
                 f'label="Z({format_scalar(t.r)})" shape=ellipse style=filled fillcolor=white'
@@ -573,19 +609,17 @@ def render_dot(d: Diagram) -> str:
             return [], [w, w]
         if t is Empty:
             return [], []
-        if isinstance(t, Compose):
-            b_in, b_out = walk(t.before)
-            a_in, a_out = walk(t.after)
-            for wb, wa in zip(b_out, a_in):
-                _union(wb, wa)
-            return b_in, a_out
-        if isinstance(t, Tensor):
-            l_in, l_out = walk(t.left)
-            r_in, r_out = walk(t.right)
-            return l_in + r_in, l_out + r_out
         raise TypeError(f"not a diagram: {t!r}")
 
-    ins, outs = walk(d)
+    def compose(after: tuple, before: tuple) -> tuple[list[_Wire], list[_Wire]]:
+        for wb, wa in zip(before[1], after[0]):
+            _union(wb, wa)
+        return before[0], after[1]
+
+    def tensor(left: tuple, right: tuple) -> tuple[list[_Wire], list[_Wire]]:
+        return left[0] + right[0], left[1] + right[1]
+
+    ins, outs = fold(d, gen, compose, tensor)
     for k, w in enumerate(ins):
         name = f"in{k}"
         nodes.append(f'  {name} [label="in {k}" shape=plaintext];')

@@ -17,6 +17,7 @@ from .diagram import (
     Tensor,
     Tick,
     ZSpider,
+    block_transpose,
     compose_many,
     id_n,
     not_gate,
@@ -128,15 +129,6 @@ spin_flip_diagram: Diagram = compose_many(
 )
 
 
-def _interleave_blocks(n: int) -> Diagram:
-    # (a_1..a_n, b_1..b_n) -> (a_1, b_1, ..., a_n, b_n)
-    perm = [0] * (2 * n)
-    for k in range(n):
-        perm[k] = 2 * k
-        perm[n + k] = 2 * k + 1
-    return permutation_diagram(perm)
-
-
 def sesqui_pairing(s1: Diagram, s2: Diagram, ticked: bool) -> Scalar:
     """Contract two states wire-by-wire; the ticked cups make it a scalar product."""
     if s1.n_in != 0 or s2.n_in != 0:
@@ -149,7 +141,7 @@ def sesqui_pairing(s1: Diagram, s2: Diagram, ticked: bool) -> Scalar:
     bend = ticked_cup if ticked else Cup
     layers = [Tensor(s1, s2)]
     if n:
-        layers.append(_interleave_blocks(n))
+        layers.append(block_transpose(2, n))  # (a_1, b_1, ..., a_n, b_n)
         layers.append(tensor_many([bend] * n))
     scalar_diagram = compose_many(layers)
     return state_operator(scalar_diagram).data[0][0]
@@ -159,12 +151,7 @@ def _ticked_bend_cap(n: int) -> Diagram:
     # 0 -> 2n: block of ticked wires pairing the following plain block.
     if n == 0:
         return Empty
-    pairs = tensor_many([ticked_cap] * n)
-    perm = [0] * (2 * n)
-    for k in range(n):
-        perm[2 * k] = k
-        perm[2 * k + 1] = n + k
-    return Compose(permutation_diagram(perm), pairs)
+    return Compose(block_transpose(n, 2), tensor_many([ticked_cap] * n))
 
 
 def internal_dagger(d: Diagram) -> Diagram:

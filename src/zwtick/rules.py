@@ -27,15 +27,16 @@ from .diagram import (
     Tick,
     WSpider,
     ZSpider,
+    block_transpose,
     bra0,
     compose_many,
     dagger,
+    fold,
     ground,
     id_n,
     ket0,
     ket1,
     not_gate,
-    permutation_diagram,
     print_diagram,
     tensor_many,
     ticked_cap,
@@ -69,15 +70,6 @@ def _ticks(k: int) -> Diagram:
 
 def _nots(k: int) -> Diagram:
     return tensor_many([_X] * k)
-
-
-def _regroup(n: int, m: int) -> Diagram:
-    # n blocks of m wires rearranged into m blocks of n.
-    perm = [0] * (n * m)
-    for i in range(n):
-        for j in range(m):
-            perm[i * m + j] = j * n + i
-    return permutation_diagram(perm) if n * m else Empty
 
 
 def _z_state_form(r: Scalar) -> Diagram:
@@ -145,7 +137,7 @@ def _r_b(n: int, m: int) -> tuple[Diagram, Diagram]:
     rhs = compose_many(
         [
             tensor_many([WSpider(1, m)] * n),
-            _regroup(n, m),
+            block_transpose(n, m),
             tensor_many([ZSpider(ONE, n, 1)] * m),
         ]
     )
@@ -704,31 +696,18 @@ def check_corpus() -> CheckReport:
 
 def _assoc_key(d: Diagram):
     # Associativity-insensitive shape: chains of the same connective flatten.
-    if isinstance(d, Compose):
-        layers: list = []
+    def chain(tag: str, first, second) -> tuple:
+        parts = []
+        for k in (first, second):
+            parts.extend(k[1] if isinstance(k, tuple) and k[0] == tag else (k,))
+        return (tag, tuple(parts))
 
-        def walk(t: Diagram) -> None:
-            if isinstance(t, Compose):
-                walk(t.before)
-                walk(t.after)
-            else:
-                layers.append(_assoc_key(t))
-
-        walk(d)
-        return ("compose", tuple(layers))
-    if isinstance(d, Tensor):
-        parts: list = []
-
-        def walk_t(t: Diagram) -> None:
-            if isinstance(t, Tensor):
-                walk_t(t.left)
-                walk_t(t.right)
-            else:
-                parts.append(_assoc_key(t))
-
-        walk_t(d)
-        return ("tensor", tuple(parts))
-    return d
+    return fold(
+        d,
+        lambda g: g,
+        lambda after, before: chain("compose", before, after),
+        lambda left, right: chain("tensor", left, right),
+    )
 
 
 _STEP_FIELDS = {
@@ -755,18 +734,23 @@ def subterm_at(d: Diagram, position: Sequence[str]) -> Diagram:
 
 
 def _replace_at(d: Diagram, position: Sequence[str], new: Diagram) -> Diagram:
-    if not position:
-        return new
-    step, rest = position[0], position[1:]
-    if step == "after":
-        return Compose(_replace_at(d.after, rest, new), d.before)
-    if step == "before":
-        return Compose(d.after, _replace_at(d.before, rest, new))
-    if step == "left":
-        return Tensor(_replace_at(d.left, rest, new), d.right)
-    if step == "right":
-        return Tensor(d.left, _replace_at(d.right, rest, new))
-    raise MatchError(f"invalid path step: {step}")
+    # Walk down the path, then rebuild each node on it from the bottom up.
+    spine = []
+    for step in position:
+        if step not in _STEP_FIELDS:
+            raise MatchError(f"invalid path step: {step}")
+        spine.append((d, step))
+        d = getattr(d, step)
+    for node, step in reversed(spine):
+        if step == "after":
+            new = Compose(new, node.before)
+        elif step == "before":
+            new = Compose(node.after, new)
+        elif step == "left":
+            new = Tensor(new, node.right)
+        else:
+            new = Tensor(node.left, new)
+    return new
 
 
 def apply_rule(

@@ -145,12 +145,6 @@ class Scalar:
             raise ValueError(f"scalar {self} is not rational")
         return Fraction(self.n[0], self.d)
 
-    def real_parts(self) -> tuple[Fraction, Fraction]:
-        """For a real scalar p + q*sqrt(2), return (p, q) exactly."""
-        if not self.is_real():
-            raise ValueError(f"scalar {self} is not real")
-        return Fraction(self.n[0], self.d), Fraction(self.n[1], self.d)
-
     def sign_real(self) -> int:
         """Exact sign (-1, 0, 1) of a real scalar (p + q*sqrt(2)) / d."""
         if not self.is_real():
@@ -198,10 +192,6 @@ HALF = Scalar(Fraction(1, 2))
 OMEGA = Scalar(0, 1)  # w = exp(i*pi/4)
 I = Scalar(0, 0, 1)  # w^2
 SQRT2 = Scalar(0, 1, 0, -1)  # w - w^3
-
-
-def conjugate(x: Scalar) -> Scalar:
-    return x.conj()
 
 
 # -- text form -----------------------------------------------------------

@@ -11,7 +11,7 @@ live wires (`interp`, `apply_superop`, `state_operator`, hence `choi`).
 
 The doubling construction is kept as the reference the evaluator is tested
 against: `unzip` doubles every wire into a (plain, conjugate) pair, and
-`interp_sparse`, a plain recursion over matrix and Kronecker products, reads
+`interp_sparse`, a plain fold into matrix and Kronecker products, reads
 the doubled pure matrix against the interleaved vectorization, which sends
 |x><y| to the basis vector indexed by the bit sequence x1 y1 x2 y2 ...
 
@@ -45,9 +45,12 @@ from .diagram import (
     Tick,
     WSpider,
     ZSpider,
+    bend_cap,
+    block_transpose,
     compose_many,
     conjugate_term,
     dagger,
+    fold,
     id_n,
     permutation_diagram,
     tensor_many,
@@ -91,13 +94,6 @@ class Matrix:
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix([[ZERO] * cols for _ in range(rows)])
 
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        m = Matrix.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
-
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         return self.data[ij[0]][ij[1]]
 
@@ -130,27 +126,11 @@ class Matrix:
                         acc[j] = acc[j] + v * w
         return out
 
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix([[c * v for v in row] for row in self.data])
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
     def transpose(self) -> "Matrix":
         return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def conj(self) -> "Matrix":
         return Matrix([[v.conj() for v in row] for row in self.data])
-
-    def dagger(self) -> "Matrix":
-        return self.transpose().conj()
 
     def is_hermitian(self) -> bool:
         """Exact test of M = M^dagger, on the integer coordinates of each pair."""
@@ -280,16 +260,11 @@ def _gen_smat(g: Diagram) -> SMat:
 def interp_sparse(d: Diagram) -> SMat:
     """Reference pure semantics: matrix and Kronecker products of the generators.
 
-    A plain recursion over the term, kept as the oracle the netlist evaluator
-    is tested against; the library itself evaluates through `interp`.
+    A plain fold over the term, kept as the oracle the netlist evaluator is
+    tested against; the library itself evaluates through `interp`.
     """
-    if isinstance(d, Generator):
-        return _gen_smat(d)
-    if isinstance(d, Compose):
-        return interp_sparse(d.after).matmul(interp_sparse(d.before))
-    if isinstance(d, Tensor):
-        return interp_sparse(d.left).kron(interp_sparse(d.right))
-    raise TypeError(f"not a diagram: {d!r}")
+    # Look the products up at call time, so patching `SMat` reaches them.
+    return fold(d, _gen_smat, lambda a, b: a.matmul(b), lambda a, b: a.kron(b))
 
 
 # -- the netlist evaluator -----------------------------------------------
@@ -469,23 +444,6 @@ def interp(d: Diagram) -> Matrix:
 # -- wire doubling -------------------------------------------------------
 
 
-def _uninterleave_perm(n: int) -> list[int]:
-    """Route interleaved (p1,c1,...,pn,cn) to blocked (p1..pn, c1..cn)."""
-    perm = [0] * (2 * n)
-    for i in range(n):
-        perm[2 * i] = i
-        perm[2 * i + 1] = n + i
-    return perm
-
-
-def _interleave_perm(n: int) -> list[int]:
-    perm = [0] * (2 * n)
-    for i in range(n):
-        perm[i] = 2 * i
-        perm[n + i] = 2 * i + 1
-    return perm
-
-
 def unzip(d: Diagram) -> Diagram:
     """Double every wire into a (plain, conjugate) pair; ticks become swaps.
 
@@ -494,22 +452,18 @@ def unzip(d: Diagram) -> Diagram:
     construction, so the doubled matrix is interp(d) (x) conj(interp(d))
     up to the pair interleaving.
     """
-    if d is Tick:
+    return fold(d, _unzip_gen, Compose, Tensor)
+
+
+def _unzip_gen(g: Generator) -> Diagram:
+    if g is Tick:
         return Swap
-    if d is Id:
+    if g is Id:
         return Tensor(Id, Id)
-    if d is Empty:
+    if g is Empty:
         return Empty
-    if isinstance(d, Generator):
-        inner = Tensor(d, conjugate_term(d))
-        left = permutation_diagram(_interleave_perm(d.n_out))
-        right = permutation_diagram(_uninterleave_perm(d.n_in))
-        return Compose(left, Compose(inner, right))
-    if isinstance(d, Compose):
-        return Compose(unzip(d.after), unzip(d.before))
-    if isinstance(d, Tensor):
-        return Tensor(unzip(d.left), unzip(d.right))
-    raise TypeError(f"not a diagram: {d!r}")
+    inner = Tensor(g, conjugate_term(g))
+    return Compose(block_transpose(2, g.n_out), Compose(inner, block_transpose(g.n_in, 2)))
 
 
 def _qubits_of(rho: Matrix) -> int:
@@ -557,8 +511,6 @@ def bend_inputs(d: Diagram) -> Diagram:
     Output wires are (reference copy of the inputs, then d's outputs); the
     state operator of the result is the Choi matrix of d.
     """
-    from .diagram import bend_cap
-
     n = d.n_in
     return Compose(Tensor(id_n(n), d), bend_cap(n))
 
@@ -569,8 +521,6 @@ def choi(d: Diagram) -> Matrix:
 
 def proper_choi(d: Diagram) -> Matrix:
     """Choi matrix with the reference side transposed (ticked Bell pairs)."""
-    from .diagram import bend_cap
-
     n = d.n_in
     ticked_ref = Compose(
         Tensor(tensor_many([Tick] * n), id_n(n)) if n else Empty,
@@ -666,33 +616,22 @@ def _block_swap(n: int, m: int) -> Diagram:
     return permutation_diagram(perm)
 
 
-def _cap_pairs(n: int) -> Diagram:
-    return tensor_many([Cap] * n) if n else Empty
-
-
-def _cup_pairs(n: int) -> Diagram:
-    return tensor_many([Cup] * n) if n else Empty
-
-
 def hp(d: Diagram) -> LinZW:
-    """Bent presentation of the superoperator of d, built by recursion.
+    """Bent presentation of the superoperator of d, built by a fold.
 
     Tick-free generators double into (dagger beside original) across a block
     swap; the tick becomes a cup-then-cap turnaround; composition threads the
     bra line of the later factor back through the earlier one with cap/cup
     feedback; tensoring is a permutation conjugate of the side-by-side term.
     """
-    if d is Tick:
+    return fold(d, _hp_gen, _int_compose, _int_tensor)
+
+
+def _hp_gen(g: Generator) -> LinZW:
+    if g is Tick:
         return LinZW(Compose(Cap, Cup), 1, 1)
-    if isinstance(d, Generator):
-        n, m = d.n_in, d.n_out
-        pure = Compose(Tensor(dagger(d), d), _block_swap(n, m))
-        return LinZW(pure, n, m)
-    if isinstance(d, Compose):
-        return _int_compose(hp(d.after), hp(d.before))
-    if isinstance(d, Tensor):
-        return _int_tensor(hp(d.left), hp(d.right))
-    raise TypeError(f"not a diagram: {d!r}")
+    n, m = g.n_in, g.n_out
+    return LinZW(Compose(Tensor(dagger(g), g), _block_swap(n, m)), n, m)
 
 
 def _int_compose(a: LinZW, b: LinZW) -> LinZW:
@@ -704,7 +643,7 @@ def _int_compose(a: LinZW, b: LinZW) -> LinZW:
 
     layers: list[Diagram] = []
     # Wires: (k[n], bo[p]) ++ interleaved cap pairs (u_j, v_j) for the mid cut.
-    layers.append(tensor_many([id_n(total), _cap_pairs(mid)]))
+    layers.append(tensor_many([id_n(total), tensor_many([Cap] * mid)]))
     # Reorder to (k[n], u[mid], bo[p], v[mid]).
     perm = [0] * (total + 2 * mid)
     for i in range(n):
@@ -730,7 +669,7 @@ def _int_compose(a: LinZW, b: LinZW) -> LinZW:
     for j in range(mid):
         perm2[n + mid + p + j] = total + 2 * j + 1
     layers.append(permutation_diagram(perm2))
-    layers.append(tensor_many([id_n(total), _cup_pairs(mid)]))
+    layers.append(tensor_many([id_n(total), tensor_many([Cup] * mid)]))
     return LinZW(compose_many(layers), n, p)
 
 
@@ -775,7 +714,7 @@ def psi(f: Diagram, n: int, m: int) -> LinZW:
         )
     layers: list[Diagram] = []
     # Wires (k[n], bo[m]) ++ cap pairs (alpha_i, beta_i).
-    layers.append(tensor_many([id_n(n + m), _cap_pairs(n)]))
+    layers.append(tensor_many([id_n(n + m), tensor_many([Cap] * n)]))
     # Reorder to (k1, a1, ..., kn, an, bo[m], beta[n]).
     perm = [0] * (n + m + 2 * n)
     for i in range(n):
@@ -797,7 +736,7 @@ def psi(f: Diagram, n: int, m: int) -> LinZW:
     for i in range(n):
         perm2[3 * m + i] = i
     layers.append(permutation_diagram(perm2))
-    layers.append(tensor_many([id_n(n + m), _cup_pairs(m)]))
+    layers.append(tensor_many([id_n(n + m), tensor_many([Cup] * m)]))
     return LinZW(compose_many(layers), n, m)
 
 
@@ -805,8 +744,8 @@ def psi_inv(l: LinZW) -> Diagram:
     """Unbend the bent presentation back into a doubled diagram 2n -> 2m."""
     n, m = l.n, l.m
     layers: list[Diagram] = []
-    layers.append(permutation_diagram(_uninterleave_perm(n)))
-    layers.append(tensor_many([id_n(2 * n), _cap_pairs(m)]))
+    layers.append(block_transpose(n, 2))
+    layers.append(tensor_many([id_n(2 * n), tensor_many([Cap] * m)]))
     # Wires: k[n], b[n], interleaved (bo_j, co_j); route to (k, bo, b, co).
     perm = [0] * (2 * n + 2 * m)
     for i in range(n):
@@ -828,8 +767,8 @@ def psi_inv(l: LinZW) -> Diagram:
     for j in range(m):
         perm2[n + m + n + j] = m + j
     layers.append(permutation_diagram(perm2))
-    layers.append(tensor_many([id_n(2 * m), _cup_pairs(n)]))
-    layers.append(permutation_diagram(_interleave_perm(m)))
+    layers.append(tensor_many([id_n(2 * m), tensor_many([Cup] * n)]))
+    layers.append(block_transpose(2, m))
     return compose_many(layers)
 
 
@@ -869,7 +808,4 @@ def parse_matrix(text: str) -> Matrix:
         if len(toks) != cols:
             raise SemanticsError(f"expected {cols} entries in row {ln!r}")
         data.append([parse_scalar(t) for t in toks])
-    if not data:
-        data = []
-    m = Matrix(data) if data else Matrix.zeros(0, cols)
-    return m
+    return Matrix(data) if data else Matrix.zeros(0, cols)

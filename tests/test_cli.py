@@ -171,8 +171,10 @@ class TestFailureModes:
         depth = 3000
         text = "(compose (w 1 1) " * depth + "(w 1 1)" + ")" * depth
         f = write(tmp_path, "deep.zwt", text)
-        assert main(["interp", f]) == 2
-        assert capsys.readouterr().err == "error: term nested too deeply\n"
+        assert main(["interp", f]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "2 2\n0 1\n1 0\n"
+        assert captured.err == ""
 
     def test_bad_matrix_text(self, tmp_path, capsys):
         d = write(tmp_path, "d.zwt", "tick")
@@ -238,3 +240,57 @@ class TestEqWitness:
         b = write(tmp_path, "b.zwt", "(id 1)")
         assert main(["eq", a, b]) == 0
         assert capsys.readouterr().err == ""
+
+
+def chain_dot(gates: int) -> str:
+    """The Graphviz text of a chain of `gates` NOT gates, written out by hand."""
+    w = 'label="W" shape=circle style=filled fillcolor=black fontcolor=white'
+    lines = [f"  n{k} [{w}];" for k in range(gates)]
+    lines += ['  in0 [label="in 0" shape=plaintext];', '  out0 [label="out 0" shape=plaintext];']
+    lines += ["  in0 -> n0;"] + [f"  n{k} -> n{k + 1};" for k in range(gates - 1)]
+    lines += [f"  n{gates - 1} -> out0;"]
+    return "digraph zw {\n  rankdir=BT;\n" + "\n".join(lines) + "\n}\n"
+
+
+class TestDeepInput:
+    """Every verb that reads a diagram accepts a 10,000-deep chain.
+
+    The chain composes 10,001 NOT gates, so it denotes NOT: each verb but
+    `render` must print what it prints for a single `not`, and `render` must
+    draw the whole chain.
+    """
+
+    DEPTH = 10_000
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        deep = "(compose (w 1 1) " * self.DEPTH + "(w 1 1)" + ")" * self.DEPTH
+        return {
+            "deep": write(tmp_path, "deep.zwt", deep),
+            "not": write(tmp_path, "not.zwt", "not"),
+            "rho": write(tmp_path, "rho.mat", "2 2\n1 1/2\n1/2 0\n"),
+        }
+
+    EXTRA_ARGS = {"superop": ["--rho", "{rho}"], "eq": ["{not}"]}
+
+    @pytest.mark.parametrize(
+        "verb", ["interp", "choi", "superop", "nf", "eq", "classify", "render"]
+    )
+    def test_verb_on_deep_chain(self, files, capsys, verb):
+        def run(d: str) -> tuple[int, str, str]:
+            args = [a.format(**files) for a in self.EXTRA_ARGS.get(verb, [])]
+            code = main([verb, d] + args)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        if verb == "render":
+            expected = (0, chain_dot(self.DEPTH + 1), "")
+        else:
+            expected = run(files["not"])
+            assert expected[0] == 0 and expected[1] and expected[2] == ""
+        assert run(files["deep"]) == expected
+
+    def test_chain_dot_matches_short_chain(self, tmp_path, capsys):
+        f = write(tmp_path, "d.zwt", "(compose (w 1 1) (compose (w 1 1) (w 1 1)))")
+        assert main(["render", f]) == 0
+        assert capsys.readouterr().out == chain_dot(3)

@@ -143,6 +143,15 @@ class TestCanonical:
             assert lhs == rhs
 
 
+class TestStateRoute:
+    def test_canonical_of_map_is_nf_of_diagram_on_states(self):
+        # On a state, bend_inputs adds only units, so both routes agree.
+        rng = random.Random(11)
+        for _ in range(60):
+            d = random_state(rng, max_wires=3)
+            assert canonical_of_map(d) == nf_of_diagram(d)
+
+
 class TestDecision:
     def test_double_tick_is_identity(self):
         assert diagrams_equal(Compose(Tick, Tick), id_n(1))
