@@ -24,12 +24,10 @@ from .diagram import (
     Compose,
     Cup,
     Diagram,
-    Empty,
     Tensor,
     Tick,
     WSpider,
     ZSpider,
-    compose_many,
     id_n,
     permutation_diagram,
     tensor_many,
@@ -86,27 +84,22 @@ def nf_from_matrix(m: Matrix) -> NormalForm:
     if m.rows != m.cols:
         raise NormalFormError(f"matrix is {m.rows}x{m.cols}, not square")
     n = m.rows.bit_length() - 1
-    if 1 << n != m.rows:
+    if m.rows == 0 or 1 << n != m.rows:
         raise NormalFormError(f"dimension {m.rows} is not a power of two")
     if not m.is_hermitian():
         raise NormalFormError("matrix is not Hermitian")
-    terms = []
-    for x, row in enumerate(m.data):
-        for y in range(x, m.cols):
-            v = row[y]
-            if v is not ZERO and not v.is_zero():
-                terms.append(NFTerm(x, y, v))
+    terms = (NFTerm(x, y, v) for (x, y), v in sorted(m.entries.items()) if x <= y)
     return NormalForm(n, tuple(terms))
 
 
 def nf_to_matrix(nf: NormalForm) -> Matrix:
     dim = 1 << nf.qubits
-    m = Matrix.zeros(dim, dim)
+    entries = {}
     for t in nf.terms:
-        m.data[t.x][t.y] = t.coeff
+        entries[t.x, t.y] = t.coeff
         if t.x != t.y:
-            m.data[t.y][t.x] = t.coeff.conj()
-    return m
+            entries[t.y, t.x] = t.coeff.conj()
+    return Matrix.from_entries(dim, dim, entries)
 
 
 # -- diagram reconstruction ----------------------------------------------

@@ -27,7 +27,7 @@ from .diagram import (
     ticked_cup,
 )
 from .normalform import canonical_of_map
-from .scalar import HALF, I, MINUS_ONE, ONE, Scalar, TWO
+from .scalar import HALF, I, MINUS_ONE, ONE, Scalar, TWO, ZERO
 from .semantics import Matrix, SemanticsError, is_psd, state_operator
 
 
@@ -47,15 +47,13 @@ def partial_transpose(rho: Matrix, first_block: int) -> Matrix:
         raise SemanticsError(
             f"split {first_block} out of range for {q} qubits"
         )
-    b = q - first_block
-    mask = (1 << b) - 1
-    out = Matrix.zeros(rho.rows, rho.cols)
-    for x in range(rho.rows):
-        x1, x2 = x >> b, x & mask
-        for y in range(rho.cols):
-            y1, y2 = y >> b, y & mask
-            out.data[(y1 << b) | x2][(x1 << b) | y2] = rho.data[x][y]
-    return out
+    mask = (1 << (q - first_block)) - 1
+    # Exchange the high (transposed) bits of row and column.
+    entries = {
+        ((y & ~mask) | (x & mask), (x & ~mask) | (y & mask)): v
+        for (x, y), v in rho.entries.items()
+    }
+    return Matrix.from_entries(rho.rows, rho.cols, entries)
 
 
 def min_pt_eigenvalue(rho: Matrix, first_block: int) -> float:
@@ -96,31 +94,29 @@ def bloch(rho: Matrix) -> BlochVector:
         raise SemanticsError("bloch requires an exactly Hermitian matrix")
     if rho.trace() != ONE:
         raise SemanticsError("bloch requires trace exactly 1")
-    r10 = rho.data[1][0]
+    r10 = rho[1, 0]
     return BlochVector(
         TWO * r10.real(),
         TWO * r10.imag(),
-        rho.data[0][0] - rho.data[1][1],
+        rho[0, 0] - rho[1, 1],
     )
 
 
 def from_bloch(v: BlochVector) -> Matrix:
-    m = Matrix.zeros(2, 2)
-    m.data[0][0] = HALF * (ONE + v.rz)
-    m.data[1][1] = HALF * (ONE - v.rz)
-    m.data[0][1] = HALF * (v.rx - I * v.ry)
-    m.data[1][0] = HALF * (v.rx + I * v.ry)
-    return m
+    return Matrix(
+        [
+            [HALF * (ONE + v.rz), HALF * (v.rx - I * v.ry)],
+            [HALF * (v.rx + I * v.ry), HALF * (ONE - v.rz)],
+        ]
+    )
 
 
 def spin_flip(rho: Matrix) -> Matrix:
     """The antipode of the Bloch ball: conjugate the transpose by the Y matrix."""
     if rho.rows != 2 or rho.cols != 2:
         raise SemanticsError("spin_flip requires a 2x2 matrix")
-    y = Matrix.zeros(2, 2)
-    y.data[0][1] = -I
-    y.data[1][0] = I
-    return y * rho.transpose() * y
+    y = Matrix([[ZERO, -I], [I, ZERO]])
+    return y.matmul(rho.transpose()).matmul(y)
 
 
 # Transpose, then conjugate by [[0,-1],[1,0]]; doubling absorbs the i phase.
@@ -144,7 +140,7 @@ def sesqui_pairing(s1: Diagram, s2: Diagram, ticked: bool) -> Scalar:
         layers.append(block_transpose(2, n))  # (a_1, b_1, ..., a_n, b_n)
         layers.append(tensor_many([bend] * n))
     scalar_diagram = compose_many(layers)
-    return state_operator(scalar_diagram).data[0][0]
+    return state_operator(scalar_diagram)[0, 0]
 
 
 def _ticked_bend_cap(n: int) -> Diagram:

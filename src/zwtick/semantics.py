@@ -61,8 +61,9 @@ class SemanticsError(ValueError):
     pass
 
 
-#: Dense results (`interp`, `apply_superop`, `state_operator`) hold at most
-#: 2^MAX_DENSE_LOG2 entries: a 2^24-entry table is already 128 MB of row
+#: Results (`interp`, `apply_superop`, `state_operator`) span at most
+#: 2^MAX_DENSE_LOG2 cells.  They are stored sparsely, but `.data` and the
+#: text form write every cell: a 2^24-cell table is already 128 MB of row
 #: pointers before any arithmetic, so wider boundaries are refused up front.
 MAX_DENSE_LOG2 = 24
 
@@ -74,115 +75,61 @@ def _check_dense(rows_log2: int, cols_log2: int) -> None:
         )
 
 
-# -- dense exact matrices (the public interchange type) -------------------
+# -- exact matrices ------------------------------------------------------
 
 
 class Matrix:
-    """Dense rectangular table of exact scalars."""
+    """Exact rectangular matrix, stored as {(row, col): nonzero scalar}.
 
-    __slots__ = ("rows", "cols", "data")
+    `Matrix(rows)` reads a dense table and `.data` writes one out; both are
+    the text boundary.  Everything else works on `entries`, which never
+    holds a zero.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, data: list[list[Scalar]]):
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
-        for row in data:
+        self.entries = {}
+        for i, row in enumerate(data):
             if len(row) != self.cols:
                 raise ValueError("ragged matrix rows")
-        self.data = data
+            for j, v in enumerate(row):
+                if not v.is_zero():
+                    self.entries[i, j] = v
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: dict) -> "Matrix":
+        """Wrap `entries` as is; the caller guarantees it holds no zero."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix([[ZERO] * cols for _ in range(rows)])
+        return Matrix.from_entries(rows, cols, {})
+
+    @property
+    def data(self) -> list[list[Scalar]]:
+        """A fresh dense table of the matrix; writing into it changes nothing."""
+        out = [[ZERO] * self.cols for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            out[i][j] = v
+        return out
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
-        return self.data[ij[0]][ij[1]]
+        return self.entries.get(ij, ZERO)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.entries == other.entries
         )
 
-    def __hash__(self):  # pragma: no cover - matrices are not dict keys
-        raise TypeError("Matrix is unhashable")
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(f"matmul mismatch: {self.cols} vs {other.rows}")
-        out = Matrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            acc = out.data[i]
-            for k in range(self.cols):
-                v = row[k]
-                if v.is_zero():
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    w = brow[j]
-                    if not w.is_zero():
-                        acc[j] = acc[j] + v * w
-        return out
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def conj(self) -> "Matrix":
-        return Matrix([[v.conj() for v in row] for row in self.data])
-
-    def is_hermitian(self) -> bool:
-        """Exact test of M = M^dagger, on the integer coordinates of each pair."""
-        if self.rows != self.cols:
-            return False
-        data = self.data
-        for i, row in enumerate(data):
-            for j in range(i, self.cols):
-                u, v = row[j], data[j][i]
-                if u is ZERO and v is ZERO:  # the shared zero of sparse readouts
-                    continue
-                # u == conj(v): conj maps (n0, n1, n2, n3) to (n0, -n3, -n2, -n1).
-                a, b = u.n, v.n
-                if u.d != v.d or a[0] != b[0] or a[1] != -b[3] or a[2] != -b[2] or a[3] != -b[1]:
-                    return False
-        return True
-
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self.data[i][i]
-        return t
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(
-            [[v.to_complex() for v in row] for row in self.data], dtype=complex
-        )
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-# -- sparse internal representation --------------------------------------
-
-
-class SMat:
-    """Sparse exact matrix: {(row, col): nonzero scalar}."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: dict):
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @staticmethod
-    def identity(n: int) -> "SMat":
-        return SMat(n, n, {(i, i): ONE for i in range(n)})
-
-    def matmul(self, other: "SMat") -> "SMat":
+    def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"matmul mismatch: {self.cols} vs {other.rows}")
         by_col: dict[int, list] = {}
@@ -190,43 +137,77 @@ class SMat:
             by_col.setdefault(k, []).append((i, v))
         acc: dict[tuple[int, int], Scalar] = {}
         for (k, j), w in other.entries.items():
-            hits = by_col.get(k)
-            if not hits:
-                continue
-            for i, v in hits:
+            for i, v in by_col.get(k, ()):
                 key = (i, j)
                 prod = v * w
                 cur = acc.get(key)
                 acc[key] = prod if cur is None else cur + prod
-        return SMat(
-            self.rows,
-            other.cols,
-            {k: v for k, v in acc.items() if not v.is_zero()},
+        return Matrix.from_entries(
+            self.rows, other.cols, {k: v for k, v in acc.items() if not v.is_zero()}
         )
 
-    def kron(self, other: "SMat") -> "SMat":
+    def kron(self, other: "Matrix") -> "Matrix":
         out: dict[tuple[int, int], Scalar] = {}
         orows, ocols = other.rows, other.cols
         for (i1, j1), v1 in self.entries.items():
             for (i2, j2), v2 in other.entries.items():
                 out[(i1 * orows + i2, j1 * ocols + j2)] = v1 * v2
-        return SMat(self.rows * orows, self.cols * ocols, out)
+        return Matrix.from_entries(self.rows * orows, self.cols * ocols, out)
 
-    def to_matrix(self) -> Matrix:
-        m = Matrix.zeros(self.rows, self.cols)
+    def transpose(self) -> "Matrix":
+        return Matrix.from_entries(
+            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
+        )
+
+    def is_hermitian(self) -> bool:
+        """Exact test of M = M^dagger: each entry against its mirror."""
+        if self.rows != self.cols:
+            return False
+        entries = self.entries
+        for (i, j), u in entries.items():
+            v = entries.get((j, i))
+            if v is None:
+                return False
+            # u == conj(v): conj maps (n0, n1, n2, n3) to (n0, -n3, -n2, -n1).
+            a, b = u.n, v.n
+            if u.d != v.d or a[0] != b[0] or a[1] != -b[3] or a[2] != -b[2] or a[3] != -b[1]:
+                return False
+        return True
+
+    def trace(self) -> Scalar:
+        if self.rows != self.cols:
+            raise ValueError("trace of a non-square matrix")
+        t = ZERO
         for (i, j), v in self.entries.items():
-            m.data[i][j] = v
-        return m
+            if i == j:
+                t = t + v
+        return t
+
+    def to_numpy(self) -> np.ndarray:
+        out = np.zeros((self.rows, self.cols), dtype=complex)
+        for (i, j), v in self.entries.items():
+            out[i, j] = v.to_complex()
+        return out
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.rows}x{self.cols})"
 
 
-def _gen_smat(g: Diagram) -> SMat:
+#: The old name of the sparse matrix type.  `bench/tracing.py` patches
+#: `SMat.kron` and `SMat.matmul` by name, so the alias stays until it does not.
+SMat = Matrix
+
+
+def _gen_matrix(g: Diagram) -> Matrix:
     if isinstance(g, ZSpider):
         rows, cols = 1 << g.m, 1 << g.n
         entries: dict[tuple[int, int], Scalar] = {}
         entries[(0, 0)] = ONE
         top = (rows - 1, cols - 1)
         entries[top] = entries.get(top, ZERO) + g.r
-        return SMat(rows, cols, {k: v for k, v in entries.items() if not v.is_zero()})
+        return Matrix.from_entries(
+            rows, cols, {k: v for k, v in entries.items() if not v.is_zero()}
+        )
     if isinstance(g, WSpider):
         rows, cols = 1 << g.m, 1 << g.n
         entries = {}
@@ -235,36 +216,36 @@ def _gen_smat(g: Diagram) -> SMat:
         for j in range(g.m):
             key = (1 << (g.m - 1 - j), 0)
             entries[key] = ONE
-        return SMat(rows, cols, entries)
+        return Matrix.from_entries(rows, cols, entries)
     if g is Fswap:
-        return SMat(
+        return Matrix.from_entries(
             4,
             4,
             {(0, 0): ONE, (2, 1): ONE, (1, 2): ONE, (3, 3): MINUS_ONE},
         )
     if g is Id:
-        return SMat.identity(2)
+        return Matrix.from_entries(2, 2, {(0, 0): ONE, (1, 1): ONE})
     if g is Swap:
-        return SMat(4, 4, {(0, 0): ONE, (2, 1): ONE, (1, 2): ONE, (3, 3): ONE})
+        return Matrix.from_entries(4, 4, {(0, 0): ONE, (2, 1): ONE, (1, 2): ONE, (3, 3): ONE})
     if g is Cup:
-        return SMat(1, 4, {(0, 0): ONE, (0, 3): ONE})
+        return Matrix.from_entries(1, 4, {(0, 0): ONE, (0, 3): ONE})
     if g is Cap:
-        return SMat(4, 1, {(0, 0): ONE, (3, 0): ONE})
+        return Matrix.from_entries(4, 1, {(0, 0): ONE, (3, 0): ONE})
     if g is Empty:
-        return SMat(1, 1, {(0, 0): ONE})
+        return Matrix.from_entries(1, 1, {(0, 0): ONE})
     if g is Tick:
         raise SemanticsError("pure interpretation undefined for ticked diagram")
     raise TypeError(f"not a generator: {g!r}")
 
 
-def interp_sparse(d: Diagram) -> SMat:
+def interp_sparse(d: Diagram) -> Matrix:
     """Reference pure semantics: matrix and Kronecker products of the generators.
 
     A plain fold over the term, kept as the oracle the netlist evaluator is
     tested against; the library itself evaluates through `interp`.
     """
     # Look the products up at call time, so patching `SMat` reaches them.
-    return fold(d, _gen_smat, lambda a, b: a.matmul(b), lambda a, b: a.kron(b))
+    return fold(d, _gen_matrix, lambda a, b: a.matmul(b), lambda a, b: a.kron(b))
 
 
 # -- the netlist evaluator -----------------------------------------------
@@ -337,7 +318,7 @@ def _perm_step(routing: dict[int, int]) -> list[tuple]:
 def _columns(g: Generator, lo: int) -> dict[int, list[tuple[int, Scalar]]]:
     """Input bits c of g -> [(output bits << lo, entry)] over nonzero entries."""
     cols: dict[int, list[tuple[int, Scalar]]] = {}
-    for (row, col), v in _gen_smat(g).entries.items():
+    for (row, col), v in _gen_matrix(g).entries.items():
         cols.setdefault(col, []).append((row << lo, v))
     return cols
 
@@ -438,7 +419,7 @@ def interp(d: Diagram) -> Matrix:
     _check_dense(d.n_out, d.n_in)
     cols = 1 << d.n_in
     out = _evaluate(d, {(c, c): ONE for c in range(cols)}, doubled=False)
-    return SMat(1 << d.n_out, cols, out).to_matrix()
+    return Matrix.from_entries(1 << d.n_out, cols, out)
 
 
 # -- wire doubling -------------------------------------------------------
@@ -470,7 +451,7 @@ def _qubits_of(rho: Matrix) -> int:
     if rho.rows != rho.cols:
         raise SemanticsError(f"state matrix must be square, got {rho.rows}x{rho.cols}")
     n = rho.rows.bit_length() - 1
-    if 1 << n != rho.rows:
+    if rho.rows == 0 or 1 << n != rho.rows:
         raise SemanticsError(f"state dimension {rho.rows} is not a power of two")
     return n
 
@@ -483,14 +464,8 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
             f"state has {n} qubits but diagram consumes {d.n_in}"
         )
     _check_dense(d.n_out, d.n_out)
-    ops = {
-        (x, y): v
-        for x, row in enumerate(rho.data)
-        for y, v in enumerate(row)
-        if not v.is_zero()
-    }
     dim = 1 << d.n_out
-    return SMat(dim, dim, _evaluate(d, ops, doubled=True)).to_matrix()
+    return Matrix.from_entries(dim, dim, _evaluate(d, dict(rho.entries), doubled=True))
 
 
 def state_operator(d: Diagram) -> Matrix:
@@ -499,7 +474,7 @@ def state_operator(d: Diagram) -> Matrix:
         raise SemanticsError(f"state_operator needs a state, got {d.n_in} inputs")
     _check_dense(d.n_out, d.n_out)
     dim = 1 << d.n_out
-    return SMat(dim, dim, _evaluate(d, {(0, 0): ONE}, doubled=True)).to_matrix()
+    return Matrix.from_entries(dim, dim, _evaluate(d, {(0, 0): ONE}, doubled=True))
 
 
 # -- Choi matrices -------------------------------------------------------
@@ -549,7 +524,7 @@ def is_psd(m: Matrix) -> bool:
     """
     if not m.is_hermitian():
         return False
-    a = [row[:] for row in m.data]
+    a = m.data
     live = list(range(m.rows))
     while live:
         pivot = None

@@ -95,37 +95,56 @@ def random_nf(rng: random.Random, qubits: int, density: float = 0.5) -> NormalFo
 
 
 # -- independent exact matrix algebra (oracle side) ----------------------
+#
+# These work on dense tables: each reads `.data` once, so they stay an
+# oracle independent of the library's sparse entries.
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     assert a.cols == b.rows
+    ad, bd = a.data, b.data
     data = [
-        [
-            sum((a.data[r][k] * b.data[k][c] for k in range(a.cols)), ZERO)
-            for c in range(b.cols)
-        ]
+        [sum((ad[r][k] * bd[k][c] for k in range(a.cols)), ZERO) for c in range(b.cols)]
         for r in range(a.rows)
     ]
     return Matrix(data)
 
 
 def mat_dagger(a: Matrix) -> Matrix:
-    return Matrix(
-        [[a.data[r][c].conj() for r in range(a.rows)] for c in range(a.cols)]
-    )
+    ad = a.data
+    return Matrix([[ad[r][c].conj() for r in range(a.rows)] for c in range(a.cols)])
 
 
 def mat_kron(a: Matrix, b: Matrix) -> Matrix:
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
+    ad, bd = a.data, b.data
     data = [
         [
-            a.data[r // b.rows][c // b.cols] * b.data[r % b.rows][c % b.cols]
-            for c in range(cols)
+            ad[r // b.rows][c // b.cols] * bd[r % b.rows][c % b.cols]
+            for c in range(a.cols * b.cols)
         ]
-        for r in range(rows)
+        for r in range(a.rows * b.rows)
     ]
     return Matrix(data)
+
+
+def dense_is_hermitian(m: Matrix) -> bool:
+    """M = M^dagger, checked cell by cell on the dense table."""
+    if m.rows != m.cols:
+        return False
+    data = m.data
+    return all(data[i][j] == data[j][i].conj() for i in range(m.rows) for j in range(i, m.cols))
+
+
+def dense_nf(m: Matrix) -> NormalForm:
+    """Normal form read off the upper triangle of the dense table, row by row."""
+    data = m.data
+    terms = [
+        NFTerm(x, y, data[x][y])
+        for x in range(m.rows)
+        for y in range(x, m.cols)
+        if not data[x][y].is_zero()
+    ]
+    return NormalForm(m.rows.bit_length() - 1, tuple(terms))
 
 
 # -- random diagram terms ------------------------------------------------
@@ -238,14 +257,11 @@ def random_separable(rng: random.Random, parts: int | None = None) -> Matrix:
     k = parts if parts is not None else rng.randint(2, 4)
     weights = [Fraction(rng.randint(1, 5)) for _ in range(k)]
     total = sum(weights)
-    acc = Matrix.zeros(4, 4)
+    acc = [[ZERO] * 4 for _ in range(4)]
     for wgt in weights:
         p = Scalar(wgt / total)
-        prod = mat_kron(random_qubit_density(rng), random_qubit_density(rng))
-        acc = Matrix(
-            [
-                [acc.data[r][c] + p * prod.data[r][c] for c in range(4)]
-                for r in range(4)
-            ]
-        )
-    return acc
+        prod = mat_kron(random_qubit_density(rng), random_qubit_density(rng)).data
+        for r in range(4):
+            for c in range(4):
+                acc[r][c] = acc[r][c] + p * prod[r][c]
+    return Matrix(acc)

@@ -67,9 +67,7 @@ from zwtick import (
 )
 from _support import (
     mat_dagger,
-    mat_kron,
     mat_mul,
-    random_bloch_coords,
     random_hermitian,
     random_nf,
     random_qubit_density,
@@ -292,11 +290,11 @@ def test_c09_normal_form_output_lemmas():
         n = nf.qubits
         k = rng.randrange(n)
         mask = 1 << (n - 1 - k)
-        m = nf_to_matrix(nf)
+        m = nf_to_matrix(nf).data
         dim = 1 << n
         got = state_operator(Compose(_output_layer(not_gate, k, n), nf_to_diagram(nf)))
         want = Matrix(
-            [[m.data[r ^ mask][c ^ mask] for c in range(dim)] for r in range(dim)]
+            [[m[r ^ mask][c ^ mask] for c in range(dim)] for r in range(dim)]
         )
         if got != want:
             failures.append(f"negation {i}: semantics disagree")
@@ -314,13 +312,13 @@ def test_c09_normal_form_output_lemmas():
         k = rng.randrange(n)
         b = rng.randint(0, 1)
         op = bra0 if b == 0 else bra1
-        m = nf_to_matrix(nf)
+        m = nf_to_matrix(nf).data
         pos = n - 1 - k
         dim = 1 << (n - 1)
         got = state_operator(Compose(_output_layer(op, k, n), nf_to_diagram(nf)))
         want = Matrix(
             [
-                [m.data[_insert_bit(r, pos, b)][_insert_bit(c, pos, b)] for c in range(dim)]
+                [m[_insert_bit(r, pos, b)][_insert_bit(c, pos, b)] for c in range(dim)]
                 for r in range(dim)
             ]
         )
@@ -373,9 +371,9 @@ def test_c10_cp_classification():
 def test_c11_ppt_criterion():
     rng = random.Random(SEED)
     failures = []
-    bell = Matrix.zeros(4, 4)
-    for r, c in ((0, 0), (0, 3), (3, 0), (3, 3)):
-        bell.data[r][c] = ONE
+    bell = Matrix(
+        [[ONE if r in (0, 3) and c in (0, 3) else ZERO for c in range(4)] for r in range(4)]
+    )
     if ppt_check(bell, 1) is not False:
         failures.append("Bell projector passed")
     if abs(min_pt_eigenvalue(bell, 1) + 1.0) > 1e-9:
@@ -396,7 +394,7 @@ def test_c12_spin_flip():
         b = bloch(rho)
         if bloch(flipped) != b.negate():
             failures.append(f"sample {i}: Bloch vector not negated")
-        transpose = Matrix([[rho.data[c][r] for c in range(2)] for r in range(2)])
+        transpose = Matrix([[rho[c, r] for c in range(2)] for r in range(2)])
         if flipped != mat_mul(mat_mul(y, transpose), y):
             failures.append(f"sample {i}: disagrees with conjugation oracle")
         if apply_superop(spin_flip_diagram, rho) != flipped:

@@ -34,7 +34,6 @@ from zwtick import (
     id_n,
     interp,
     ket0,
-    ket1,
     not_gate,
     parse_diagram,
     permutation_diagram,

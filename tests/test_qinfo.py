@@ -38,7 +38,6 @@ from zwtick import (
     sesqui_pairing,
     spin_flip,
     spin_flip_diagram,
-    state_operator,
 )
 
 from _support import (
@@ -80,7 +79,7 @@ class TestPartialTranspose:
         rng = random.Random(51)
         a = random_hermitian(rng, 1)
         b = random_hermitian(rng, 1)
-        at = Matrix([[a.data[c][r] for c in range(2)] for r in range(2)])
+        at = Matrix([[a[c, r] for c in range(2)] for r in range(2)])
         assert partial_transpose(mat_kron(a, b), 1) == mat_kron(at, b)
 
     def test_matches_tick_superop(self):
@@ -105,9 +104,9 @@ class TestPpt:
         assert ppt_check(rho, 1) is True
 
     def test_classically_correlated_passes(self):
-        diag = Matrix.zeros(4, 4)
-        diag.data[0][0] = HALF
-        diag.data[3][3] = HALF
+        diag = Matrix(
+            [[HALF if r == c and r in (0, 3) else ZERO for c in range(4)] for r in range(4)]
+        )
         assert ppt_check(diag, 1) is True
 
     def test_separable_mixtures_pass(self):
@@ -116,8 +115,7 @@ class TestPpt:
             assert ppt_check(random_separable(rng), 1) is True
 
     def test_requires_hermitian(self):
-        m = Matrix.zeros(4, 4)
-        m.data[0][1] = ONE
+        m = Matrix([[ONE if (r, c) == (0, 1) else ZERO for c in range(4)] for r in range(4)])
         with pytest.raises(SemanticsError):
             ppt_check(m, 1)
 

@@ -16,7 +16,6 @@ from zwtick import (
     RULES_BY_NAME,
     RuleError,
     RuleSchema,
-    Tensor,
     Tick,
     WSpider,
     ZERO,
@@ -27,7 +26,6 @@ from zwtick import (
     check_soundness,
     diagrams_equal,
     first_difference,
-    id_n,
     instantiate,
     lemma_corpus,
     rule_named,

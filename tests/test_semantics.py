@@ -57,7 +57,7 @@ from zwtick import (
     ticked_cap,
     unzip,
 )
-from zwtick.semantics import MAX_DENSE_LOG2, SMat, interp_sparse
+from zwtick.semantics import MAX_DENSE_LOG2, interp_sparse
 
 from _support import (
     mat_dagger,
@@ -157,12 +157,12 @@ class TestUnzip:
         d = Tensor(Tick, Id)
         for _ in range(25):
             rho = random_hermitian(rng, 2)
-            out = apply_superop(d, rho)
+            out, inp = apply_superop(d, rho).data, rho.data
             for x in range(4):
                 for y in range(4):
                     x1, x2 = x >> 1, x & 1
                     y1, y2 = y >> 1, y & 1
-                    assert out.data[(y1 << 1) | x2][(x1 << 1) | y2] == rho.data[x][y]
+                    assert out[(y1 << 1) | x2][(x1 << 1) | y2] == inp[x][y]
 
 
 class TestStateOperator:
@@ -247,15 +247,10 @@ class TestNetlistEvaluator:
             d = random_term(rng, max_gens=10)
             rho = random_hermitian(rng, d.n_in)
             n = d.n_in
-            vec = SMat(
+            vec = Matrix.from_entries(
                 1 << (2 * n),
                 1,
-                {
-                    (_interleaved(x, y, n), 0): v
-                    for x, row in enumerate(rho.data)
-                    for y, v in enumerate(row)
-                    if not v.is_zero()
-                },
+                {(_interleaved(x, y, n), 0): v for (x, y), v in rho.entries.items()},
             )
             want = _unvec(interp_sparse(unzip(d)).matmul(vec), d.n_out)
             assert apply_superop(d, rho) == want
@@ -264,9 +259,9 @@ class TestNetlistEvaluator:
         rng = random.Random(28)
         for _ in range(60):
             d = random_term(rng, allow_tick=False)
-            assert interp(d) == interp_sparse(d).to_matrix()
+            assert interp(d) == interp_sparse(d)
             doubled = unzip(random_term(rng, max_gens=8))
-            assert interp(doubled) == interp_sparse(doubled).to_matrix()
+            assert interp(doubled) == interp_sparse(doubled)
 
     def test_deep_chain_is_stack_safe(self):
         layers = 10_000
@@ -303,7 +298,7 @@ class TestHPPresentation:
         for _ in range(10):
             rho = random_hermitian(rng, 1)
             out = apply_superop(ground, rho)
-            assert out == M([[rho.data[0][0] + rho.data[1][1]]])
+            assert out == M([[rho[0, 0] + rho[1, 1]]])
 
 
 class TestPsd:
@@ -324,10 +319,11 @@ class TestPsd:
         assert is_psd(_diagonal(diag)) is False
 
     def test_zero_pivot_with_nonzero_row_at_dim_8(self):
-        m = _diagonal([ONE] * 8)
-        m.data[3][3] = m.data[6][6] = ZERO
-        m.data[3][6] = m.data[6][3] = HALF
-        assert is_psd(m) is False
+        diag = [ONE] * 8
+        diag[3] = diag[6] = ZERO
+        data = _diagonal(diag).data
+        data[3][6] = data[6][3] = HALF
+        assert is_psd(Matrix(data)) is False
 
     def test_rank_deficient_gram_at_dim_16(self):
         rng = random.Random(24)
@@ -338,12 +334,12 @@ class TestPsd:
         # Werner(1/3) (x) qubit: the partial transpose has eigenvalue exactly 0.
         p = Fraction(1, 3)
         q = Scalar((1 - p) / 4)
-        werner = _diagonal([q] * 4)
+        werner = _diagonal([q] * 4).data
         for i, j, v in ((1, 1, 1), (2, 2, 1), (1, 2, -1), (2, 1, -1)):
-            werner.data[i][j] = werner.data[i][j] + Scalar(p * v / 2)
+            werner[i][j] = werner[i][j] + Scalar(p * v / 2)
         off = Scalar(0, 0, Fraction(1, 4))
         qubit = M([[Scalar(Fraction(1, 3)), off], [off.conj(), Scalar(Fraction(2, 3))]])
-        assert ppt_check(mat_kron(werner, qubit), 1) is True
+        assert ppt_check(mat_kron(Matrix(werner), qubit), 1) is True
 
     def test_matches_float_eigenvalues(self):
         # Each matrix is shifted so its smallest eigenvalue sits near +-1/4,
@@ -363,10 +359,8 @@ class TestPsd:
 
 
 def _diagonal(entries):
-    m = Matrix.zeros(len(entries), len(entries))
-    for i, v in enumerate(entries):
-        m.data[i][i] = v
-    return m
+    dim = len(entries)
+    return Matrix([[entries[i] if i == j else ZERO for j in range(dim)] for i in range(dim)])
 
 
 def _hermitian_of_dim(rng, dim, density):
