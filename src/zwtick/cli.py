@@ -19,13 +19,14 @@ from .normalform import (
     NormalFormError,
     _bits,
     canonical_of_map,
-    first_difference,
+    compare_maps,
     format_nf,
 )
 from .qinfo import min_pt_eigenvalue, ppt_check, spin_flip
 from .rules import CheckReport, check_corpus, check_soundness
 from .scalar import ScalarParseError
 from .semantics import (
+    MAX_DENSE_LOG2,
     Matrix,
     SemanticsError,
     _format_complex,
@@ -103,14 +104,18 @@ def _cmd_eq(args: argparse.Namespace) -> int:
         print("not equal")
         print(f"arities differ: {d1.n_in} -> {d1.n_out} vs {d2.n_in} -> {d2.n_out}", file=sys.stderr)
         return 1
-    nf1, nf2 = canonical_of_map(d1), canonical_of_map(d2)
-    if nf1 == nf2:
+    equal, explain = compare_maps(d1, d2)
+    if equal:
         print("equal")
         return 0
     # The verdict stays alone on stdout; the witness goes to stderr under it.
     print("not equal")
-    x, y, lhs, rhs = first_difference(nf1, nf2)
-    n = nf1.qubits
+    try:
+        x, y, lhs, rhs = explain()
+    except SemanticsError:
+        print(f"no witness: normal form exceeds 2^{MAX_DENSE_LOG2} entries", file=sys.stderr)
+        return 1
+    n = d1.n_in + d1.n_out
     print(f"first difference at {_bits(x, n)} {_bits(y, n)}: {lhs} vs {rhs}", file=sys.stderr)
     return 1
 

@@ -5,7 +5,9 @@ A Hermitian operator H on n qubits is presented as a list of entry terms
 contributes c|x><x| (c real), an off-diagonal term (x, y, c) contributes
 c|x><y| plus its conjugate transpose.  The list, sorted by (x, y), is a
 complete invariant, so two diagrams denote the same channel exactly when
-the normal forms of their input-bent states coincide.
+the normal forms of their input-bent states coincide.  `compare_maps`
+decides equality that way for ticked terms, and for tick-free ones from the
+much smaller pure matrices, which must agree up to a phase.
 
 `nf_to_diagram` rebuilds a diagram from the term list.  Each term becomes
 one parameterized Z node (two in the unreduced variant) whose legs feed,
@@ -19,6 +21,7 @@ polynomial in the number of terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .diagram import (
     Compose,
@@ -28,12 +31,13 @@ from .diagram import (
     Tick,
     WSpider,
     ZSpider,
+    has_tick,
     id_n,
     permutation_diagram,
     tensor_many,
 )
 from .scalar import HALF, ONE, Scalar, ScalarParseError, ZERO, format_scalar, parse_scalar
-from .semantics import Matrix, SemanticsError, bend_inputs, state_operator
+from .semantics import Matrix, SemanticsError, bend_inputs, interp, state_operator
 
 
 class NormalFormError(ValueError):
@@ -225,11 +229,53 @@ def first_difference(a: NormalForm, b: NormalForm) -> "tuple[int, int, Scalar, S
     return None
 
 
+def _equal_up_to_phase(a: dict, b: dict) -> bool:
+    """a = c b for one scalar c with c conj(c) = 1, on sparse {key: nonzero} entries.
+
+    c is the ratio at any one key, so it lies in Q(w) and the test is exact.
+    Two empty dicts (zero maps) are equal.
+    """
+    if a.keys() != b.keys():
+        return False
+    if not a:
+        return True
+    key = next(iter(a))
+    c = a[key] * b[key].inverse()
+    return c * c.conj() == ONE and all(v == c * b[k] for k, v in a.items())
+
+
+def compare_maps(
+    d1: Diagram, d2: Diagram
+) -> "tuple[bool, Callable[[], tuple[int, int, Scalar, Scalar] | None]]":
+    """Exact verdict on d1 = d2 as superoperators, and a deferred witness.
+
+    A tick-free term denotes rho -> A rho A^dagger with A its pure matrix,
+    and two such maps are equal exactly when A = cB with |c| = 1.  So a
+    tick-free pair is decided from `interp` of each side (2^(n+m) entries),
+    and a ticked or mixed pair from `canonical_of_map` of each side
+    (4^(n+m) entries).  Arities that differ are unequal before any
+    evaluation.
+
+    The second value, called after a "not equal", returns the first entry
+    (x, y, lhs, rhs) where the canonical forms differ (`first_difference`),
+    or None when the arities differ.  It reuses the canonical forms the
+    verdict computed; after a tick-free verdict it computes them, so only
+    failures pay for it, and raises `SemanticsError` when they exceed the
+    dense-result guard.
+    """
+    if d1.n_in != d2.n_in or d1.n_out != d2.n_out:
+        return False, lambda: None
+    if not (has_tick(d1) or has_tick(d2)):
+        if _equal_up_to_phase(interp(d1).entries, interp(d2).entries):
+            return True, lambda: None
+        return False, lambda: first_difference(canonical_of_map(d1), canonical_of_map(d2))
+    a, b = canonical_of_map(d1), canonical_of_map(d2)
+    return a == b, lambda: first_difference(a, b)
+
+
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
     """Exact semantic equality of two diagrams as superoperators."""
-    if d1.n_in != d2.n_in or d1.n_out != d2.n_out:
-        return False
-    return canonical_of_map(d1) == canonical_of_map(d2)
+    return compare_maps(d1, d2)[0]
 
 
 # -- text form -----------------------------------------------------------

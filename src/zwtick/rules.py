@@ -1,8 +1,9 @@
 """Axiom schemas, positional rewriting, and the semantic certification harness.
 
 Every schema carries builders for both sides of its equation.  Soundness is
-certified by exact superoperator comparison (canonical_of_map) over a sample
-grid, never assumed from the shape of the terms.
+certified by exact superoperator comparison (`compare_maps`: pure matrices up
+to a phase for tick-free pairs, canonical forms otherwise) over a sample grid,
+never assumed from the shape of the terms.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .diagram import (
     bra0,
     compose_many,
     dagger,
-    fold,
     ground,
     id_n,
     ket0,
@@ -42,8 +42,9 @@ from .diagram import (
     ticked_cap,
     ticked_cup,
 )
-from .normalform import NFTerm, NormalForm, canonical_of_map, first_difference, nf_to_diagram
+from .normalform import NFTerm, NormalForm, compare_maps, nf_to_diagram
 from .scalar import HALF, I, MINUS_ONE, ONE, OMEGA, Scalar, ZERO
+from .semantics import SemanticsError
 
 
 class RuleError(Exception):
@@ -370,7 +371,8 @@ class CheckEntry:
 
     `seconds` is the wall time of the decision; it is left out of comparisons,
     so equal reports stay equal.  On FAIL, `witness` is the first entry
-    (x, y, lhs, rhs) where the normal forms of the two sides differ.
+    (x, y, lhs, rhs) where the normal forms of the two sides differ, or None
+    when those normal forms exceed the dense-result guard.
     """
 
     kind: str
@@ -499,11 +501,13 @@ def check_soundness(
 
 
 def _certify(kind: str, name: str, params: tuple, lhs: Diagram, rhs: Diagram) -> CheckEntry:
-    """Decide lhs = rhs by comparing canonical forms, timing the decision."""
+    """Decide lhs = rhs with `compare_maps`, timing the decision and any witness."""
     t0 = perf_counter()
-    a, b = canonical_of_map(lhs), canonical_of_map(rhs)
-    ok = a == b
-    witness = None if ok else first_difference(a, b)
+    ok, explain = compare_maps(lhs, rhs)
+    try:
+        witness = None if ok else explain()
+    except SemanticsError:
+        witness = None
     return CheckEntry(kind, name, params, ok, perf_counter() - t0, witness)
 
 
@@ -695,19 +699,40 @@ def check_corpus() -> CheckReport:
 
 
 def _assoc_key(d: Diagram):
-    # Associativity-insensitive shape: chains of the same connective flatten.
-    def chain(tag: str, first, second) -> tuple:
-        parts = []
-        for k in (first, second):
-            parts.extend(k[1] if isinstance(k, tuple) and k[0] == tag else (k,))
-        return (tag, tuple(parts))
+    """Associativity-insensitive shape: chains of the same connective flatten.
 
-    return fold(
-        d,
-        lambda g: g,
-        lambda after, before: chain("compose", before, after),
-        lambda left, right: chain("tensor", left, right),
-    )
+    A generator keys as itself.  Each maximal run of `Compose` (or `Tensor`)
+    nodes keys as ("compose", operands) (or ("tensor", operands)), the
+    operand keys in application order.  Every node is visited once, on an
+    explicit stack, so the key is linear in the term at any depth.
+    """
+    values: list = []
+    todo: list = [d]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, tuple):
+            tag, count = t
+            parts = tuple(values[-count:])
+            del values[-count:]
+            values.append((tag, parts))
+            continue
+        if not isinstance(t, (Compose, Tensor)):
+            values.append(t)
+            continue
+        kind = Compose if isinstance(t, Compose) else Tensor
+        operands = []
+        chain = [t]
+        while chain:
+            u = chain.pop()
+            if not isinstance(u, kind):
+                operands.append(u)
+            elif kind is Compose:
+                chain += (u.after, u.before)
+            else:
+                chain += (u.right, u.left)
+        todo.append(("compose" if kind is Compose else "tensor", len(operands)))
+        todo.extend(reversed(operands))
+    return values[0]
 
 
 _STEP_FIELDS = {

@@ -26,6 +26,7 @@ from zwtick import (
     id_n,
     tensor_many,
 )
+from zwtick.diagram import fold
 
 SMALL_FRACTIONS = (
     Fraction(0),
@@ -227,6 +228,24 @@ def random_state(
         if n_out is None or d.n_out == n_out:
             return d
     return tensor_many([ZSpider(random_scalar(rng), 0, 1)] * (n_out or 0))
+
+
+def assoc_key_reference(d: Diagram):
+    """The associativity key as first written: each node concatenates its
+    children's flat tuples, which is quadratic in chain length."""
+
+    def chain(tag: str, first, second) -> tuple:
+        parts = []
+        for k in (first, second):
+            parts.extend(k[1] if isinstance(k, tuple) and k[0] == tag else (k,))
+        return (tag, tuple(parts))
+
+    return fold(
+        d,
+        lambda g: g,
+        lambda after, before: chain("compose", before, after),
+        lambda left, right: chain("tensor", left, right),
+    )
 
 
 # -- quantum states ------------------------------------------------------

@@ -241,6 +241,42 @@ class TestEqWitness:
         assert main(["eq", a, b]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_phase_multiple_is_equal(self, tmp_path, capsys):
+        a = write(tmp_path, "a.zwt", "(w 1 2)")
+        b = write(tmp_path, "b.zwt", "(tensor (z -1+w 0 0) (w 1 2))")
+        assert main(["eq", a, b]) == 0
+        assert capsys.readouterr() == ("equal\n", "")
+
+
+class TestWideEq:
+    """Tick-free pairs are decided from pure matrices of 2^(n+m) cells, so
+    they pass the 2^24 guard up to n + m = 24, where normal forms stop at 12."""
+
+    NOTS = "(tensor not " * 7 + "not" + ")" * 7
+
+    def test_equal_8_to_8(self, tmp_path, capsys):
+        a = write(tmp_path, "a.zwt", "(id 8)")
+        b = write(tmp_path, "b.zwt", f"(tensor (z -2 0 0) (compose {self.NOTS} {self.NOTS}))")
+        assert main(["eq", a, b]) == 0
+        assert capsys.readouterr() == ("equal\n", "")
+
+    def test_unequal_8_to_8_has_no_witness(self, tmp_path, capsys):
+        a = write(tmp_path, "a.zwt", "(id 8)")
+        b = write(tmp_path, "b.zwt", "(tensor (z 1 0 0) (id 8))")
+        assert main(["eq", a, b]) == 1
+        assert capsys.readouterr() == (
+            "not equal\n",
+            "no witness: normal form exceeds 2^24 entries\n",
+        )
+
+    def test_id_30_is_refused(self, tmp_path, capsys):
+        f = write(tmp_path, "wide.zwt", "(id 30)")
+        assert main(["eq", f, f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dense result 2^30 x 2^30")
+        assert "exceeds 2^24 entries" in captured.err
+
 
 def chain_dot(gates: int) -> str:
     """The Graphviz text of a chain of `gates` NOT gates, written out by hand."""

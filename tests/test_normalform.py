@@ -1,12 +1,15 @@
 """Normal forms: extraction, rebuild fidelity, canonicity, and text form."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+import zwtick.normalform
 from zwtick import (
     Cap,
     Compose,
+    HALF,
     I,
     Id,
     MINUS_ONE,
@@ -14,7 +17,9 @@ from zwtick import (
     NFTerm,
     NormalForm,
     NormalFormError,
+    OMEGA,
     ONE,
+    RULES,
     Scalar,
     Tensor,
     Tick,
@@ -22,12 +27,15 @@ from zwtick import (
     ZERO,
     ZSpider,
     canonical_of_map,
+    dagger,
     diagrams_equal,
     first_difference,
     format_nf,
     ground,
     id_n,
+    instantiate,
     interp,
+    lemma_corpus,
     nf_from_matrix,
     nf_of_diagram,
     nf_to_diagram,
@@ -36,8 +44,10 @@ from zwtick import (
     state_operator,
 )
 from zwtick import Swap
+from zwtick.normalform import compare_maps
+from zwtick.rules import _default_samples
 
-from _support import mat_kron, random_hermitian, random_nf, random_state
+from _support import mat_kron, random_hermitian, random_nf, random_state, random_term
 
 
 class TestExtraction:
@@ -167,6 +177,141 @@ class TestDecision:
 
     def test_arity_mismatch_is_unequal(self):
         assert not diagrams_equal(Id, id_n(2))
+
+
+def nf_route_equal(d1, d2) -> bool:
+    """The normal-form decision: equal arities and equal canonical forms."""
+    if (d1.n_in, d1.n_out) != (d2.n_in, d2.n_out):
+        return False
+    return canonical_of_map(d1) == canonical_of_map(d2)
+
+
+def scaled(c: Scalar, d):
+    """c d as a term: the 0 -> 0 Z spider with parameter r denotes 1 + r."""
+    return Tensor(ZSpider(c - ONE, 0, 0), d)
+
+
+#: Factors of modulus 1 (-1, w) keep a tick-free map; 2, 1/2 and 1+w do not.
+PHASES = (MINUS_ONE, OMEGA)
+SCALES = (Scalar(2), Scalar(Fraction(1, 2)), ONE + OMEGA)
+
+
+def same_arity_term(rng: random.Random, d):
+    """A random tick-free term with d's arity (a random multiple of d if none turns up)."""
+    for _ in range(100):
+        e = random_term(rng, n_in=d.n_in, allow_tick=False)
+        if e.n_out == d.n_out:
+            return e
+    return scaled(Scalar(rng.randint(-3, 3)), d)
+
+
+def random_scalar_term(rng: random.Random):
+    """A 0 -> 0 tick-free term: a random state closed by a random effect."""
+    s = random_state(rng, allow_tick=False)
+    return Compose(dagger(random_state(rng, allow_tick=False, n_out=s.n_out)), s)
+
+
+def pure_pairs(seed: int, count: int) -> list[tuple[str, object, object]]:
+    """Seeded tick-free pairs (kind, a, b) with the sides in random order."""
+    rng = random.Random(seed)
+    zero = ZSpider(MINUS_ONE, 0, 0)
+    out = []
+    for i in range(count):
+        d = random_term(rng, allow_tick=False)
+        kind = ("phase", "scale", "zero-one", "zero-both", "other", "scalar")[i % 6]
+        if kind == "phase":
+            pair = (d, scaled(PHASES[i % 2], d))
+        elif kind == "scale":
+            pair = (d, scaled(SCALES[i % 3], d))
+        elif kind == "zero-one":
+            pair = (d, Tensor(zero, d))
+        elif kind == "zero-both":
+            pair = (Tensor(zero, d), Tensor(zero, same_arity_term(rng, d)))
+        elif kind == "other":
+            pair = (d, same_arity_term(rng, d))
+        else:
+            a = random_scalar_term(rng)
+            pair = (a, scaled(PHASES[i % 2], a) if i % 4 == 1 else random_scalar_term(rng))
+        if rng.random() < 0.5:
+            pair = pair[::-1]
+        out.append((kind, *pair))
+    return out
+
+
+class TestPureRoute:
+    """Tick-free pairs are decided from the pure matrices up to a phase; the
+    verdict must be the normal-form route's on every pair."""
+
+    def test_phase_multiples_are_equal(self):
+        w12 = WSpider(1, 2)
+        for c in PHASES:
+            assert diagrams_equal(scaled(c, w12), w12)
+            assert diagrams_equal(w12, scaled(c, w12))
+
+    def test_scale_multiples_are_unequal(self):
+        w12 = WSpider(1, 2)
+        for c in SCALES:
+            assert not diagrams_equal(scaled(c, w12), w12)
+            assert not diagrams_equal(w12, scaled(c, w12))
+
+    def test_support_subset_is_unequal(self):
+        # diag(1, 0) agrees with the identity, factor 1, on its only entry.
+        assert not diagrams_equal(ZSpider(ZERO, 1, 1), Id)
+        assert not diagrams_equal(Id, ZSpider(ZERO, 1, 1))
+
+    def test_zero_maps(self):
+        zero = ZSpider(MINUS_ONE, 0, 0)
+        assert diagrams_equal(zero, Tensor(zero, zero))
+        assert diagrams_equal(Tensor(zero, Id), Tensor(zero, ZSpider(OMEGA, 1, 1)))
+        assert not diagrams_equal(zero, ZSpider(ZERO, 0, 0))
+        assert not diagrams_equal(Tensor(zero, Id), Id)
+        assert not diagrams_equal(Id, Tensor(zero, Id))
+
+    def test_tick_free_verdict_skips_normal_forms(self, monkeypatch):
+        calls = []
+        real = zwtick.normalform.canonical_of_map
+        monkeypatch.setattr(
+            zwtick.normalform, "canonical_of_map", lambda d: calls.append(d) or real(d)
+        )
+        equal, explain = compare_maps(WSpider(1, 2), scaled(OMEGA, WSpider(1, 2)))
+        assert equal and explain() is None and calls == []
+        a, b = ZSpider(HALF, 1, 1), Id
+        equal, explain = compare_maps(a, b)
+        assert not equal and calls == []
+        assert explain() == first_difference(real(a), real(b)) == (0, 3, HALF, ONE)
+        assert calls == [a, b]
+        equal, explain = compare_maps(Tick, Id)
+        assert not equal and calls == [a, b, Tick, Id]
+        assert explain() == (0, 3, ZERO, ONE) and len(calls) == 4
+
+    def test_arity_mismatch_has_no_witness(self):
+        equal, explain = compare_maps(Id, id_n(2))
+        assert not equal and explain() is None
+        # Both bend to 3-qubit states; the arities alone make them unequal.
+        assert not diagrams_equal(WSpider(1, 2), WSpider(2, 1))
+
+    @pytest.mark.parametrize("seed", [0, 101])
+    def test_rule_grid_agrees(self, seed):
+        pairs = [instantiate(r, p) for r in RULES for p in _default_samples(r, seed)]
+        assert len(pairs) == 1128
+        for lhs, rhs in pairs:
+            assert diagrams_equal(lhs, rhs) == nf_route_equal(lhs, rhs)
+
+    def test_lemma_corpus_agrees(self):
+        for e in lemma_corpus():
+            assert diagrams_equal(e.lhs, e.rhs) == nf_route_equal(e.lhs, e.rhs), e.name
+
+    def test_random_pairs_agree(self):
+        seen: dict = {}
+        for kind, a, b in pure_pairs(7, 300):
+            verdict = diagrams_equal(a, b)
+            assert verdict == nf_route_equal(a, b), (kind, a, b)
+            seen.setdefault(kind, []).append(verdict)
+        assert all(seen["phase"]) and all(seen["zero-both"])
+        for kind in ("scale", "zero-one", "other", "scalar"):
+            assert 0 < seen[kind].count(False), kind
+        assert seen["scalar"].count(True) > 0
+        assert sum(v.count(True) for v in seen.values()) > 100
 
 
 class TestTextForm:

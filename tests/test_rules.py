@@ -1,12 +1,15 @@
 """Rule schemas, semantic certification, and positional rewriting."""
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
 from zwtick import (
+    Cap,
     Compose,
+    Cup,
     HALF,
     Id,
     MINUS_ONE,
@@ -16,6 +19,8 @@ from zwtick import (
     RULES_BY_NAME,
     RuleError,
     RuleSchema,
+    Scalar,
+    Tensor,
     Tick,
     WSpider,
     ZERO,
@@ -24,13 +29,20 @@ from zwtick import (
     canonical_of_map,
     check_corpus,
     check_soundness,
+    compose_many,
     diagrams_equal,
     first_difference,
+    id_n,
     instantiate,
     lemma_corpus,
+    not_gate,
     rule_named,
     subterm_at,
 )
+from zwtick.diagram import fold
+from zwtick.rules import _assoc_key, _certify
+
+from _support import assoc_key_reference, random_term
 
 
 class TestSchemas:
@@ -190,3 +202,67 @@ class TestCertificationReport:
         report = check_soundness(rules=[rule_named("zs")])
         assert report.all_pass
         assert all(e.witness is None for e in report.entries)
+
+    def test_arity_mismatch_fails_without_witness(self):
+        # Cap (0 -> 2) and Cup (2 -> 0) bend to the same Bell state.
+        assert canonical_of_map(Cap) == canonical_of_map(Cup)
+        e = _certify("LEMMA", "cap-is-cup", (), Cap, Cup)
+        assert not e.ok and e.witness is None
+
+    def test_wide_tick_free_pairs_past_the_choi_guard(self):
+        # 8 -> 8 maps: the pure matrices have 2^16 cells, the normal forms 2^32.
+        wide = id_n(8)
+        minus, two = Tensor(ZSpider(Scalar(-2), 0, 0), wide), Tensor(ZSpider(ONE, 0, 0), wide)
+        phase = RuleSchema("wide-phase", (), (), lambda: (minus, wide))
+        scale = RuleSchema("wide-scale", (), (), lambda: (two, wide))
+        passed, failed = check_soundness(rules=[phase, scale]).entries
+        assert passed.ok and passed.witness is None
+        assert not failed.ok and failed.witness is None
+        assert failed.as_dict()["witness"] is None
+
+
+def rebracket(rng: random.Random, d):
+    """d with random chains re-associated: same operands, same order."""
+
+    def compose(after, before):
+        if isinstance(before, Compose) and rng.random() < 0.5:
+            return Compose(Compose(after, before.after), before.before)
+        return Compose(after, before)
+
+    def tensor(left, right):
+        if isinstance(left, Tensor) and rng.random() < 0.5:
+            return Tensor(left.left, Tensor(left.right, right))
+        return Tensor(left, right)
+
+    return fold(d, lambda g: g, compose, tensor)
+
+
+class TestAssocKey:
+    def test_matches_the_reference_on_seeded_terms(self):
+        rng = random.Random(41)
+        for _ in range(600):
+            d = random_term(rng, max_wires=rng.randint(1, 4))
+            if rng.random() < 0.5:
+                d = Tensor(d, random_term(rng))
+            e = rebracket(rng, d)
+            assert _assoc_key(d) == assoc_key_reference(d)
+            assert _assoc_key(e) == assoc_key_reference(e) == _assoc_key(d)
+
+    def test_nested_chains(self):
+        z = ZSpider(HALF, 1, 1)
+        after = Tensor(Tensor(z, Id), Compose(z, z))
+        d = Compose(after, Compose(id_n(3), Tensor(Id, Tensor(Id, Tick))))
+        assert _assoc_key(d) == (
+            "compose",
+            (
+                ("tensor", (Id, Id, Tick)),
+                ("tensor", (Id, Id, Id)),
+                ("tensor", (z, Id, ("compose", (z, z)))),
+            ),
+        )
+        assert _assoc_key(d) == assoc_key_reference(d)
+
+    def test_linear_on_a_long_chain(self):
+        # The reference concatenates at every node: about 40 s at this length.
+        chain = compose_many([not_gate] * 100_000)
+        assert _assoc_key(chain) == ("compose", (not_gate,) * 100_000)
