@@ -34,8 +34,7 @@ from .semantics import (
     choi,
     format_matrix,
     interp,
-    is_completely_positive,
-    is_hermiticity_preserving,
+    is_psd,
     parse_matrix,
     proper_choi,
 )
@@ -150,10 +149,8 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    d = _load_diagram(args.file)
-    hp = is_hermiticity_preserving(d)
-    cp = is_completely_positive(d)
-    print(f"HP: {'yes' if hp else 'no'}, CP: {'yes' if cp else 'no'}")
+    m = choi(_load_diagram(args.file))
+    print(f"HP: {'yes' if m.is_hermitian() else 'no'}, CP: {'yes' if is_psd(m) else 'no'}")
     return 0
 
 

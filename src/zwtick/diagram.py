@@ -245,6 +245,22 @@ def block_transpose(n: int, m: int) -> Diagram:
     return permutation_diagram([j * n + i for i in range(n) for j in range(m)])
 
 
+def route(src: list, dst: list) -> Diagram:
+    """Swap network taking wires labelled `src`, in that order, to the order `dst`."""
+    position = {label: k for k, label in enumerate(dst)}
+    return permutation_diagram([position[label] for label in src])
+
+
+def wires(tag: str, n: int) -> list[tuple[str, int]]:
+    """Labels (tag, 0), ..., (tag, n - 1) for a block of n wires."""
+    return [(tag, i) for i in range(n)]
+
+
+def interleave(a: list, b: list) -> list:
+    """a1, b1, a2, b2, ...: the wire order of a layer of caps or cups."""
+    return [w for pair in zip(a, b) for w in pair]
+
+
 def bend_cap(n: int) -> Diagram:
     """0 -> 2n state pairing output k with output n+k (blocked Bell layout)."""
     # Cap^(x)n emits interleaved pairs (a1,b1,...,an,bn); route to blocks.
@@ -422,7 +438,7 @@ def parse_diagram(text: str) -> Diagram:
 
     def parse_nat() -> int:
         tok = next_token()
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise DiagramParseError(f"expected a natural number, found {tok!r}")
         return int(tok)
 

@@ -33,8 +33,9 @@ from .diagram import (
     ZSpider,
     has_tick,
     id_n,
-    permutation_diagram,
+    route,
     tensor_many,
+    wires,
 )
 from .scalar import HALF, ONE, Scalar, ScalarParseError, ZERO, format_scalar, parse_scalar
 from .semantics import Matrix, SemanticsError, bend_inputs, interp, state_operator
@@ -155,49 +156,22 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
     ket0 = ZSpider(Scalar(0), 0, 1)
     # Accumulator wires: (top-sum, out-sum_1, ..., out-sum_n), all seeded |0>.
     d: Diagram = tensor_many([ket0] * (n + 1))
+    accs, top = wires("acc", n + 1), [("top", 0)]
     for coeff, x, y in _node_rows(nf, unreduced):
-        plain = [k for k in range(n) if (x >> (n - 1 - k)) & 1]
-        ticked = [k for k in range(n) if (y >> (n - 1 - k)) & 1]
-        legs = 1 + len(plain) + len(ticked)
-        node = ZSpider(coeff, 0, legs)
-        width = n + 1 + legs
+        plain = [("x", k) for k in range(n) if (x >> (n - 1 - k)) & 1]
+        ticked = [("y", k) for k in range(n) if (y >> (n - 1 - k)) & 1]
+        node = ZSpider(coeff, 0, 1 + len(plain) + len(ticked))
         d = Compose(Tensor(id_n(n + 1), node), d)
         # Tick the bra-side legs of the node.
         tick_layer: list[Diagram] = [id_n(n + 1 + 1 + len(plain))]
         tick_layer.extend([Tick] * len(ticked))
         d = Compose(tensor_many(tick_layer), d)
-        # Route each leg next to its accumulator, then merge groups at once.
-        # Current order: T, g_1..g_n, top, plain legs (asc), ticked legs (asc).
-        counts = [0] * (n + 1)
-        counts[0] = 1
-        for k in plain:
-            counts[k + 1] += 1
-        for k in ticked:
-            counts[k + 1] += 1
-        starts = [0] * (n + 1)
-        acc = 0
-        for g in range(n + 1):
-            starts[g] = acc
-            acc += 1 + counts[g]
-        perm = [0] * width
-        for g in range(n + 1):
-            perm[g] = starts[g]
-        slot = [1] * (n + 1)
-        pos = n + 1
-        perm[pos] = starts[0] + 1
-        pos += 1
-        for k in plain:
-            g = k + 1
-            perm[pos] = starts[g] + slot[g]
-            slot[g] += 1
-            pos += 1
-        for k in ticked:
-            g = k + 1
-            perm[pos] = starts[g] + slot[g]
-            slot[g] += 1
-            pos += 1
-        d = Compose(permutation_diagram(perm), d)
-        d = Compose(tensor_many([_merge_chain(c) for c in counts]), d)
+        # Route each leg next to its accumulator, then merge groups at once:
+        # accumulator 0 gathers the top leg, accumulator k + 1 qubit k's legs.
+        groups = [top] + [[leg for leg in plain + ticked if leg[1] == k] for k in range(n)]
+        gathered = [w for acc, group in zip(accs, groups) for w in (acc, *group)]
+        d = Compose(route(accs + top + plain + ticked, gathered), d)
+        d = Compose(tensor_many([_merge_chain(len(group)) for group in groups]), d)
     # Consume the top accumulator with the plug; outputs remain in order.
     d = Compose(Tensor(_PLUG, id_n(n)), d)
     return d
@@ -298,21 +272,20 @@ def parse_nf(text: str) -> NormalForm:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("n "):
         raise NormalFormError("normal form text must start with 'n <qubits>'")
-    try:
-        n = int(lines[0][2:].strip())
-    except ValueError:
-        raise NormalFormError(f"bad qubit count in {lines[0]!r}") from None
+    count = lines[0][2:].strip()
+    if not (count.isascii() and count.isdigit()):
+        raise NormalFormError(f"bad qubit count in {lines[0]!r}")
+    n = int(count)
     terms = []
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != 3:
             raise NormalFormError(f"bad term line {ln!r}")
         xs, ys, cs = toks
-        try:
-            x = 0 if xs == "-" else int(xs, 2)
-            y = 0 if ys == "-" else int(ys, 2)
-        except ValueError:
-            raise NormalFormError(f"bad bitstring in {ln!r}") from None
+        if any(raw != "-" and raw.strip("01") for raw in (xs, ys)):
+            raise NormalFormError(f"bad bitstring in {ln!r}")
+        x = 0 if xs == "-" else int(xs, 2)
+        y = 0 if ys == "-" else int(ys, 2)
         for raw in (xs, ys):
             if raw == "-":
                 if n != 0:

@@ -20,29 +20,24 @@ from .diagram import (
     block_transpose,
     compose_many,
     id_n,
+    interleave,
     not_gate,
-    permutation_diagram,
+    route,
     tensor_many,
     ticked_cap,
     ticked_cup,
+    wires,
 )
-from .normalform import canonical_of_map
+from .normalform import diagrams_equal
 from .scalar import HALF, I, MINUS_ONE, ONE, Scalar, TWO, ZERO
-from .semantics import Matrix, SemanticsError, is_psd, state_operator
-
-
-def _qubits_of_dim(dim: int) -> int:
-    q = dim.bit_length() - 1
-    if dim <= 0 or 1 << q != dim:
-        raise SemanticsError(f"dimension {dim} is not a power of two")
-    return q
+from .semantics import Matrix, SemanticsError, _qubits_of, is_psd, state_operator
 
 
 def partial_transpose(rho: Matrix, first_block: int) -> Matrix:
     """Transpose the first `first_block` qubits of a square operator."""
     if rho.rows != rho.cols:
         raise SemanticsError("partial transpose requires a square matrix")
-    q = _qubits_of_dim(rho.rows)
+    q = _qubits_of(rho)
     if not 0 <= first_block <= q:
         raise SemanticsError(
             f"split {first_block} out of range for {q} qubits"
@@ -156,16 +151,10 @@ def internal_dagger(d: Diagram) -> Diagram:
     layers = [Tensor(id_n(m), _ticked_bend_cap(n))]
     layers.append(Tensor(id_n(m + n), d))
     # Wires now (x_1..x_m, a_1..a_n, o_1..o_m); pair each x_j with o_j.
-    perm = [0] * (2 * m + n)
-    for j in range(m):
-        perm[j] = 2 * j
-        perm[m + n + j] = 2 * j + 1
-    for k in range(n):
-        perm[m + k] = 2 * m + k
-    layers.append(permutation_diagram(perm))
-    closing = tensor_many([ticked_cup] * m) if m else None
-    if closing is not None:
-        layers.append(Tensor(closing, id_n(n)))
+    x, a, o = wires("x", m), wires("a", n), wires("o", m)
+    layers.append(route(x + a + o, interleave(x, o) + a))
+    if m:
+        layers.append(Tensor(tensor_many([ticked_cup] * m), id_n(n)))
     return compose_many(layers)
 
 
@@ -173,10 +162,5 @@ def is_unitary_semantic(d: Diagram) -> bool:
     """Does composing with the internal adjoint cancel to the identity, both ways?"""
     if d.n_in != d.n_out:
         raise SemanticsError("unitarity test requires equal input and output arity")
-    n = d.n_in
-    wire = canonical_of_map(id_n(n))
-    adj = internal_dagger(d)
-    return (
-        canonical_of_map(Compose(adj, d)) == wire
-        and canonical_of_map(Compose(d, adj)) == wire
-    )
+    adj, wire = internal_dagger(d), id_n(d.n_in)
+    return diagrams_equal(Compose(adj, d), wire) and diagrams_equal(Compose(d, adj), wire)

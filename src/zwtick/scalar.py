@@ -219,7 +219,7 @@ def parse_scalar(text: str) -> Scalar:
     def parse_uint() -> int:
         nonlocal pos
         start = pos
-        while pos < n and s[pos].isdigit():
+        while pos < n and "0" <= s[pos] <= "9":
             pos += 1
         if pos == start:
             raise ScalarParseError(f"expected digits at {start} in {text!r}")
@@ -242,7 +242,7 @@ def parse_scalar(text: str) -> Scalar:
             raise ScalarParseError(f"dangling sign in {text!r}")
 
         coef = Fraction(1)
-        have_coef = s[pos].isdigit()
+        have_coef = "0" <= s[pos] <= "9"
         if have_coef:
             num = parse_uint()
             den = 1

@@ -52,10 +52,12 @@ from .diagram import (
     dagger,
     fold,
     id_n,
-    permutation_diagram,
+    interleave,
+    route,
     tensor_many,
+    wires,
 )
-from .scalar import MINUS_ONE, ONE, ZERO, Scalar, format_scalar, parse_scalar
+from .scalar import MINUS_ONE, ONE, ZERO, Scalar, ScalarParseError, format_scalar, parse_scalar
 
 class SemanticsError(ValueError):
     pass
@@ -585,12 +587,6 @@ def iota(l: LinZW) -> Diagram:
     return l.pure
 
 
-def _block_swap(n: int, m: int) -> Diagram:
-    """Route (x[n], y[m]) to (y[m], x[n])."""
-    perm = [m + i for i in range(n)] + list(range(m))
-    return permutation_diagram(perm)
-
-
 def hp(d: Diagram) -> LinZW:
     """Bent presentation of the superoperator of d, built by a fold.
 
@@ -605,8 +601,8 @@ def hp(d: Diagram) -> LinZW:
 def _hp_gen(g: Generator) -> LinZW:
     if g is Tick:
         return LinZW(Compose(Cap, Cup), 1, 1)
-    n, m = g.n_in, g.n_out
-    return LinZW(Compose(Tensor(dagger(g), g), _block_swap(n, m)), n, m)
+    k, bo = wires("k", g.n_in), wires("bo", g.n_out)
+    return LinZW(Compose(Tensor(dagger(g), g), route(k + bo, bo + k)), g.n_in, g.n_out)
 
 
 def _int_compose(a: LinZW, b: LinZW) -> LinZW:
@@ -615,70 +611,36 @@ def _int_compose(a: LinZW, b: LinZW) -> LinZW:
         raise SemanticsError(f"superop compose mismatch: {b.m} vs {a.n}")
     n, mid, p = b.n, b.m, a.m
     total = n + p
-
-    layers: list[Diagram] = []
-    # Wires: (k[n], bo[p]) ++ interleaved cap pairs (u_j, v_j) for the mid cut.
-    layers.append(tensor_many([id_n(total), tensor_many([Cap] * mid)]))
-    # Reorder to (k[n], u[mid], bo[p], v[mid]).
-    perm = [0] * (total + 2 * mid)
-    for i in range(n):
-        perm[i] = i
-    for i in range(p):
-        perm[n + i] = n + mid + i
-    for j in range(mid):
-        perm[total + 2 * j] = n + j
-        perm[total + 2 * j + 1] = n + mid + p + j
-    layers.append(permutation_diagram(perm))
-    # b consumes (k, u); spectators (bo, v).
-    layers.append(tensor_many([b.pure, id_n(p + mid)]))
-    # Wires are now (bi[n], w[mid], bo[p], v[mid]); a consumes (w, bo).
-    layers.append(tensor_many([id_n(n), a.pure, id_n(mid)]))
-    # Wires: (bi[n], z[mid], ko[p], v[mid]); cup each z_j with v_j.
-    perm2 = [0] * (total + 2 * mid)
-    for i in range(n):
-        perm2[i] = i
-    for j in range(mid):
-        perm2[n + j] = total + 2 * j
-    for i in range(p):
-        perm2[n + mid + i] = n + i
-    for j in range(mid):
-        perm2[n + mid + p + j] = total + 2 * j + 1
-    layers.append(permutation_diagram(perm2))
-    layers.append(tensor_many([id_n(total), tensor_many([Cup] * mid)]))
+    k, bo, u, v = wires("k", n), wires("bo", p), wires("u", mid), wires("v", mid)
+    bi, z, ko = wires("bi", n), wires("z", mid), wires("ko", p)
+    layers: list[Diagram] = [
+        # Cap pairs (u_j, v_j) for the mid cut beside (k, bo).
+        tensor_many([id_n(total), tensor_many([Cap] * mid)]),
+        route(k + bo + interleave(u, v), k + u + bo + v),
+        # b consumes (k, u); spectators (bo, v).
+        tensor_many([b.pure, id_n(p + mid)]),
+        # Wires are now (bi, w, bo, v); a consumes (w, bo).
+        tensor_many([id_n(n), a.pure, id_n(mid)]),
+        # Wires are now (bi, z, ko, v); cup each z_j with v_j.
+        route(bi + z + ko + v, bi + ko + interleave(z, v)),
+        tensor_many([id_n(total), tensor_many([Cup] * mid)]),
+    ]
     return LinZW(compose_many(layers), n, p)
 
 
 def _int_tensor(a: LinZW, b: LinZW) -> LinZW:
     """Side-by-side composition in the bent presentation."""
-    n, m, p, q = a.n, a.m, b.n, b.m
-    # Inputs (kA[n], kB[p], boA[m], boB[q]) -> (kA, boA, kB, boB).
-    perm_in = [0] * (n + p + m + q)
-    for i in range(n):
-        perm_in[i] = i
-    for j in range(p):
-        perm_in[n + j] = n + m + j
-    for i in range(m):
-        perm_in[n + p + i] = n + i
-    for j in range(q):
-        perm_in[n + p + m + j] = n + m + p + j
-    # Outputs (biA[n], koA[m], biB[p], koB[q]) -> (biA, biB, koA, koB).
-    perm_out = [0] * (n + p + m + q)
-    for i in range(n):
-        perm_out[i] = i
-    for i in range(m):
-        perm_out[n + i] = n + p + i
-    for j in range(p):
-        perm_out[n + m + j] = n + j
-    for j in range(q):
-        perm_out[n + m + p + j] = n + p + m + j
+    an, am, bn, bm = wires("an", a.n), wires("am", a.m), wires("bn", b.n), wires("bm", b.m)
     pure = compose_many(
         [
-            permutation_diagram(perm_in),
+            # Inputs (ket in A, ket in B, bra out A, bra out B) to A's then B's.
+            route(an + bn + am + bm, an + am + bn + bm),
             Tensor(a.pure, b.pure),
-            permutation_diagram(perm_out),
+            # Outputs (bra in A, ket out A, bra in B, ket out B) back to blocks.
+            route(an + am + bn + bm, an + bn + am + bm),
         ]
     )
-    return LinZW(pure, n + p, m + q)
+    return LinZW(pure, a.n + b.n, a.m + b.m)
 
 
 def psi(f: Diagram, n: int, m: int) -> LinZW:
@@ -687,63 +649,36 @@ def psi(f: Diagram, n: int, m: int) -> LinZW:
         raise SemanticsError(
             f"doubled diagram must be ({2 * n})->({2 * m}), got {f.n_in}->{f.n_out}"
         )
-    layers: list[Diagram] = []
-    # Wires (k[n], bo[m]) ++ cap pairs (alpha_i, beta_i).
-    layers.append(tensor_many([id_n(n + m), tensor_many([Cap] * n)]))
-    # Reorder to (k1, a1, ..., kn, an, bo[m], beta[n]).
-    perm = [0] * (n + m + 2 * n)
-    for i in range(n):
-        perm[i] = 2 * i
-    for j in range(m):
-        perm[n + j] = 2 * n + j
-    for i in range(n):
-        perm[n + m + 2 * i] = 2 * i + 1
-        perm[n + m + 2 * i + 1] = 2 * n + m + i
-    layers.append(permutation_diagram(perm))
-    layers.append(tensor_many([f, id_n(m + n)]))
-    # Wires: interleaved (ko_j, co_j) then bo[m], beta[n].
-    perm2 = [0] * (2 * m + m + n)
-    for j in range(m):
-        perm2[2 * j] = n + j
-        perm2[2 * j + 1] = n + m + 2 * j
-    for j in range(m):
-        perm2[2 * m + j] = n + m + 2 * j + 1
-    for i in range(n):
-        perm2[3 * m + i] = i
-    layers.append(permutation_diagram(perm2))
-    layers.append(tensor_many([id_n(n + m), tensor_many([Cup] * m)]))
+    k, bo, al, be = wires("k", n), wires("bo", m), wires("al", n), wires("be", n)
+    ko, co = wires("ko", m), wires("co", m)
+    layers: list[Diagram] = [
+        # Cap pairs (al_i, be_i) beside (k, bo); f consumes each k_i with al_i.
+        tensor_many([id_n(n + m), tensor_many([Cap] * n)]),
+        route(k + bo + interleave(al, be), interleave(k, al) + bo + be),
+        tensor_many([f, id_n(m + n)]),
+        # f emits interleaved (ko_j, co_j); cup each co_j with bo_j.
+        route(interleave(ko, co) + bo + be, be + ko + interleave(co, bo)),
+        tensor_many([id_n(n + m), tensor_many([Cup] * m)]),
+    ]
     return LinZW(compose_many(layers), n, m)
 
 
 def psi_inv(l: LinZW) -> Diagram:
     """Unbend the bent presentation back into a doubled diagram 2n -> 2m."""
     n, m = l.n, l.m
-    layers: list[Diagram] = []
-    layers.append(block_transpose(n, 2))
-    layers.append(tensor_many([id_n(2 * n), tensor_many([Cap] * m)]))
-    # Wires: k[n], b[n], interleaved (bo_j, co_j); route to (k, bo, b, co).
-    perm = [0] * (2 * n + 2 * m)
-    for i in range(n):
-        perm[i] = i
-        perm[n + i] = n + m + i
-    for j in range(m):
-        perm[2 * n + 2 * j] = n + j
-        perm[2 * n + 2 * j + 1] = 2 * n + m + j
-    layers.append(permutation_diagram(perm))
-    layers.append(tensor_many([l.pure, id_n(n + m)]))
-    # Wires: bi[n], ko[m], b[n], co[m]; cup bi_i with b_i, emit (ko, co).
-    perm2 = [0] * (2 * n + 2 * m)
-    for i in range(n):
-        perm2[i] = 2 * m + 2 * i
-    for j in range(m):
-        perm2[n + j] = j
-    for i in range(n):
-        perm2[n + m + i] = 2 * m + 2 * i + 1
-    for j in range(m):
-        perm2[n + m + n + j] = m + j
-    layers.append(permutation_diagram(perm2))
-    layers.append(tensor_many([id_n(2 * m), tensor_many([Cup] * n)]))
-    layers.append(block_transpose(2, m))
+    k, b, bo, co = wires("k", n), wires("b", n), wires("bo", m), wires("co", m)
+    bi, ko = wires("bi", n), wires("ko", m)
+    layers: list[Diagram] = [
+        block_transpose(n, 2),
+        # Cap pairs (bo_j, co_j) beside (k, b); the pure term consumes (k, bo).
+        tensor_many([id_n(2 * n), tensor_many([Cap] * m)]),
+        route(k + b + interleave(bo, co), k + bo + b + co),
+        tensor_many([l.pure, id_n(n + m)]),
+        # Cup each bi_i with b_i, emit (ko, co).
+        route(bi + ko + b + co, ko + co + interleave(bi, b)),
+        tensor_many([id_n(2 * m), tensor_many([Cup] * n)]),
+        block_transpose(2, m),
+    ]
     return compose_many(layers)
 
 
@@ -772,7 +707,7 @@ def parse_matrix(text: str) -> Matrix:
     if not lines:
         raise SemanticsError("empty matrix text")
     head = lines[0].split()
-    if len(head) != 2 or not all(tok.isdigit() for tok in head):
+    if len(head) != 2 or not all(tok.isascii() and tok.isdigit() for tok in head):
         raise SemanticsError(f"bad matrix header {lines[0]!r}")
     rows, cols = int(head[0]), int(head[1])
     if len(lines) - 1 != rows:
@@ -782,5 +717,8 @@ def parse_matrix(text: str) -> Matrix:
         toks = ln.split()
         if len(toks) != cols:
             raise SemanticsError(f"expected {cols} entries in row {ln!r}")
-        data.append([parse_scalar(t) for t in toks])
+        try:
+            data.append([parse_scalar(t) for t in toks])
+        except ScalarParseError as exc:
+            raise SemanticsError(f"bad entry in row {ln!r}: {exc}") from None
     return Matrix(data) if data else Matrix.zeros(0, cols)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from zwtick import semantics
 from zwtick.cli import main
 
 
@@ -100,6 +101,20 @@ class TestClassifyVerb:
         f = write(tmp_path, "d.zwt", "tick")
         assert main(["classify", f]) == 0
         assert capsys.readouterr().out == "HP: yes, CP: no\n"
+
+    @pytest.mark.parametrize("text", ["ground", "tick", "(z 1/2 1 2)"])
+    def test_evaluates_the_choi_operator_once(self, tmp_path, capsys, monkeypatch, text):
+        calls = []
+        evaluate = semantics._evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(semantics, "_evaluate", counting)
+        f = write(tmp_path, "d.zwt", text)
+        assert main(["classify", f]) == 0
+        assert len(calls) == 1
 
 
 class TestPptVerb:

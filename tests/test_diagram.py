@@ -14,8 +14,11 @@ from zwtick import (
     Fswap,
     HALF,
     Id,
+    NormalFormError,
     OMEGA,
     ONE,
+    ScalarParseError,
+    SemanticsError,
     Swap,
     Tensor,
     Tick,
@@ -36,6 +39,9 @@ from zwtick import (
     ket0,
     not_gate,
     parse_diagram,
+    parse_matrix,
+    parse_nf,
+    parse_scalar,
     permutation_diagram,
     print_diagram,
     render_dot,
@@ -47,6 +53,7 @@ from zwtick import (
     transpose_term,
     unzip,
 )
+from zwtick.diagram import interleave, route, wires
 from zwtick.semantics import _int_compose, interp_sparse
 
 from _support import random_term
@@ -155,6 +162,63 @@ class TestPermutations:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             permutation_diagram([0, 0])
+
+
+class TestRoute:
+    def test_matches_permutation_diagram(self):
+        rng = random.Random(29)
+        perms = [[], [0], list(range(8))]
+        perms += [rng.sample(range(k), k) for k in (rng.randint(0, 8) for _ in range(197))]
+        for perm in perms:
+            src = [f"w{i}" for i in range(len(perm))]
+            dst = [src[perm.index(k)] for k in range(len(perm))]
+            assert print_diagram(route(src, dst)) == print_diagram(permutation_diagram(perm))
+
+    def test_labels(self):
+        assert wires("k", 3) == [("k", 0), ("k", 1), ("k", 2)]
+        assert wires("k", 0) == []
+        assert interleave([1, 2, 3], ["a", "b", "c"]) == [1, "a", 2, "b", 3, "c"]
+
+    def test_block_swap(self):
+        # (x0, y0, y1) -> (y0, y1, x0): x0 ends at the bottom.
+        x, y = wires("x", 1), wires("y", 2)
+        assert route(x + y, y + x) == permutation_diagram([2, 0, 1])
+
+
+class TestAsciiDigits:
+    """Numbers and bitstrings are ASCII only; other digits are each parser's own error."""
+
+    @pytest.mark.parametrize(
+        "parse, text, error",
+        [
+            (parse_diagram, "(z \u0661 1 1)", DiagramParseError),
+            (parse_diagram, "(id \u00b2)", DiagramParseError),
+            (parse_diagram, "(w 1 \u0662)", DiagramParseError),
+            (parse_scalar, "\u00b2", ScalarParseError),
+            (parse_scalar, "1/\u0662", ScalarParseError),
+            (parse_scalar, "\u0663w", ScalarParseError),
+            (parse_matrix, "1 \u00b2\n1", SemanticsError),
+            (parse_matrix, "\u0661 1\n1", SemanticsError),
+            (parse_matrix, "1 1\n\u0661", SemanticsError),
+            (parse_nf, "n 1_0\n", NormalFormError),
+            (parse_nf, "n +1\n", NormalFormError),
+            (parse_nf, "n \u0661\n", NormalFormError),
+            (parse_nf, "n -1\n", NormalFormError),
+            (parse_nf, "n 3\n0_1 001 1", NormalFormError),
+            (parse_nf, "n 2\n+1 01 1", NormalFormError),
+            (parse_nf, "n 1\n1 \u0661 1", NormalFormError),
+            (parse_nf, "n 2\n12 01 1", NormalFormError),
+        ],
+    )
+    def test_rejects_non_ascii_digits(self, parse, text, error):
+        with pytest.raises(error):
+            parse(text)
+
+    def test_ascii_digits_still_parse(self):
+        assert parse_diagram("(z 1/2 1 2)") == ZSpider(HALF, 1, 2)
+        assert parse_scalar("10/3w^2") == parse_scalar("10/3") * OMEGA * OMEGA
+        assert parse_matrix("1 1\n1").rows == 1
+        assert parse_nf("n 2\n01 10 1").terms[0].y == 0b10
 
 
 class TestTextForm:

@@ -1,5 +1,6 @@
 """Pure interpretation, wire doubling, superoperators, and Choi tests."""
 
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -39,6 +40,7 @@ from zwtick import (
     ground,
     hp,
     id_n,
+    internal_dagger,
     interp,
     iota,
     is_completely_positive,
@@ -46,10 +48,12 @@ from zwtick import (
     is_psd,
     ket0,
     nf_from_matrix,
+    nf_to_diagram,
     not_gate,
     parse_matrix,
     proper_choi,
     ppt_check,
+    print_diagram,
     psi,
     psi_inv,
     state_operator,
@@ -64,6 +68,7 @@ from _support import (
     mat_kron,
     mat_mul,
     random_hermitian,
+    random_nf,
     random_real_scalar,
     random_scalar,
     random_state,
@@ -299,6 +304,32 @@ class TestHPPresentation:
             rho = random_hermitian(rng, 1)
             out = apply_superop(ground, rho)
             assert out == M([[rho[0, 0] + rho[1, 1]]])
+
+
+class TestWiringDigest:
+    """Every term the bent presentation, the internal adjoint and the normal
+    form rebuild produce is pinned: a change to any wire layout changes the
+    digest, even when the denoted map stays the same."""
+
+    def test_pinned(self):
+        rng = random.Random(7)
+        h = hashlib.sha256()
+        for _ in range(400):
+            d = random_term(rng, max_wires=4)
+            for t in (
+                hp(d).pure,
+                psi(unzip(d), d.n_in, d.n_out).pure,
+                psi_inv(hp(d)),
+                internal_dagger(d),
+            ):
+                h.update(print_diagram(t).encode())
+        for _ in range(200):
+            nf = random_nf(rng, rng.randint(0, 4), density=rng.random())
+            for t in (nf_to_diagram(nf), nf_to_diagram(nf, unreduced=True)):
+                h.update(print_diagram(t).encode())
+        assert h.hexdigest() == (
+            "1afd646a32f2534d8055941ce38731058c4d0d952683275b6980e3659fcba012"
+        )
 
 
 class TestPsd:
