@@ -157,6 +157,7 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
     # Accumulator wires: (top-sum, out-sum_1, ..., out-sum_n), all seeded |0>.
     d: Diagram = tensor_many([ket0] * (n + 1))
     accs, top = wires("acc", n + 1), [("top", 0)]
+    chains: dict[int, Diagram] = {}  # merge chain by group size, built once per call
     for coeff, x, y in _node_rows(nf, unreduced):
         plain = [("x", k) for k in range(n) if (x >> (n - 1 - k)) & 1]
         ticked = [("y", k) for k in range(n) if (y >> (n - 1 - k)) & 1]
@@ -171,7 +172,10 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
         groups = [top] + [[leg for leg in plain + ticked if leg[1] == k] for k in range(n)]
         gathered = [w for acc, group in zip(accs, groups) for w in (acc, *group)]
         d = Compose(route(accs + top + plain + ticked, gathered), d)
-        d = Compose(tensor_many([_merge_chain(len(group)) for group in groups]), d)
+        for group in groups:
+            if len(group) not in chains:
+                chains[len(group)] = _merge_chain(len(group))
+        d = Compose(tensor_many([chains[len(group)] for group in groups]), d)
     # Consume the top accumulator with the plug; outputs remain in order.
     d = Compose(Tensor(_PLUG, id_n(n)), d)
     return d

@@ -28,6 +28,7 @@ matrix row ranges over output bitstrings, a column over input bitstrings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -263,14 +264,16 @@ def interp_sparse(d: Diagram) -> Matrix:
 def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
     """The steps of d in application order, each (apply function, *args).
 
-    Plain wires and units are dropped, and each run of consecutive swaps is
-    fused into one bit permutation.  A generator's column lists and, doubled,
-    its lazily filled table of (ket, bra) branches are shared by the steps
-    of that generator at one placement.
+    Plain wires and units are dropped.  Each run of consecutive swaps and
+    ticks is one relabelling of the bits.  Doubled, a generator whose inputs
+    are exactly the outputs of the generator step just before it is composed
+    into that step, so a run of generators on the same wires is one step.
+    Steps of one run of generators at one placement share its `_Table`.
     """
     steps: list[tuple] = []
-    tables: dict[tuple[Generator, int], tuple[dict, dict]] = {}
-    routing: dict[int, int] = {}  # pending swap run: output bit <- input bit
+    tables: dict[tuple, _Table] = {}
+    routing: dict[int, int] = {}  # pending swaps: output bit <- input bit
+    exchange = 0  # pending ticks: input bits exchanged between x and y
     width = d.n_in
     stack: list[tuple[Diagram, int]] = [(d, 0)]
     while stack:
@@ -291,63 +294,105 @@ def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
         if node is Swap:
             routing[lo], routing[lo + 1] = routing.get(lo + 1, lo + 1), routing.get(lo, lo)
             continue
-        if routing:
-            steps.extend(_perm_step(routing))
-            routing = {}
         if node is Tick:
             if not doubled:
                 raise SemanticsError("pure interpretation undefined for ticked diagram")
-            steps.append((_apply_tick, lo))
+            # Exchanging output bit lo after the swaps exchanges the input bit routed there.
+            exchange ^= 1 << routing.get(lo, lo)
             continue
-        table = tables.get((node, lo))
+        if routing or exchange:
+            steps.extend(_relabel_step(routing, exchange))
+            routing, exchange = {}, 0
+        prev, n = None, node.n_in
+        if doubled and steps and steps[-1][0] is _apply_gen and steps[-1][1] == lo and steps[-1][3] == n:
+            # The step just before outputs exactly these inputs: extend its run.
+            _, _, n, _, prev = steps.pop()
+        table = tables.get((prev, node, lo))
         if table is None:
-            table = tables[node, lo] = (_columns(node, lo), {})
-        steps.append((_apply_gen, lo, node.n_in, node.n_out, *table))
+            table = tables[prev, node, lo] = _Table(node, lo, prev)
+        steps.append((_apply_gen, lo, n, node.n_out, table))
         width += node.n_out - node.n_in
-    if routing:
-        steps.extend(_perm_step(routing))
+    if routing or exchange:
+        steps.extend(_relabel_step(routing, exchange))
     return steps
 
 
-def _perm_step(routing: dict[int, int]) -> list[tuple]:
+def _relabel_step(routing: dict[int, int], exchange: int) -> list[tuple]:
     moves = [(src, dst) for dst, src in routing.items() if src != dst]
     moved = 0
     for _, dst in moves:
         moved |= 1 << dst
-    return [(_apply_perm, moved, moves)] if moves else []
+    return [(_apply_relabel, exchange, moved, moves)] if moves or exchange else []
 
 
-def _columns(g: Generator, lo: int) -> dict[int, list[tuple[int, Scalar]]]:
-    """Input bits c of g -> [(output bits << lo, entry)] over nonzero entries."""
-    cols: dict[int, list[tuple[int, Scalar]]] = {}
-    for (row, col), v in _gen_matrix(g).entries.items():
-        cols.setdefault(col, []).append((row << lo, v))
-    return cols
+class _Table:
+    """Columns of a run of generators at bit `lo`, and its doubled branches.
+
+    `cols` maps input bits c to [(output bits << lo, entry)] over nonzero
+    entries.  For one generator it is filled up front; for a longer run it
+    is composed column by column on first use, from `prev` (the table of the
+    run without its last generator) and `gen` (that generator's columns).
+    `pairs` caches the doubled branches of each (ket, bra) input pattern.
+    """
+
+    __slots__ = ("lo", "prev", "gen", "cols", "pairs")
+
+    def __init__(self, g: Generator, lo: int, prev: "_Table | None"):
+        self.lo, self.prev = lo, prev
+        self.gen: dict[int, list[tuple[int, Scalar]]] = {}
+        for (row, col), v in _gen_matrix(g).entries.items():
+            self.gen.setdefault(col, []).append((row << lo, v))
+        self.cols = self.gen if prev is None else {}
+        self.pairs: dict[int, list[tuple[int, int, Scalar]]] = {}
+
+    def column(self, c: int) -> list[tuple[int, Scalar]]:
+        """Column c of the run, resolving it down the chain of tables without recursion."""
+        chain = []
+        t = self
+        while c not in t.cols and t.prev is not None:
+            chain.append(t)
+            t = t.prev
+        col = t.cols.get(c, [])
+        lo = self.lo
+        for t in reversed(chain):
+            acc: dict[int, Scalar] = {}
+            for mid, a in col:
+                for row, b in t.gen.get(mid >> lo, ()):
+                    p = a * b
+                    acc[row] = p if row not in acc else acc[row] + p
+            col = t.cols[c] = [(row, v) for row, v in acc.items() if not v.is_zero()]
+        return col
+
+    def branches(self, cx: int, cy: int) -> list[tuple[int, int, Scalar]]:
+        """Doubled branches of ket bits cx and bra bits cy: the run on x, its conjugate on y."""
+        xs, ys = self.cols.get(cx), self.cols.get(cy)
+        if self.prev is not None:
+            xs = self.column(cx) if xs is None else xs
+            ys = self.column(cy) if ys is None else ys
+        elif xs is None or ys is None:  # one generator: a missing column is zero
+            return []
+        out = []
+        for rx, a in xs:
+            for ry, b in ys:
+                c = a * b.conj()
+                out.append((rx, ry, ONE if c == ONE else c))
+        return out
 
 
-def _pair_branches(cols: dict, cx: int, cy: int) -> list[tuple[int, int, Scalar]]:
-    """Doubled branches of ket bits cx and bra bits cy: G on x, conj(G) on y."""
-    out = []
-    for rx, a in cols.get(cx, ()):
-        for ry, b in cols.get(cy, ()):
-            c = a * b.conj()
-            out.append((rx, ry, ONE if c == ONE else c))
-    return out
-
-
-def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, cols: dict, pairs: dict) -> dict:
+def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, table: _Table) -> dict:
     nmask = (1 << n) - 1
     lomask = (1 << lo) - 1
     hi, new_hi = lo + n, lo + m
     out: dict[tuple[int, int], Scalar] = {}
     clashes = []
     if doubled:
+        pairs = table.pairs
         for (x, y), v in ops.items():
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
             branches = pairs.get((cx << n) | cy)
             if branches is None:
-                branches = pairs[(cx << n) | cy] = _pair_branches(cols, cx, cy)
+                branches = pairs[(cx << n) | cy] = table.branches(cx, cy)
             if not branches:
                 continue
             bx = ((x >> hi) << new_hi) | (x & lomask)
@@ -360,6 +405,7 @@ def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, cols: dict, pa
                     clashes.append(key)
                 out[key] = nv
     else:
+        cols = table.cols
         for (x, y), v in ops.items():
             branches = cols.get((x >> lo) & nmask)
             if branches is None:
@@ -378,8 +424,14 @@ def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, cols: dict, pa
     return out
 
 
-def _apply_perm(ops: dict, doubled: bool, moved: int, moves: list[tuple[int, int]]) -> dict:
-    """Route the `moved` bits of every index; each bit pattern is routed once."""
+def _apply_relabel(ops: dict, doubled: bool, exchange: int, moved: int, moves: list[tuple[int, int]]) -> dict:
+    """Exchange the `exchange` bits between x and y, then route the `moved` bits.
+
+    Each pattern of moved bits is routed once; a run of ticks alone costs
+    one XOR per index.
+    """
+    if not moves:
+        return {(x ^ (e := (x ^ y) & exchange), y ^ e): v for (x, y), v in ops.items()}
     routed: dict[int, int] = {}
 
     def route(i: int) -> int:
@@ -393,20 +445,11 @@ def _apply_perm(ops: dict, doubled: bool, moved: int, moves: list[tuple[int, int
             routed[f] = r
         return (i ^ f) | r
 
-    if doubled:
-        return {(route(x), route(y)): v for (x, y), v in ops.items()}
-    return {(route(x), y): v for (x, y), v in ops.items()}
-
-
-def _apply_tick(ops: dict, doubled: bool, lo: int) -> dict:
-    bit = 1 << lo
-    out = {}
-    for (x, y), v in ops.items():
-        if (x ^ y) & bit:
-            x ^= bit
-            y ^= bit
-        out[(x, y)] = v
-    return out
+    if not doubled:
+        return {(route(x), y): v for (x, y), v in ops.items()}
+    return {
+        (route(x ^ (e := (x ^ y) & exchange)), route(y ^ e)): v for (x, y), v in ops.items()
+    }
 
 
 def _evaluate(d: Diagram, ops: dict, doubled: bool) -> dict:
@@ -518,39 +561,42 @@ def is_psd(m: Matrix) -> bool:
     """Exact positive semidefiniteness of a matrix over Q(w), at any dimension.
 
     A matrix that is not exactly Hermitian is not PSD.  Otherwise run a
-    symmetric elimination with diagonal pivoting: any negative diagonal entry
-    refutes positivity; a positive one is eliminated, replacing the rest by
-    its Schur complement, which is PSD exactly when the matrix was; when no
-    positive diagonal entry is left, the rest is PSD exactly when it is zero.
-    Signs in Q(sqrt 2) are decided exactly by `Scalar.sign_real`.
+    symmetric elimination over the sparse rows of the upper triangle, built
+    from `m.entries` and holding no zero.  The nonzero row of least index
+    pivots: a negative diagonal entry refutes positivity, and so does a zero
+    one, since the row is not all zero; a positive one is eliminated,
+    replacing the rest by its Schur complement, which is PSD exactly when
+    the matrix was.  When no nonzero row is left, the matrix is PSD.  Signs
+    in Q(sqrt 2) are decided exactly by `Scalar.sign_real`.
     """
     if not m.is_hermitian():
         return False
-    a = m.data
-    live = list(range(m.rows))
-    while live:
-        pivot = None
-        for i in live:
-            sign = a[i][i].sign_real()
-            if sign < 0:
-                return False
-            if sign > 0 and pivot is None:
-                pivot = i
-        if pivot is None:
-            return all(a[i][j].is_zero() for i in live for j in live)
-        live.remove(pivot)
-        inv = a[pivot][pivot].inverse()
-        rows = [i for i in live if not a[i][pivot].is_zero()]
-        # The complement stays Hermitian: update the upper triangle, mirror it.
-        conj = [a[i][pivot].conj() for i in rows]
-        for k, i in enumerate(rows):
-            row = a[i]
-            f = row[pivot] * inv
-            row[i] = row[i] - f * conj[k]
-            for j, c in zip(rows[k + 1 :], conj[k + 1 :]):
-                v = row[j] - f * c
-                row[j] = v
-                a[j][i] = v.conj()
+    rows: dict[int, dict[int, Scalar]] = {}  # i -> {j: a[i][j]} for j >= i
+    for (i, j), v in m.entries.items():
+        if i <= j:
+            rows.setdefault(i, {})[j] = v
+    # Rows are only ever added after the pivot, so pivots run in index order.
+    for pivot in range(m.rows):
+        upper = rows.pop(pivot, None)
+        if not upper:
+            continue
+        d = upper.pop(pivot, None)
+        if d is None or d.sign_real() < 0:
+            return False
+        inv = d.inverse()
+        # a[pivot][j] for the rows j after the pivot, in index order.
+        col = sorted(upper.items(), key=itemgetter(0))
+        # The complement stays Hermitian: update its upper triangle only.
+        for k, (i, c) in enumerate(col):
+            row = rows.setdefault(i, {})
+            f = c.conj() * inv
+            for j, cj in col[k:]:
+                old = row.get(j)
+                v = -(f * cj) if old is None else old - f * cj
+                if v.is_zero():
+                    row.pop(j, None)
+                else:
+                    row[j] = v
     return True
 
 

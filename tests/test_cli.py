@@ -341,6 +341,17 @@ class TestDeepInput:
             assert expected[0] == 0 and expected[1] and expected[2] == ""
         assert run(files["deep"]) == expected
 
+    def test_even_tick_chain(self, tmp_path, capsys):
+        # 5,000 ticks cancel in one relabelling pass, leaving (w 1 1).
+        depth = 4999
+        text = "(compose tick " * depth + "(compose tick (w 1 1))" + ")" * depth
+        f = write(tmp_path, "ticks.zwt", text)
+        w11 = write(tmp_path, "w11.zwt", "(w 1 1)")
+        assert main(["eq", f, w11]) == 0
+        assert capsys.readouterr().out == "equal\n"
+        assert main(["classify", f]) == 0
+        assert capsys.readouterr().out == "HP: yes, CP: yes\n"
+
     def test_chain_dot_matches_short_chain(self, tmp_path, capsys):
         f = write(tmp_path, "d.zwt", "(compose (w 1 1) (compose (w 1 1) (w 1 1)))")
         assert main(["render", f]) == 0

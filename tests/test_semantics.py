@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -61,7 +62,7 @@ from zwtick import (
     ticked_cap,
     unzip,
 )
-from zwtick.semantics import MAX_DENSE_LOG2, interp_sparse
+from zwtick.semantics import MAX_DENSE_LOG2, _apply_gen, _apply_relabel, _netlist, interp_sparse
 
 from _support import (
     mat_dagger,
@@ -237,8 +238,58 @@ def _unvec(col, n):
     )
 
 
+def _placed(g, above, width):
+    """Layer applying g below `above` plain wires of a `width`-wire term."""
+    return tensor_many([id_n(above), g, id_n(width - above - g.n_in)])
+
+
+def _same_wire_run(rng, width, length):
+    """Layers on `width` wires where each generator consumes exactly the
+    outputs of the one before: runs of (w 1 1), (z r 1 1) and (w 2 1), with
+    (z r 1 2) to widen the run again before a (w 2 1)."""
+    at = rng.randrange(width)
+    k = 2 if at + 2 <= width and rng.random() < 0.5 else 1
+    layers = []
+    for _ in range(length):
+        if k == 2:
+            g = WSpider(2, 1)
+        else:
+            g = rng.choice(
+                [WSpider(1, 1), ZSpider(random_scalar(rng), 1, 1), ZSpider(random_scalar(rng), 1, 2)]
+            )
+        layers.append(_placed(g, at, width))
+        width += g.n_out - g.n_in
+        k = g.n_out
+    return layers
+
+
+def _relabel_run(rng, width, kind):
+    """Layers of ticks and swaps on `width` wires: a lone tick, swaps only, or both."""
+    if kind == "tick":
+        gens = [Tick]
+    elif kind == "swaps":
+        gens = [Swap] * rng.randint(2, 8)
+    else:
+        gens = [Tick, Swap] + [rng.choice([Tick, Swap]) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(gens)
+    return [_placed(g, rng.randrange(width - g.n_in + 1), width) for g in gens]
+
+
+def _vec(rho):
+    n = rho.rows.bit_length() - 1
+    return Matrix.from_entries(
+        1 << (2 * n), 1, {(_interleaved(x, y, n), 0): v for (x, y), v in rho.entries.items()}
+    )
+
+
 class TestNetlistEvaluator:
     """The direct evaluator against the Kronecker reference interp_sparse(unzip(d))."""
+
+    def _check_doubled(self, rng, d):
+        s = bend_inputs(d)
+        assert state_operator(s) == _unvec(interp_sparse(unzip(s)), s.n_out)
+        rho = random_hermitian(rng, d.n_in)
+        assert apply_superop(d, rho) == _unvec(interp_sparse(unzip(d)).matmul(_vec(rho)), d.n_out)
 
     def test_state_operator_matches_reference(self):
         rng = random.Random(26)
@@ -251,14 +302,44 @@ class TestNetlistEvaluator:
         for _ in range(60):
             d = random_term(rng, max_gens=10)
             rho = random_hermitian(rng, d.n_in)
-            n = d.n_in
-            vec = Matrix.from_entries(
-                1 << (2 * n),
-                1,
-                {(_interleaved(x, y, n), 0): v for (x, y), v in rho.entries.items()},
-            )
-            want = _unvec(interp_sparse(unzip(d)).matmul(vec), d.n_out)
+            want = _unvec(interp_sparse(unzip(d)).matmul(_vec(rho)), d.n_out)
             assert apply_superop(d, rho) == want
+
+    def test_same_wire_runs_fuse_into_one_step(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            base = random_term(rng, max_wires=3, max_gens=6)
+            if base.n_out == 0:
+                base = Tensor(base, ZSpider(random_scalar(rng), 0, 1))
+            d = compose_many([base] + _same_wire_run(rng, base.n_out, rng.randint(4, 12)))
+            steps = _netlist(d, True)
+            assert len(steps) <= len(_netlist(base, True)) + 1
+            # The run's columns are composed on first use, not when it is built.
+            run = steps[-1][-1]
+            assert run.prev is not None and run.cols == {}
+            self._check_doubled(rng, d)
+        # The pure evaluator keeps one step per generator.
+        chain = compose_many([WSpider(1, 1), ZSpider(OMEGA, 1, 1)] * 3)
+        assert len(_netlist(chain, False)) == 6 and len(_netlist(chain, True)) == 1
+
+    @pytest.mark.parametrize("kind", ["tick", "swaps", "mixed"])
+    def test_swap_and_tick_runs_relabel_in_one_pass(self, kind):
+        rng = random.Random(f"relabel:{kind}")
+        for _ in range(40):
+            base = random_term(rng, max_wires=3, max_gens=5)
+            while base.n_out < 2:
+                base = Tensor(base, ZSpider(random_scalar(rng), 0, 1))
+            run = _relabel_run(rng, base.n_out, kind)
+            steps = _netlist(compose_many(run), True)
+            assert len(steps) <= 1 and all(step[0] is _apply_relabel for step in steps)
+            if kind == "tick":
+                # One exchanged bit, nothing routed.
+                (_, exchange, moved, moves), = steps
+                assert bin(exchange).count("1") == 1 and (moved, moves) == (0, [])
+            if kind == "swaps":
+                assert all(step[1] == 0 for step in steps)
+            tail = random_term(rng, max_wires=3, max_gens=4, n_in=base.n_out)
+            self._check_doubled(rng, compose_many([base] + run + [tail]))
 
     def test_interp_matches_reference(self):
         rng = random.Random(28)
@@ -279,6 +360,43 @@ class TestNetlistEvaluator:
         (a, b), (c, e) = rho.data
         assert apply_superop(chain, rho) == M([[a, b * phase.conj()], [c * phase, e]])
         assert state_operator(Compose(chain, ket0)) == M([[ONE, ZERO], [ZERO, ZERO]])
+
+    def test_alternating_tick_chain_is_linear(self):
+        # tick transposes a qubit operator; (z w 1 1) multiplies |0><1| by
+        # conj(w) and |1><0| by w.  Every layer is its own step.
+        z = ZSpider(OMEGA, 1, 1)
+
+        def run(layers):
+            chain = compose_many([Tick, z] * (layers // 2) + [Tick] * (layers % 2))
+            assert len(_netlist(chain, True)) == layers
+            start = time.perf_counter()
+            out = apply_superop(chain, rho), state_operator(Compose(chain, plus))
+            return out, time.perf_counter() - start
+
+        rho = random_hermitian(random.Random(30), 1, density=1.0)
+        plus = ZSpider(ONE, 0, 1)
+        layers = 10_001
+        (superop, state), elapsed = run(layers)
+        elapsed = min(elapsed, run(layers)[1])
+        (a, b), (c, e) = rho.data
+        p, q = ONE, ONE
+        for k in range(layers):
+            b, c = (c, b) if k % 2 == 0 else (b * OMEGA.conj(), c * OMEGA)
+            p, q = (q, p) if k % 2 == 0 else (p * OMEGA.conj(), q * OMEGA)
+        assert superop == M([[a, b], [c, e]])
+        assert state == M([[ONE, p], [q, ONE]])
+        quarter = min(run(layers // 4)[1] for _ in range(3))
+        assert elapsed < 10 * quarter
+
+    def test_dense_round_trip_step_count(self):
+        # The normal-form diagram of a dense 3-qubit operator: each term's
+        # ticks and routing relabel in one pass, and each binary merge is one
+        # step.  One step per generator, tick and swap run would be 246.
+        nf = random_nf(random.Random(68), 3, density=0.55)
+        assert len(nf.terms) == 20
+        steps = _netlist(nf_to_diagram(nf), True)
+        assert len(steps) <= 140
+        assert sum(step[0] is _apply_gen for step in steps) <= 120
 
 
 class TestHPPresentation:
@@ -333,6 +451,23 @@ class TestWiringDigest:
 
 
 class TestPsd:
+    def test_eliminates_over_sparse_rows(self, monkeypatch):
+        # Dimension 4,096 with 4,096 nonzeros: no dense table is ever built.
+        bell = choi(id_n(6))
+        ticked = choi(tensor_many([Tick] + [Id] * 5))
+
+        def dense(self):
+            raise AssertionError("is_psd read a dense table")
+
+        monkeypatch.setattr(Matrix, "data", property(dense))
+        assert is_psd(bell) is True
+        assert is_psd(ticked) is False
+        # 4,096 pivots, one per diagonal entry; the last is negative.
+        diagonal = {(i, i): ONE for i in range(4096)}
+        assert is_psd(Matrix.from_entries(4096, 4096, diagonal)) is True
+        diagonal[4095, 4095] = MINUS_ONE
+        assert is_psd(Matrix.from_entries(4096, 4096, diagonal)) is False
+
     def test_small_exact(self):
         assert is_psd(M([[ONE, ZERO], [ZERO, ZERO]])) is True
         assert is_psd(M([[MINUS_ONE]])) is False
