@@ -267,6 +267,13 @@ def bend_cap(n: int) -> Diagram:
     return Compose(block_transpose(n, 2), tensor_many([Cap] * n))
 
 
+def _ticked_bend_cap(n: int) -> Diagram:
+    """`bend_cap` with the first block ticked: the Bell layer of a transposed reference."""
+    if n == 0:
+        return Empty
+    return Compose(block_transpose(n, 2), tensor_many([ticked_cap] * n))
+
+
 def bend_cup(n: int) -> Diagram:
     """2n -> 0 effect pairing input k with input n+k."""
     return dagger(bend_cap(n))

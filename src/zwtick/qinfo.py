@@ -13,10 +13,10 @@ from .diagram import (
     Compose,
     Cup,
     Diagram,
-    Empty,
     Tensor,
     Tick,
     ZSpider,
+    _ticked_bend_cap,
     block_transpose,
     compose_many,
     id_n,
@@ -24,7 +24,6 @@ from .diagram import (
     not_gate,
     route,
     tensor_many,
-    ticked_cap,
     ticked_cup,
     wires,
 )
@@ -35,8 +34,6 @@ from .semantics import Matrix, SemanticsError, _qubits_of, is_psd, state_operato
 
 def partial_transpose(rho: Matrix, first_block: int) -> Matrix:
     """Transpose the first `first_block` qubits of a square operator."""
-    if rho.rows != rho.cols:
-        raise SemanticsError("partial transpose requires a square matrix")
     q = _qubits_of(rho)
     if not 0 <= first_block <= q:
         raise SemanticsError(
@@ -136,13 +133,6 @@ def sesqui_pairing(s1: Diagram, s2: Diagram, ticked: bool) -> Scalar:
         layers.append(tensor_many([bend] * n))
     scalar_diagram = compose_many(layers)
     return state_operator(scalar_diagram)[0, 0]
-
-
-def _ticked_bend_cap(n: int) -> Diagram:
-    # 0 -> 2n: block of ticked wires pairing the following plain block.
-    if n == 0:
-        return Empty
-    return Compose(block_transpose(n, 2), tensor_many([ticked_cap] * n))
 
 
 def internal_dagger(d: Diagram) -> Diagram:

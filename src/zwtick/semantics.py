@@ -46,6 +46,7 @@ from .diagram import (
     Tick,
     WSpider,
     ZSpider,
+    _ticked_bend_cap,
     bend_cap,
     block_transpose,
     compose_many,
@@ -328,48 +329,25 @@ def _relabel_step(routing: dict[int, int], exchange: int) -> list[tuple]:
 class _Table:
     """Columns of a run of generators at bit `lo`, and its doubled branches.
 
-    `cols` maps input bits c to [(output bits << lo, entry)] over nonzero
-    entries.  For one generator it is filled up front; for a longer run it
-    is composed column by column on first use, from `prev` (the table of the
-    run without its last generator) and `gen` (that generator's columns).
-    `pairs` caches the doubled branches of each (ket, bra) input pattern.
+    `matrix` is the run's matrix: one generator's, or the last generator's
+    times `prev.matrix`, the run without it.  `cols` maps input bits c to
+    [(output bits << lo, entry)] over its nonzero entries.  `pairs` caches
+    the doubled branches of each (ket, bra) input pattern.
     """
 
-    __slots__ = ("lo", "prev", "gen", "cols", "pairs")
+    __slots__ = ("matrix", "cols", "pairs")
 
     def __init__(self, g: Generator, lo: int, prev: "_Table | None"):
-        self.lo, self.prev = lo, prev
-        self.gen: dict[int, list[tuple[int, Scalar]]] = {}
-        for (row, col), v in _gen_matrix(g).entries.items():
-            self.gen.setdefault(col, []).append((row << lo, v))
-        self.cols = self.gen if prev is None else {}
+        self.matrix = _gen_matrix(g) if prev is None else _gen_matrix(g).matmul(prev.matrix)
+        self.cols: dict[int, list[tuple[int, Scalar]]] = {}
+        for (row, col), v in self.matrix.entries.items():
+            self.cols.setdefault(col, []).append((row << lo, v))
         self.pairs: dict[int, list[tuple[int, int, Scalar]]] = {}
-
-    def column(self, c: int) -> list[tuple[int, Scalar]]:
-        """Column c of the run, resolving it down the chain of tables without recursion."""
-        chain = []
-        t = self
-        while c not in t.cols and t.prev is not None:
-            chain.append(t)
-            t = t.prev
-        col = t.cols.get(c, [])
-        lo = self.lo
-        for t in reversed(chain):
-            acc: dict[int, Scalar] = {}
-            for mid, a in col:
-                for row, b in t.gen.get(mid >> lo, ()):
-                    p = a * b
-                    acc[row] = p if row not in acc else acc[row] + p
-            col = t.cols[c] = [(row, v) for row, v in acc.items() if not v.is_zero()]
-        return col
 
     def branches(self, cx: int, cy: int) -> list[tuple[int, int, Scalar]]:
         """Doubled branches of ket bits cx and bra bits cy: the run on x, its conjugate on y."""
         xs, ys = self.cols.get(cx), self.cols.get(cy)
-        if self.prev is not None:
-            xs = self.column(cx) if xs is None else xs
-            ys = self.column(cy) if ys is None else ys
-        elif xs is None or ys is None:  # one generator: a missing column is zero
+        if xs is None or ys is None:  # a missing column is zero
             return []
         out = []
         for rx, a in xs:
@@ -542,11 +520,7 @@ def choi(d: Diagram) -> Matrix:
 def proper_choi(d: Diagram) -> Matrix:
     """Choi matrix with the reference side transposed (ticked Bell pairs)."""
     n = d.n_in
-    ticked_ref = Compose(
-        Tensor(tensor_many([Tick] * n), id_n(n)) if n else Empty,
-        bend_cap(n),
-    )
-    return state_operator(Compose(Tensor(id_n(n), d), ticked_ref))
+    return state_operator(Compose(Tensor(id_n(n), d), _ticked_bend_cap(n)))
 
 
 def is_hermiticity_preserving(d: Diagram) -> bool:

@@ -25,6 +25,7 @@ from zwtick import (
     apply_superop,
     bloch,
     canonical_of_map,
+    choi,
     from_bloch,
     ground,
     internal_dagger,
@@ -35,6 +36,7 @@ from zwtick import (
     not_gate,
     partial_transpose,
     ppt_check,
+    proper_choi,
     sesqui_pairing,
     spin_flip,
     spin_flip_diagram,
@@ -91,6 +93,16 @@ class TestPartialTranspose:
     def test_dimension_mismatch(self):
         with pytest.raises(SemanticsError):
             partial_transpose(Matrix.zeros(4, 4), 3)
+
+    def test_requires_square(self):
+        with pytest.raises(SemanticsError):
+            partial_transpose(Matrix.zeros(2, 4), 1)
+
+    def test_proper_choi_transposes_the_reference(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            d = random_term(rng)
+            assert proper_choi(d) == partial_transpose(choi(d), d.n_in)
 
 
 class TestPpt:

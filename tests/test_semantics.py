@@ -58,6 +58,7 @@ from zwtick import (
     psi,
     psi_inv,
     state_operator,
+    subdiagrams,
     tensor_many,
     ticked_cap,
     unzip,
@@ -311,12 +312,16 @@ class TestNetlistEvaluator:
             base = random_term(rng, max_wires=3, max_gens=6)
             if base.n_out == 0:
                 base = Tensor(base, ZSpider(random_scalar(rng), 0, 1))
-            d = compose_many([base] + _same_wire_run(rng, base.n_out, rng.randint(4, 12)))
-            steps = _netlist(d, True)
-            assert len(steps) <= len(_netlist(base, True)) + 1
-            # The run's columns are composed on first use, not when it is built.
-            run = steps[-1][-1]
-            assert run.prev is not None and run.cols == {}
+            layers = _same_wire_run(rng, base.n_out, rng.randint(4, 12))
+            d = compose_many([base] + layers)
+            steps, base_steps = _netlist(d, True), _netlist(base, True)
+            assert len(steps) <= len(base_steps) + 1
+            # The fused step holds the matrix of the generators it fused.
+            gens = [g for layer in layers for _, g in subdiagrams(layer) if isinstance(g, (WSpider, ZSpider))]
+            run = interp_sparse(compose_many(gens))
+            if len(steps) == len(base_steps):  # the run extended the base's last step
+                run = run.matmul(base_steps[-1][-1].matrix)
+            assert steps[-1][-1].matrix == run
             self._check_doubled(rng, d)
         # The pure evaluator keeps one step per generator.
         chain = compose_many([WSpider(1, 1), ZSpider(OMEGA, 1, 1)] * 3)
