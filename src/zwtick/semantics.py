@@ -59,7 +59,7 @@ from .diagram import (
     tensor_many,
     wires,
 )
-from .scalar import MINUS_ONE, ONE, ZERO, Scalar, ScalarParseError, format_scalar, parse_scalar
+from .scalar import HALF, I, MINUS_ONE, ONE, ZERO, Scalar, ScalarParseError, format_scalar, parse_scalar
 
 class SemanticsError(ValueError):
     pass
@@ -258,21 +258,28 @@ def interp_sparse(d: Diagram) -> Matrix:
 # a sparse operator {(x, y): nonzero scalar} over the live wires, touching
 # only the bits of its own wires.  Wire k of w live wires is bit w-1-k of a
 # basis index, so a step is placed by `lo`, the number of live wires below
-# its inputs.  Doubled, x is the ket index and y the bra index: a generator
-# G acts as rho -> G rho G^dagger and the tick exchanges its bit between x
-# and y.  Pure, y is the column index of the input and only x is acted on.
+# its inputs.  Pure, y is the column index of the input and only x is acted
+# on.  Doubled, x is the ket index and y the bra index: a generator G acts as
+# rho -> G rho G^dagger and the tick exchanges its bit between x and y.  Both
+# map Hermitian operators to Hermitian ones, so the doubled operator is kept
+# as its upper triangle x <= y alone; the entry at (y, x) is the conjugate of
+# the one at (x, y).  `apply_superop` splits a non-Hermitian input into two
+# Hermitian ones and runs each.
 
 def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
     """The steps of d in application order, each (apply function, *args).
 
     Plain wires and units are dropped.  Each run of consecutive swaps and
     ticks is one relabelling of the bits.  Doubled, a generator whose inputs
-    are exactly the outputs of the generator step just before it is composed
-    into that step, so a run of generators on the same wires is one step.
-    Steps of one run of generators at one placement share its `_Table`.
+    are exactly the outputs of the generator run just before it joins that
+    run, so a run of generators on the same wires is one step.  The run's
+    matrix is composed as it grows, and its `_Table` is built when it ends.
+    Equal runs at one placement share their matrices and their `_Table`.
     """
     steps: list[tuple] = []
-    tables: dict[tuple, _Table] = {}
+    runs: dict[tuple, tuple[int, Matrix]] = {}  # (run id, generator, lo) -> id and matrix of the longer run
+    tables: dict[int, _Table] = {}
+    run = None  # the open generator run: (lo, n_in, n_out, run id, matrix)
     routing: dict[int, int] = {}  # pending swaps: output bit <- input bit
     exchange = 0  # pending ticks: input bits exchanged between x and y
     width = d.n_in
@@ -301,21 +308,36 @@ def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
             # Exchanging output bit lo after the swaps exchanges the input bit routed there.
             exchange ^= 1 << routing.get(lo, lo)
             continue
+        n, prev = node.n_in, None
+        if run is not None:
+            if doubled and not (routing or exchange) and run[0] == lo and run[2] == n:
+                # The open run outputs exactly these inputs: extend it.
+                _, n, _, prev, matrix = run
+            else:
+                steps.append(_gen_step(run, tables))
         if routing or exchange:
             steps.extend(_relabel_step(routing, exchange))
             routing, exchange = {}, 0
-        prev, n = None, node.n_in
-        if doubled and steps and steps[-1][0] is _apply_gen and steps[-1][1] == lo and steps[-1][3] == n:
-            # The step just before outputs exactly these inputs: extend its run.
-            _, _, n, _, prev = steps.pop()
-        table = tables.get((prev, node, lo))
-        if table is None:
-            table = tables[prev, node, lo] = _Table(node, lo, prev)
-        steps.append((_apply_gen, lo, n, node.n_out, table))
+        grown = runs.get((prev, node, lo))
+        if grown is None:
+            g = _gen_matrix(node)
+            grown = runs[prev, node, lo] = (len(runs), g if prev is None else g.matmul(matrix))
+        run = (lo, n, node.n_out, *grown)
         width += node.n_out - node.n_in
+    if run is not None:
+        steps.append(_gen_step(run, tables))
     if routing or exchange:
         steps.extend(_relabel_step(routing, exchange))
     return steps
+
+
+def _gen_step(run: tuple, tables: dict[int, "_Table"]) -> tuple:
+    """The step of a finished generator run; equal runs share one `_Table`."""
+    lo, n, m, key, matrix = run
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _Table(matrix, lo)
+    return (_apply_gen, lo, n, m, table)
 
 
 def _relabel_step(routing: dict[int, int], exchange: int) -> list[tuple]:
@@ -329,18 +351,17 @@ def _relabel_step(routing: dict[int, int], exchange: int) -> list[tuple]:
 class _Table:
     """Columns of a run of generators at bit `lo`, and its doubled branches.
 
-    `matrix` is the run's matrix: one generator's, or the last generator's
-    times `prev.matrix`, the run without it.  `cols` maps input bits c to
+    `matrix` is the run's composed matrix.  `cols` maps input bits c to
     [(output bits << lo, entry)] over its nonzero entries.  `pairs` caches
     the doubled branches of each (ket, bra) input pattern.
     """
 
     __slots__ = ("matrix", "cols", "pairs")
 
-    def __init__(self, g: Generator, lo: int, prev: "_Table | None"):
-        self.matrix = _gen_matrix(g) if prev is None else _gen_matrix(g).matmul(prev.matrix)
+    def __init__(self, matrix: Matrix, lo: int):
+        self.matrix = matrix
         self.cols: dict[int, list[tuple[int, Scalar]]] = {}
-        for (row, col), v in self.matrix.entries.items():
+        for (row, col), v in matrix.entries.items():
             self.cols.setdefault(col, []).append((row << lo, v))
         self.pairs: dict[int, list[tuple[int, int, Scalar]]] = {}
 
@@ -358,6 +379,15 @@ class _Table:
 
 
 def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, table: _Table) -> dict:
+    """Apply a run of generators: on x alone, or doubled on the upper triangle.
+
+    Doubled, the entry v at (x, y), x < y, stands for itself and conj(v) at
+    (y, x), whose branches are the conjugates of its own, mirrored.  So a
+    branch landing at (r, s) adds v*c there when r < s, its conjugate at
+    (s, r) when r > s, and both on the diagonal r == s.  A diagonal entry
+    x == y is its own mirror, and its branches come in mirrored pairs: only
+    those with r <= s are kept.
+    """
     nmask = (1 << n) - 1
     lomask = (1 << lo) - 1
     hi, new_hi = lo + n, lo + m
@@ -375,9 +405,21 @@ def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, table: _Table)
                 continue
             bx = ((x >> hi) << new_hi) | (x & lomask)
             by = ((y >> hi) << new_hi) | (y & lomask)
+            diagonal = x == y
             for rx, ry, c in branches:
-                key = (bx | rx, by | ry)
-                nv = v if c is ONE else v * c
+                r, s = bx | rx, by | ry
+                if r < s:
+                    key, nv = (r, s), v if c is ONE else v * c
+                elif r > s:
+                    if diagonal:
+                        continue
+                    key, nv = (s, r), (v if c is ONE else v * c).conj()
+                else:
+                    key, nv = (r, s), v if c is ONE else v * c
+                    if not diagonal:
+                        nv = nv + nv.conj()
+                        if nv.is_zero():
+                            continue
                 if key in out:
                     nv = out[key] + nv
                     clashes.append(key)
@@ -405,11 +447,9 @@ def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, table: _Table)
 def _apply_relabel(ops: dict, doubled: bool, exchange: int, moved: int, moves: list[tuple[int, int]]) -> dict:
     """Exchange the `exchange` bits between x and y, then route the `moved` bits.
 
-    Each pattern of moved bits is routed once; a run of ticks alone costs
-    one XOR per index.
+    Each pattern of moved bits is routed once.  Doubled, an entry routed
+    below the diagonal is stored at its mirror, conjugated.
     """
-    if not moves:
-        return {(x ^ (e := (x ^ y) & exchange), y ^ e): v for (x, y), v in ops.items()}
     routed: dict[int, int] = {}
 
     def route(i: int) -> int:
@@ -425,13 +465,25 @@ def _apply_relabel(ops: dict, doubled: bool, exchange: int, moved: int, moves: l
 
     if not doubled:
         return {(route(x), y): v for (x, y), v in ops.items()}
-    return {
-        (route(x ^ (e := (x ^ y) & exchange)), route(y ^ e)): v for (x, y), v in ops.items()
-    }
+    out = {}
+    for (x, y), v in ops.items():
+        e = (x ^ y) & exchange
+        r, s = x ^ e, y ^ e
+        if moves:
+            r, s = route(r), route(s)
+        if r <= s:
+            out[r, s] = v
+        else:
+            out[s, r] = v.conj()
+    return out
 
 
 def _evaluate(d: Diagram, ops: dict, doubled: bool) -> dict:
-    """Run the steps of d over the sparse operator `ops` on its input wires."""
+    """Run the steps of d over the sparse operator `ops` on its input wires.
+
+    Doubled, `ops` is the upper triangle of a Hermitian operator, and so is
+    the result.
+    """
     for apply, *args in _netlist(d, doubled):
         ops = apply(ops, doubled, *args)
     return ops
@@ -479,8 +531,17 @@ def _qubits_of(rho: Matrix) -> int:
     return n
 
 
+#: 1/2i, which takes rho - rho^dagger to its Hermitian part K.
+_HALF_OVER_I = -(HALF * I)
+
+
 def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
-    """Run the superoperator of d on a density-operator-shaped input."""
+    """Run the superoperator of d on a density-operator-shaped input.
+
+    A Hermitian rho takes one run on its upper triangle.  Any other is split
+    as rho = H + iK, with H = (rho + rho^dagger)/2 and K = (rho - rho^dagger)/2i
+    both Hermitian, and the superoperator's linearity gives S(H) + i S(K).
+    """
     n = _qubits_of(rho)
     if n != d.n_in:
         raise SemanticsError(
@@ -488,7 +549,24 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
         )
     _check_dense(d.n_out, d.n_out)
     dim = 1 << d.n_out
-    return Matrix.from_entries(dim, dim, _evaluate(d, dict(rho.entries), doubled=True))
+    entries = rho.entries
+    if rho.is_hermitian():
+        upper = {(x, y): v for (x, y), v in entries.items() if x <= y}
+        return _mirrored(dim, _evaluate(d, upper, doubled=True))
+    h, k = {}, {}
+    for x, y in {(x, y) if x <= y else (y, x) for x, y in entries}:
+        a, b = entries.get((x, y), ZERO), entries.get((y, x), ZERO).conj()
+        for part, v in ((h, (a + b) * HALF), (k, (a - b) * _HALF_OVER_I)):
+            if not v.is_zero():
+                part[x, y] = v
+    out = _mirrored(dim, _evaluate(d, h, doubled=True)).entries
+    for key, v in _mirrored(dim, _evaluate(d, k, doubled=True)).entries.items():
+        v = out.get(key, ZERO) + I * v
+        if v.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = v
+    return Matrix.from_entries(dim, dim, out)
 
 
 def state_operator(d: Diagram) -> Matrix:
@@ -497,7 +575,16 @@ def state_operator(d: Diagram) -> Matrix:
         raise SemanticsError(f"state_operator needs a state, got {d.n_in} inputs")
     _check_dense(d.n_out, d.n_out)
     dim = 1 << d.n_out
-    return Matrix.from_entries(dim, dim, _evaluate(d, {(0, 0): ONE}, doubled=True))
+    return _mirrored(dim, _evaluate(d, {(0, 0): ONE}, doubled=True))
+
+
+def _mirrored(dim: int, upper: dict) -> Matrix:
+    """The Hermitian dim x dim matrix whose upper triangle is `upper`."""
+    entries = dict(upper)
+    for (x, y), v in upper.items():
+        if x != y:
+            entries[y, x] = v.conj()
+    return Matrix.from_entries(dim, dim, entries)
 
 
 # -- Choi matrices -------------------------------------------------------

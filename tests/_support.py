@@ -80,6 +80,14 @@ def random_hermitian(rng: random.Random, qubits: int, density: float = 0.5) -> M
     return Matrix(data)
 
 
+def random_matrix(rng: random.Random, qubits: int, density: float = 0.5) -> Matrix:
+    """Random exact square matrix on 2**qubits dimensions, with no symmetry imposed."""
+    dim = 1 << qubits
+    return Matrix(
+        [[random_scalar(rng) if rng.random() < density else ZERO for _ in range(dim)] for _ in range(dim)]
+    )
+
+
 def random_nf(rng: random.Random, qubits: int, density: float = 0.5) -> NormalForm:
     """Random reduced normal form on the given number of qubits."""
     dim = 1 << qubits

@@ -25,6 +25,8 @@ from zwtick import (
     WSpider,
     ZSpider,
     apply_rule,
+    bend_cap,
+    bend_cup,
     bra0,
     bra1,
     compose_many,
@@ -125,6 +127,12 @@ class TestDuality:
         assert ticked_cap == dagger(ticked_cup)
         assert (ket0.n_in, ket0.n_out) == (0, 1)
         assert (bra1.n_in, bra1.n_out) == (1, 0)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_bend_cup_is_the_transposed_bend_cap(self, n):
+        cup = bend_cup(n)
+        assert (cup.n_in, cup.n_out) == (2 * n, 0)
+        assert interp(cup) == interp(bend_cap(n)).transpose()
 
 
 class TestQueries:

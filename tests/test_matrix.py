@@ -21,6 +21,7 @@ from zwtick import (
     interp,
     lemma_corpus,
     nf_from_matrix,
+    nf_to_diagram,
     parse_matrix,
     partial_transpose,
     state_operator,
@@ -136,6 +137,10 @@ class TestNoStoredZero:
         d = Compose(ZSpider(MINUS_ONE, 1, 0), ZSpider(ONE, 0, 1))
         assert interp(d).entries == {}
         assert state_operator(d).entries == {}
+        # (<0| + <1|) M (|0> + |1>) = i - i = 0, a diagonal entry summed
+        # from an upper-triangle entry and its mirror.
+        m = Matrix([[ZERO, I], [-I, ZERO]])
+        assert state_operator(Compose(ZSpider(ONE, 1, 0), nf_to_diagram(nf_from_matrix(m)))).entries == {}
 
     def test_random_results(self):
         rng = random.Random(62)

@@ -63,6 +63,7 @@ from zwtick import (
     ticked_cap,
     unzip,
 )
+from zwtick import semantics
 from zwtick.semantics import MAX_DENSE_LOG2, _apply_gen, _apply_relabel, _netlist, interp_sparse
 
 from _support import (
@@ -70,6 +71,7 @@ from _support import (
     mat_kron,
     mat_mul,
     random_hermitian,
+    random_matrix,
     random_nf,
     random_real_scalar,
     random_scalar,
@@ -305,6 +307,16 @@ class TestNetlistEvaluator:
             rho = random_hermitian(rng, d.n_in)
             want = _unvec(interp_sparse(unzip(d)).matmul(_vec(rho)), d.n_out)
             assert apply_superop(d, rho) == want
+        # Any other input is split into two Hermitian runs.
+        rng = random.Random(32)
+        skew = 0
+        for _ in range(60):
+            d = random_term(rng, max_gens=10)
+            rho = random_matrix(rng, d.n_in, density=rng.choice([0.5, 1.0]))
+            skew += not rho.is_hermitian()
+            want = _unvec(interp_sparse(unzip(d)).matmul(_vec(rho)), d.n_out)
+            assert apply_superop(d, rho) == want
+        assert skew >= 40
 
     def test_same_wire_runs_fuse_into_one_step(self):
         rng = random.Random(31)
@@ -326,6 +338,22 @@ class TestNetlistEvaluator:
         # The pure evaluator keeps one step per generator.
         chain = compose_many([WSpider(1, 1), ZSpider(OMEGA, 1, 1)] * 3)
         assert len(_netlist(chain, False)) == 6 and len(_netlist(chain, True)) == 1
+
+    def test_fused_run_builds_one_table(self, monkeypatch):
+        # A run's matrix is carried along it; only the whole run gets a table.
+        built = []
+
+        class CountedTable(semantics._Table):
+            __slots__ = ()
+
+            def __init__(self, matrix, lo):
+                built.append(lo)
+                super().__init__(matrix, lo)
+
+        monkeypatch.setattr(semantics, "_Table", CountedTable)
+        chain = compose_many([not_gate] * 10_001)
+        assert state_operator(Compose(chain, ket0)) == M([[ZERO, ZERO], [ZERO, ONE]])
+        assert built == [0]
 
     @pytest.mark.parametrize("kind", ["tick", "swaps", "mixed"])
     def test_swap_and_tick_runs_relabel_in_one_pass(self, kind):
