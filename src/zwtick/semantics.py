@@ -271,15 +271,13 @@ def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
 
     Plain wires and units are dropped.  Each run of consecutive swaps and
     ticks is one relabelling of the bits.  Doubled, a generator whose inputs
-    are exactly the outputs of the generator run just before it joins that
-    run, so a run of generators on the same wires is one step.  The run's
-    matrix is composed as it grows, and its `_Table` is built when it ends.
-    Equal runs at one placement share their matrices and their `_Table`.
+    are exactly the outputs of the generator step just before it is composed
+    into that step, so a run of generators on the same wires is one step.
+    A step carries its run's id and composed matrix until the end, when each
+    whole run gets a `_Table`; equal runs at one placement share it.
     """
     steps: list[tuple] = []
-    runs: dict[tuple, tuple[int, Matrix]] = {}  # (run id, generator, lo) -> id and matrix of the longer run
-    tables: dict[int, _Table] = {}
-    run = None  # the open generator run: (lo, n_in, n_out, run id, matrix)
+    runs: dict[tuple, tuple[int, Matrix]] = {}  # (shorter run's id, generator, lo) -> (id, matrix)
     routing: dict[int, int] = {}  # pending swaps: output bit <- input bit
     exchange = 0  # pending ticks: input bits exchanged between x and y
     width = d.n_in
@@ -308,36 +306,30 @@ def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
             # Exchanging output bit lo after the swaps exchanges the input bit routed there.
             exchange ^= 1 << routing.get(lo, lo)
             continue
-        n, prev = node.n_in, None
-        if run is not None:
-            if doubled and not (routing or exchange) and run[0] == lo and run[2] == n:
-                # The open run outputs exactly these inputs: extend it.
-                _, n, _, prev, matrix = run
-            else:
-                steps.append(_gen_step(run, tables))
         if routing or exchange:
             steps.extend(_relabel_step(routing, exchange))
             routing, exchange = {}, 0
-        grown = runs.get((prev, node, lo))
-        if grown is None:
+        prev, n = None, node.n_in
+        if doubled and steps and steps[-1][0] is _apply_gen and steps[-1][1] == lo and steps[-1][3] == n:
+            # The step just before outputs exactly these inputs: extend its run.
+            _, _, n, _, (prev, matrix) = steps.pop()
+        run = runs.get((prev, node, lo))
+        if run is None:
             g = _gen_matrix(node)
-            grown = runs[prev, node, lo] = (len(runs), g if prev is None else g.matmul(matrix))
-        run = (lo, n, node.n_out, *grown)
+            run = runs[prev, node, lo] = (len(runs), g if prev is None else g.matmul(matrix))
+        steps.append((_apply_gen, lo, n, node.n_out, run))
         width += node.n_out - node.n_in
-    if run is not None:
-        steps.append(_gen_step(run, tables))
     if routing or exchange:
         steps.extend(_relabel_step(routing, exchange))
+    tables: dict[int, _Table] = {}
+    for i, (apply, *args) in enumerate(steps):
+        if apply is _apply_gen:
+            lo, n, m, (key, matrix) = args
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = _Table(matrix, lo)
+            steps[i] = (apply, lo, n, m, table)
     return steps
-
-
-def _gen_step(run: tuple, tables: dict[int, "_Table"]) -> tuple:
-    """The step of a finished generator run; equal runs share one `_Table`."""
-    lo, n, m, key, matrix = run
-    table = tables.get(key)
-    if table is None:
-        table = tables[key] = _Table(matrix, lo)
-    return (_apply_gen, lo, n, m, table)
 
 
 def _relabel_step(routing: dict[int, int], exchange: int) -> list[tuple]:
@@ -538,9 +530,10 @@ _HALF_OVER_I = -(HALF * I)
 def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
     """Run the superoperator of d on a density-operator-shaped input.
 
-    A Hermitian rho takes one run on its upper triangle.  Any other is split
-    as rho = H + iK, with H = (rho + rho^dagger)/2 and K = (rho - rho^dagger)/2i
-    both Hermitian, and the superoperator's linearity gives S(H) + i S(K).
+    rho is split as rho = H + iK, with H = (rho + rho^dagger)/2 and
+    K = (rho - rho^dagger)/2i both Hermitian, and the superoperator's
+    linearity gives S(H) + i S(K).  Each runs on its upper triangle; a
+    Hermitian rho has K = 0 and takes one run.
     """
     n = _qubits_of(rho)
     if n != d.n_in:
@@ -550,23 +543,22 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
     _check_dense(d.n_out, d.n_out)
     dim = 1 << d.n_out
     entries = rho.entries
-    if rho.is_hermitian():
-        upper = {(x, y): v for (x, y), v in entries.items() if x <= y}
-        return _mirrored(dim, _evaluate(d, upper, doubled=True))
     h, k = {}, {}
     for x, y in {(x, y) if x <= y else (y, x) for x, y in entries}:
         a, b = entries.get((x, y), ZERO), entries.get((y, x), ZERO).conj()
         for part, v in ((h, (a + b) * HALF), (k, (a - b) * _HALF_OVER_I)):
             if not v.is_zero():
                 part[x, y] = v
-    out = _mirrored(dim, _evaluate(d, h, doubled=True)).entries
-    for key, v in _mirrored(dim, _evaluate(d, k, doubled=True)).entries.items():
-        v = out.get(key, ZERO) + I * v
-        if v.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = v
-    return Matrix.from_entries(dim, dim, out)
+    out = _mirrored(dim, _evaluate(d, h, doubled=True))
+    if k:
+        entries = out.entries
+        for key, v in _mirrored(dim, _evaluate(d, k, doubled=True)).entries.items():
+            v = entries.get(key, ZERO) + I * v
+            if v.is_zero():
+                entries.pop(key, None)
+            else:
+                entries[key] = v
+    return out
 
 
 def state_operator(d: Diagram) -> Matrix:
