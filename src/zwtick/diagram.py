@@ -36,13 +36,6 @@ class Diagram:
     n_in: int = field(init=False, default=0)
     n_out: int = field(init=False, default=0)
 
-    def __rshift__(self, other: "Diagram") -> "Diagram":
-        """`a >> b` runs a first, then b."""
-        return Compose(other, self)
-
-    def __matmul__(self, other: "Diagram") -> "Diagram":
-        return Tensor(self, other)
-
 
 @dataclass(frozen=True)
 class Generator(Diagram):
@@ -87,56 +80,24 @@ class WSpider(Generator):
 
 
 @dataclass(frozen=True)
-class _Fswap(Generator):
-    def __post_init__(self) -> None:
-        _set_arity(self, 2, 2)
+class _Fixed(Generator):
+    """A generator without parameters, named by its core-syntax text."""
 
-
-@dataclass(frozen=True)
-class _Tick(Generator):
-    def __post_init__(self) -> None:
-        _set_arity(self, 1, 1)
-
-
-@dataclass(frozen=True)
-class _Id(Generator):
-    def __post_init__(self) -> None:
-        _set_arity(self, 1, 1)
-
-
-@dataclass(frozen=True)
-class _Swap(Generator):
-    def __post_init__(self) -> None:
-        _set_arity(self, 2, 2)
-
-
-@dataclass(frozen=True)
-class _Cup(Generator):
-    def __post_init__(self) -> None:
-        _set_arity(self, 2, 0)
-
-
-@dataclass(frozen=True)
-class _Cap(Generator):
-    def __post_init__(self) -> None:
-        _set_arity(self, 0, 2)
-
-
-@dataclass(frozen=True)
-class _Empty(Generator):
-    """The 0 -> 0 unit diagram, written "(id 0)"."""
+    text: str
+    arity: tuple[int, int]
 
     def __post_init__(self) -> None:
-        _set_arity(self, 0, 0)
+        _set_arity(self, *self.arity)
 
 
-Fswap = _Fswap()
-Tick = _Tick()
-Id = _Id()
-Swap = _Swap()
-Cup = _Cup()
-Cap = _Cap()
-Empty = _Empty()
+Fswap = _Fixed("fswap", (2, 2))
+Tick = _Fixed("tick", (1, 1))
+Id = _Fixed("(id 1)", (1, 1))
+Swap = _Fixed("swap", (2, 2))
+Cup = _Fixed("cup", (2, 0))
+Cap = _Fixed("cap", (0, 2))
+#: The 0 -> 0 unit diagram.
+Empty = _Fixed("(id 0)", (0, 0))
 
 
 @dataclass(frozen=True)
@@ -392,11 +353,7 @@ ticked_cap = dagger(ticked_cup)
 # -- text form -----------------------------------------------------------
 
 _SUGAR: dict[str, Diagram] = {
-    "fswap": Fswap,
-    "swap": Swap,
-    "cup": Cup,
-    "cap": Cap,
-    "tick": Tick,
+    **{g.text: g for g in (Fswap, Swap, Cup, Cap, Tick)},
     "ground": ground,
     "ket0": ket0,
     "ket1": ket1,
@@ -508,20 +465,8 @@ def _generator_text(g: Diagram) -> str:
         return f"(z {format_scalar(g.r)} {g.n} {g.m})"
     if isinstance(g, WSpider):
         return f"(w {g.n} {g.m})"
-    if g is Fswap:
-        return "fswap"
-    if g is Tick:
-        return "tick"
-    if g is Id:
-        return "(id 1)"
-    if g is Swap:
-        return "swap"
-    if g is Cup:
-        return "cup"
-    if g is Cap:
-        return "cap"
-    if g is Empty:
-        return "(id 0)"
+    if isinstance(g, _Fixed):
+        return g.text
     raise TypeError(f"not a diagram: {g!r}")
 
 

@@ -38,7 +38,7 @@ from .diagram import (
     wires,
 )
 from .scalar import HALF, ONE, Scalar, ScalarParseError, ZERO, format_scalar, parse_scalar
-from .semantics import Matrix, SemanticsError, bend_inputs, interp, state_operator
+from .semantics import Matrix, SemanticsError, _mirrored, bend_inputs, interp, state_operator
 
 
 class NormalFormError(ValueError):
@@ -98,13 +98,7 @@ def nf_from_matrix(m: Matrix) -> NormalForm:
 
 
 def nf_to_matrix(nf: NormalForm) -> Matrix:
-    dim = 1 << nf.qubits
-    entries = {}
-    for t in nf.terms:
-        entries[t.x, t.y] = t.coeff
-        if t.x != t.y:
-            entries[t.y, t.x] = t.coeff.conj()
-    return Matrix.from_entries(dim, dim, entries)
+    return _mirrored(1 << nf.qubits, {(t.x, t.y): t.coeff for t in nf.terms})
 
 
 # -- diagram reconstruction ----------------------------------------------

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diagram import (
     Compose,
     Cup,
@@ -50,6 +48,8 @@ def partial_transpose(rho: Matrix, first_block: int) -> Matrix:
 
 def min_pt_eigenvalue(rho: Matrix, first_block: int) -> float:
     """Smallest eigenvalue of the partial transpose, in floating point (display only)."""
+    import numpy as np
+
     pt = partial_transpose(rho, first_block)
     eigs = np.linalg.eigvalsh(pt.to_numpy())
     return float(eigs[0])

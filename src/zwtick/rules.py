@@ -750,9 +750,9 @@ def subterm_at(d: Diagram, position: Sequence[str]) -> Diagram:
         if want is None:
             raise MatchError(f"invalid path step: {step}")
         if not isinstance(cur, want):
+            found = type(cur).__name__ if isinstance(cur, (Compose, Tensor)) else print_diagram(cur)
             raise MatchError(
-                f"path step {step} expects a {want.__name__.lower()} node, "
-                f"found {type(cur).__name__}"
+                f"path step {step} expects a {want.__name__.lower()} node, found {found}"
             )
         cur = getattr(cur, step)
     return cur

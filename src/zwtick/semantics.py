@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-import numpy as np
-
 from .diagram import (
     Cap,
     Compose,
@@ -187,7 +185,10 @@ class Matrix:
                 t = t + v
         return t
 
-    def to_numpy(self) -> np.ndarray:
+    def to_numpy(self):
+        """A complex numpy array of the entries, for float output only."""
+        import numpy as np
+
         out = np.zeros((self.rows, self.cols), dtype=complex)
         for (i, j), v in self.entries.items():
             out[i, j] = v.to_complex()

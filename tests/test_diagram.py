@@ -243,6 +243,8 @@ class TestTextForm:
         assert parse_diagram("tcup") == ticked_cup
         assert parse_diagram("ket0") == ket0
         assert parse_diagram("bra0") == bra0
+        for g in (Fswap, Tick, Id, Swap, Cup, Cap, Empty):
+            assert parse_diagram(print_diagram(g)) is g
 
     def test_core_forms(self):
         assert parse_diagram("(z 1/2 1 2)") == ZSpider(HALF, 1, 2)

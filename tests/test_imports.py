@@ -2,9 +2,13 @@
 
 No linter is needed: the check reads each module's syntax tree.  The
 package's `__init__.py` is left out, since its imports are re-exports.
+Importing the package also leaves numpy unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,11 @@ def test_scanner_flags_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_numpy_not_loaded_on_import():
+    # Only the float displays import numpy, inside the functions that use it.
+    code = "import sys, zwtick; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -145,7 +145,7 @@ class TestRewriting:
         assert "no match" in str(exc.value)
 
     def test_bad_position(self):
-        with pytest.raises(MatchError):
+        with pytest.raises(MatchError, match="found tick$"):
             subterm_at(Tick, ("after",))
 
     def test_bialgebra_round_trip(self):
