@@ -15,7 +15,7 @@ the same wire cancel semantically but not syntactically.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
 from .scalar import ONE, Scalar, ScalarParseError, format_scalar, parse_scalar
@@ -29,15 +29,82 @@ class DiagramParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diagram:
-    """Base class; every node carries its cached wire counts."""
+    """Base class; every node carries its cached wire counts.
+
+    `==` is structural and `hash` agrees with it.  Both, and the `repr` of
+    `Compose` and `Tensor`, walk the term on an explicit stack, so any depth
+    is safe.  A term's hash is computed once and kept on each of its nodes.
+    """
 
     n_in: int = field(init=False, default=0)
     n_out: int = field(init=False, default=0)
 
+    _hash = None  # set on the node by its first hash
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        t = type(self)
+        # Spiders are hashed afresh, as `_leaf_value` would: quicker than keeping it.
+        if t is WSpider:
+            return hash((t, self.n, self.m))
+        if t is ZSpider:
+            return hash((t, self.r, self.n, self.m))
+        h = self._hash
+        if h is None:
+            todo: list[Diagram] = [self]
+            while todo:
+                node = todo[-1]
+                if node._hash is not None:
+                    todo.pop()
+                    continue
+                if isinstance(node, Generator):
+                    h = hash((type(node), *_leaf_value(node)))
+                else:
+                    a, b = _children(node)
+                    if a._hash is None or b._hash is None:
+                        todo += (a, b)
+                        continue
+                    h = hash((type(node), a._hash, b._hash))
+                object.__setattr__(node, "_hash", h)
+                todo.pop()
+        return h
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        t = type(self)
+        if t is type(other):  # spiders without the walk
+            if t is WSpider:
+                return self.n == other.n and self.m == other.m
+            if t is ZSpider:
+                return self.n == other.n and self.m == other.m and self.r == other.r
+        elif not isinstance(other, Diagram):
+            return NotImplemented
+        todo: list[tuple[Diagram, Diagram]] = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if a._hash is not None and b._hash is not None and a._hash != b._hash:
+                return False
+            if isinstance(a, Generator):
+                if _leaf_value(a) != _leaf_value(b):
+                    return False
+            else:
+                todo += zip(_children(a), _children(b))
+        return True
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes, so a copy or pickle drops the kept hash.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+@dataclass(frozen=True, eq=False)
 class Generator(Diagram):
     pass
 
@@ -47,7 +114,7 @@ def _set_arity(obj: Diagram, n: int, m: int) -> None:
     object.__setattr__(obj, "n_out", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZSpider(Generator):
     """White spider with parameter r: sends |0..0> to |0..0> and |1..1> to r|1..1>."""
 
@@ -61,7 +128,7 @@ class ZSpider(Generator):
         _set_arity(self, self.n, self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WSpider(Generator):
     """Black spider: one unit of excitation distributed over its legs.
 
@@ -79,7 +146,7 @@ class WSpider(Generator):
         _set_arity(self, self.n, self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Fixed(Generator):
     """A generator without parameters, named by its core-syntax text."""
 
@@ -100,12 +167,33 @@ Cap = _Fixed("cap", (0, 2))
 Empty = _Fixed("(id 0)", (0, 0))
 
 
-@dataclass(frozen=True)
+def _term_repr(d: Diagram) -> str:
+    """The dataclass form of a term, written on an explicit stack."""
+    out: list[str] = []
+    todo: list = [d]  # terms still to show, and literal text between them
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Compose):
+            out.append(f"Compose(n_in={t.n_in}, n_out={t.n_out}, after=")
+            todo += (")", t.before, ", before=", t.after)
+        elif isinstance(t, Tensor):
+            out.append(f"Tensor(n_in={t.n_in}, n_out={t.n_out}, left=")
+            todo += (")", t.right, ", right=", t.left)
+        else:
+            out.append(repr(t))
+    return "".join(out)
+
+
+@dataclass(frozen=True, eq=False)
 class Compose(Diagram):
     """`after . before`: feed the outputs of `before` into `after`."""
 
     after: Diagram
     before: Diagram
+
+    __repr__ = _term_repr
 
     def __post_init__(self) -> None:
         if self.before.n_out != self.after.n_in:
@@ -116,10 +204,12 @@ class Compose(Diagram):
         _set_arity(self, self.before.n_in, self.after.n_out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor(Diagram):
     left: Diagram
     right: Diagram
+
+    __repr__ = _term_repr
 
     def __post_init__(self) -> None:
         _set_arity(
@@ -127,6 +217,25 @@ class Tensor(Diagram):
             self.left.n_in + self.right.n_in,
             self.left.n_out + self.right.n_out,
         )
+
+
+def _leaf_value(g: Generator) -> tuple:
+    """The fields that tell generators of one class apart."""
+    if isinstance(g, ZSpider):
+        return (g.r, g.n, g.m)
+    if isinstance(g, WSpider):
+        return (g.n, g.m)
+    if isinstance(g, _Fixed):
+        return (g.text, g.arity)
+    return tuple(getattr(g, f.name) for f in fields(g))
+
+
+def _children(d: Diagram) -> tuple[Diagram, Diagram]:
+    if isinstance(d, Compose):
+        return d.after, d.before
+    if isinstance(d, Tensor):
+        return d.left, d.right
+    raise TypeError(f"not a diagram: {d!r}")
 
 
 # -- bulk builders -------------------------------------------------------

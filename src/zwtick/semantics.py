@@ -27,6 +27,7 @@ matrix row ranges over output bitstrings, a column over input bitstrings.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -267,6 +268,20 @@ def interp_sparse(d: Diagram) -> Matrix:
 # the one at (x, y).  `apply_superop` splits a non-Hermitian input into two
 # Hermitian ones and runs each.
 
+#: Most runs the table store holds.  A rule grid of `check_soundness` uses
+#: about 500 distinct runs; each batch of normal-form round trips adds a few
+#: hundred, one per fresh coefficient.  A stored run took 2.0 KB on a rule
+#: grid and 2.2 KB on round trips; a store full of the latter held 4.5 MB.
+_STORE_SIZE = 2048
+
+#: Run key -> its `_Table`, shared by every evaluation: a run is keyed by its
+#: generators in application order, then `lo`, so equal runs at one
+#: placement share a table whichever term they come from.  When full, the
+#: run stored first is dropped.
+_TABLES: dict[tuple, _Table] = {}
+_TABLES_LOCK = threading.Lock()
+
+
 def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
     """The steps of d in application order, each (apply function, *args).
 
@@ -274,11 +289,11 @@ def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
     ticks is one relabelling of the bits.  Doubled, a generator whose inputs
     are exactly the outputs of the generator step just before it is composed
     into that step, so a run of generators on the same wires is one step.
-    A step carries its run's id and composed matrix until the end, when each
-    whole run gets a `_Table`; equal runs at one placement share it.
+    A step collects its run's generators until the end, when each whole run
+    gets its `_Table` from the store, built only if no evaluation has stored
+    an equal run at that placement.
     """
     steps: list[tuple] = []
-    runs: dict[tuple, tuple[int, Matrix]] = {}  # (shorter run's id, generator, lo) -> (id, matrix)
     routing: dict[int, int] = {}  # pending swaps: output bit <- input bit
     exchange = 0  # pending ticks: input bits exchanged between x and y
     width = d.n_in
@@ -310,27 +325,38 @@ def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
         if routing or exchange:
             steps.extend(_relabel_step(routing, exchange))
             routing, exchange = {}, 0
-        prev, n = None, node.n_in
-        if doubled and steps and steps[-1][0] is _apply_gen and steps[-1][1] == lo and steps[-1][3] == n:
+        if doubled and steps and steps[-1][0] is _apply_gen and steps[-1][1] == lo and steps[-1][3] == node.n_in:
             # The step just before outputs exactly these inputs: extend its run.
-            _, _, n, _, (prev, matrix) = steps.pop()
-        run = runs.get((prev, node, lo))
-        if run is None:
-            g = _gen_matrix(node)
-            run = runs[prev, node, lo] = (len(runs), g if prev is None else g.matmul(matrix))
+            _, _, n, _, run = steps.pop()
+            run.append(node)
+        else:
+            n, run = node.n_in, [node]
         steps.append((_apply_gen, lo, n, node.n_out, run))
         width += node.n_out - node.n_in
     if routing or exchange:
         steps.extend(_relabel_step(routing, exchange))
-    tables: dict[int, _Table] = {}
     for i, (apply, *args) in enumerate(steps):
         if apply is _apply_gen:
-            lo, n, m, (key, matrix) = args
-            table = tables.get(key)
+            lo, n, m, run = args
+            key = (*run, lo)
+            table = _TABLES.get(key)
             if table is None:
-                table = tables[key] = _Table(matrix, lo)
+                table = _store(key)
             steps[i] = (apply, lo, n, m, table)
     return steps
+
+
+def _store(key: tuple) -> _Table:
+    """Build the table of run key (*generators, lo) and store it."""
+    matrix = _gen_matrix(key[0])
+    for g in key[1:-1]:
+        matrix = _gen_matrix(g).matmul(matrix)
+    table = _Table(matrix, key[-1])
+    with _TABLES_LOCK:
+        if len(_TABLES) >= _STORE_SIZE:
+            del _TABLES[next(iter(_TABLES))]
+        _TABLES[key] = table
+    return table
 
 
 def _relabel_step(routing: dict[int, int], exchange: int) -> list[tuple]:
@@ -346,7 +372,9 @@ class _Table:
 
     `matrix` is the run's composed matrix.  `cols` maps input bits c to
     [(output bits << lo, entry)] over its nonzero entries.  `pairs` caches
-    the doubled branches of each (ket, bra) input pattern.
+    the doubled branches of each (ket, bra) input pattern.  A table is shared
+    through `_TABLES`, so nothing in it is changed once built; `pairs` only
+    gains patterns.
     """
 
     __slots__ = ("matrix", "cols", "pairs")
@@ -358,11 +386,11 @@ class _Table:
             self.cols.setdefault(col, []).append((row << lo, v))
         self.pairs: dict[int, list[tuple[int, int, Scalar]]] = {}
 
-    def branches(self, cx: int, cy: int) -> list[tuple[int, int, Scalar]]:
+    def branches(self, cx: int, cy: int) -> "list[tuple[int, int, Scalar]] | tuple[()]":
         """Doubled branches of ket bits cx and bra bits cy: the run on x, its conjugate on y."""
         xs, ys = self.cols.get(cx), self.cols.get(cy)
-        if xs is None or ys is None:  # a missing column is zero
-            return []
+        if xs is None or ys is None:  # a missing column is zero; one shared empty tuple
+            return ()
         out = []
         for rx, a in xs:
             for ry, b in ys:

@@ -1,5 +1,6 @@
 """Term construction, arity discipline, duality, and the text form."""
 
+import pickle
 import random
 
 import pytest
@@ -151,6 +152,39 @@ class TestQueries:
         assert found[()] == d
         assert found[(0,)] is Cup
         assert found[(1,)] is Cap
+
+
+class TestEquality:
+    def test_structural_on_random_terms(self):
+        # Equal exactly when the printed terms are; equal terms hash alike.
+        rng = random.Random(40)
+        terms = [random_term(rng, max_gens=6) for _ in range(150)]
+        terms += [parse_diagram(print_diagram(d)) for d in terms[:50]]
+        for _ in range(600):
+            a, b = rng.choice(terms), rng.choice(terms)
+            same = print_diagram(a) == print_diagram(b)
+            assert (a == b) is same and (b == a) is same
+            if same:
+                assert hash(a) == hash(b)
+
+    def test_generators_and_other_types(self):
+        assert ZSpider(HALF, 1, 2) == ZSpider(HALF, 1, 2) != ZSpider(HALF, 2, 1)
+        assert WSpider(1, 2) != ZSpider(ONE, 1, 2) and Swap != Fswap
+        assert Tensor(Id, Cup) != Compose(Id, Id) and (Id == "(id 1)") is False
+        assert len({ZSpider(HALF, 1, 1), ZSpider(HALF, 1, 1), Tick, Tick}) == 2
+
+    def test_repr_reads_like_the_fields(self):
+        assert repr(Compose(Tick, Tensor(Id, Empty))) == (
+            "Compose(n_in=1, n_out=1, after=_Fixed(n_in=1, n_out=1, text='tick', arity=(1, 1)), "
+            "before=Tensor(n_in=1, n_out=1, left=_Fixed(n_in=1, n_out=1, text='(id 1)', arity=(1, 1)), "
+            "right=_Fixed(n_in=0, n_out=0, text='(id 0)', arity=(0, 0))))"
+        )
+
+    def test_copies_drop_the_kept_hash(self):
+        d = Compose(not_gate, ket0)
+        hash(d)
+        copied = pickle.loads(pickle.dumps(d))
+        assert copied == d and "_hash" not in vars(copied) and hash(copied) == hash(d)
 
 
 class TestPermutations:
@@ -339,8 +373,7 @@ class TestRenderDot:
 class TestDeepTerms:
     """Term operations on a 10,000-layer chain, far past the recursion limit.
 
-    Deep terms are compared through their text, because the dataclass `==`
-    and `hash` still recurse.  Each expected term is built by a plain loop.
+    Each expected term is built by a plain loop.
     """
 
     LAYERS = 10_000
@@ -361,6 +394,18 @@ class TestDeepTerms:
         conj = compose_many([Tick, zbar] * (self.LAYERS // 2))
         assert print_diagram(conjugate_term(chain)) == print_diagram(conj)
         assert print_diagram(transpose_term(chain)) == print_diagram(dagger(conj))
+
+    def test_equality_hash_and_repr(self, chain):
+        again = compose_many([Tick, ZSpider(OMEGA, 1, 1)] * (self.LAYERS // 2))
+        assert chain == again and again == chain
+        assert hash(chain) == hash(again)
+        assert {chain: 1}[again] == 1
+        # The terms differ only in the generator applied first.
+        other = compose_many([WSpider(1, 1), self.Z] + [Tick, self.Z] * (self.LAYERS // 2 - 1))
+        assert chain != other and other not in {chain: 1}
+        shown = repr(chain)
+        assert shown.count("Compose(") == self.LAYERS - 1
+        assert shown.startswith("Compose(n_in=1, n_out=1, after=ZSpider(")
 
     def test_queries(self, chain):
         assert has_tick(chain)

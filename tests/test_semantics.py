@@ -39,6 +39,7 @@ from zwtick import (
     dagger,
     format_matrix,
     ground,
+    has_tick,
     hp,
     id_n,
     internal_dagger,
@@ -51,6 +52,7 @@ from zwtick import (
     nf_from_matrix,
     nf_to_diagram,
     not_gate,
+    parse_diagram,
     parse_matrix,
     proper_choi,
     ppt_check,
@@ -340,19 +342,15 @@ class TestNetlistEvaluator:
         assert len(_netlist(chain, False)) == 6 and len(_netlist(chain, True)) == 1
 
     def test_fused_run_builds_one_table(self, monkeypatch):
-        # A run's matrix is carried along it; only the whole run gets a table.
-        built = []
-
-        class CountedTable(semantics._Table):
-            __slots__ = ()
-
-            def __init__(self, matrix, lo):
-                built.append(lo)
-                super().__init__(matrix, lo)
-
-        monkeypatch.setattr(semantics, "_Table", CountedTable)
+        # A run's matrix is carried along it; only the whole run gets a table,
+        # and a later evaluation of an equal run reuses the stored one.
+        built = _count_tables(monkeypatch)
+        semantics._TABLES.clear()
         chain = compose_many([not_gate] * 10_001)
         assert state_operator(Compose(chain, ket0)) == M([[ZERO, ZERO], [ZERO, ONE]])
+        assert built == [0]
+        again = compose_many([WSpider(1, 1)] * 10_001)
+        assert state_operator(Compose(again, ZSpider(ZERO, 0, 1))) == M([[ZERO, ZERO], [ZERO, ONE]])
         assert built == [0]
 
     @pytest.mark.parametrize("kind", ["tick", "swaps", "mixed"])
@@ -430,6 +428,126 @@ class TestNetlistEvaluator:
         steps = _netlist(nf_to_diagram(nf), True)
         assert len(steps) <= 140
         assert sum(step[0] is _apply_gen for step in steps) <= 120
+
+
+def _count_tables(monkeypatch) -> list:
+    """Make every `_Table` built from now on append its `lo` to the returned list."""
+    built = []
+
+    class CountedTable(semantics._Table):
+        __slots__ = ()
+
+        def __init__(self, matrix, lo):
+            built.append(lo)
+            super().__init__(matrix, lo)
+
+    monkeypatch.setattr(semantics, "_Table", CountedTable)
+    return built
+
+
+class _WatchedStore(dict):
+    """A table store that records the most runs it ever held."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+class TestTableStore:
+    """Tables are shared across evaluations; sharing must not change a result."""
+
+    @staticmethod
+    def _results(d, h, k):
+        out = [state_operator(bend_inputs(d)), apply_superop(d, h), apply_superop(d, k)]
+        return out + ([] if has_tick(d) else [interp(d)])
+
+    @staticmethod
+    def _cases(seed, count):
+        rng = random.Random(seed)
+        cases = []
+        for _ in range(count):
+            d = random_term(rng, max_gens=8)
+            cases.append((d, random_hermitian(rng, d.n_in), random_matrix(rng, d.n_in, density=1.0)))
+        return cases
+
+    def test_cold_and_warm_stores_agree(self, monkeypatch):
+        cases = self._cases(71, 50)
+        cold = []
+        for d, h, k in cases:
+            semantics._TABLES.clear()
+            got = self._results(d, h, k)
+            doubled = interp_sparse(unzip(d))
+            want = [
+                _unvec(interp_sparse(unzip(bend_inputs(d))), d.n_in + d.n_out),
+                _unvec(doubled.matmul(_vec(h)), d.n_out),
+                _unvec(doubled.matmul(_vec(k)), d.n_out),
+            ]
+            assert got[:3] == want
+            if len(got) == 4:
+                assert got[3] == interp_sparse(d)
+            cold.append(got)
+        assert sum(not k.is_hermitian() for _, _, k in cases) == len(cases)
+        # Warm: each term again, rebuilt from its text in another order, so
+        # every run is a fresh but equal one that finds its stored table.
+        for d, h, k in cases:
+            self._results(d, h, k)
+        built = _count_tables(monkeypatch)
+        order = list(range(len(cases)))
+        random.Random(72).shuffle(order)
+        for i in order:
+            d, h, k = cases[i]
+            assert self._results(parse_diagram(print_diagram(d)), h, k) == cold[i]
+        assert built == []
+
+    def test_cancelling_term_leaves_stored_tables_intact(self):
+        cases = self._cases(73, 30)
+        before = [self._results(d, h, k) for d, h, k in cases]
+        stored = {
+            key: (t, {c: list(rows) for c, rows in t.cols.items()}, {p: list(b) for p, b in t.pairs.items()})
+            for key, t in semantics._TABLES.items()
+        }
+        # (w 2 1) on (|0> + |1>)(|0> - |1>): the two |0> amplitudes cancel.
+        plus, minus = ZSpider(ONE, 0, 1), ZSpider(MINUS_ONE, 0, 1)
+        cancel = Compose(WSpider(2, 1), Tensor(plus, minus))
+        assert interp(cancel) == M([[ZERO], [ONE]])
+        assert state_operator(cancel) == M([[ZERO, ZERO], [ZERO, ONE]])
+        assert state_operator(compose_many([cancel, not_gate, not_gate])) == M([[ZERO, ZERO], [ZERO, ONE]])
+        # 2|-><-| through |x> -> (w 2 1)|x+>: the |0> amplitudes cancel again.
+        rho = M([[ONE, MINUS_ONE], [MINUS_ONE, ONE]])
+        assert apply_superop(Compose(WSpider(2, 1), Tensor(Id, plus)), rho) == M([[ZERO, ZERO], [ZERO, ONE]])
+        for key, (table, cols, pairs) in stored.items():
+            assert table.cols == cols
+            assert {p: list(table.pairs[p]) for p in pairs} == pairs
+        assert [self._results(d, h, k) for d, h, k in cases] == before
+
+    def test_runs_are_keyed_by_placement(self):
+        semantics._TABLES.clear()
+        flip_low, flip_high = Tensor(Id, not_gate), Tensor(not_gate, Id)
+        assert interp(flip_low) != interp(flip_high)
+        assert interp(flip_low).entries == {(1, 0): ONE, (0, 1): ONE, (3, 2): ONE, (2, 3): ONE}
+        assert interp(flip_high).entries == {(2, 0): ONE, (3, 1): ONE, (0, 2): ONE, (1, 3): ONE}
+        assert {(not_gate, 0), (not_gate, 1)} <= semantics._TABLES.keys()
+
+    def test_store_never_exceeds_its_bound(self, monkeypatch):
+        bound = semantics._STORE_SIZE
+        store = _WatchedStore()
+        monkeypatch.setattr(semantics, "_TABLES", store)
+        scales = [Scalar(k + 2) for k in range(bound + 50)]
+        for r in scales:
+            assert interp(ZSpider(r, 1, 1)) == M([[ONE, ZERO], [ZERO, r]])
+        assert store.peak == len(store) == bound
+        # The runs stored first were dropped first.
+        assert (ZSpider(scales[49], 1, 1), 0) not in store
+        assert (ZSpider(scales[50], 1, 1), 0) in store
+        # One evaluation with more distinct runs than the store holds.
+        product = ONE
+        for r in scales:
+            product = product * r
+        chain = compose_many([ZSpider(r.inverse(), 1, 1) for r in scales] + [ZSpider(product, 1, 1)])
+        assert interp(chain) == M([[ONE, ZERO], [ZERO, ONE]])
+        assert store.peak == bound
 
 
 class TestHPPresentation:
