@@ -7,16 +7,9 @@ import json
 import sys
 from pathlib import Path
 
-from .diagram import (
-    ArityError,
-    Diagram,
-    DiagramParseError,
-    parse_diagram,
-    render_dot,
-)
+from .diagram import Diagram, parse_diagram, render_dot
 from .normalform import (
     NormalForm,
-    NormalFormError,
     _bits,
     canonical_of_map,
     compare_maps,
@@ -24,7 +17,6 @@ from .normalform import (
 )
 from .qinfo import min_pt_eigenvalue, ppt_check, spin_flip
 from .rules import CheckReport, check_corpus, check_soundness
-from .scalar import ScalarParseError
 from .semantics import (
     MAX_DENSE_LOG2,
     Matrix,
@@ -251,15 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (
-        ArityError,
-        DiagramParseError,
-        NormalFormError,
-        ScalarParseError,
-        SemanticsError,
-        OSError,
-        ValueError,
-    ) as ex:
+    except (OSError, ValueError) as ex:  # the library's input errors all subclass ValueError
         print(f"error: {ex}", file=sys.stderr)
         return _USAGE_ERROR
 

@@ -15,7 +15,7 @@ the same wire cancel semantically but not syntactically.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .scalar import ONE, Scalar, ScalarParseError, format_scalar, parse_scalar
@@ -33,9 +33,10 @@ class DiagramParseError(ValueError):
 class Diagram:
     """Base class; every node carries its cached wire counts.
 
-    `==` is structural and `hash` agrees with it.  Both, and the `repr` of
-    `Compose` and `Tensor`, walk the term on an explicit stack, so any depth
-    is safe.  A term's hash is computed once and kept on each of its nodes.
+    `==` is structural and `hash` agrees with it.  Both, and the `repr` that
+    `Compose` and `Tensor` inherit (generators keep the dataclass one), walk
+    the term on an explicit stack, so any depth is safe.  A term's hash is
+    computed once and kept on each of its nodes.
     """
 
     n_in: int = field(init=False, default=0)
@@ -82,6 +83,7 @@ class Diagram:
         elif not isinstance(other, Diagram):
             return NotImplemented
         todo: list[tuple[Diagram, Diagram]] = [(self, other)]
+        seen: set[tuple[int, int]] = set()  # composite pairs: shared subterms compare once
         while todo:
             a, b = todo.pop()
             if a is b:
@@ -93,9 +95,13 @@ class Diagram:
             if isinstance(a, Generator):
                 if _leaf_value(a) != _leaf_value(b):
                     return False
-            else:
+            elif (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
                 todo += zip(_children(a), _children(b))
         return True
+
+    def __repr__(self) -> str:
+        return _write(self, repr, _repr_heads)
 
     def __getstate__(self) -> dict:
         # String hashes differ between processes, so a copy or pickle drops the kept hash.
@@ -156,6 +162,10 @@ class _Fixed(Generator):
     def __post_init__(self) -> None:
         _set_arity(self, *self.arity)
 
+    def __reduce__(self) -> tuple:
+        # Copies and pickles are the singleton itself: layers dispatch by `g is Tick`.
+        return parse_diagram, (self.text,)
+
 
 Fswap = _Fixed("fswap", (2, 2))
 Tick = _Fixed("tick", (1, 1))
@@ -167,33 +177,39 @@ Cap = _Fixed("cap", (0, 2))
 Empty = _Fixed("(id 0)", (0, 0))
 
 
-def _term_repr(d: Diagram) -> str:
-    """The dataclass form of a term, written on an explicit stack."""
+def _write(d: Diagram, leaf: Callable, heads: Callable) -> str:
+    """Write a term on an explicit stack, so any depth is safe.
+
+    A generator is written `leaf(g)`; a composite node as opening, first child,
+    middle, second child and ")", where `heads(node)` gives opening and middle.
+    """
     out: list[str] = []
-    todo: list = [d]  # terms still to show, and literal text between them
+    todo: list = [d]  # terms still to write, and literal text between them
     while todo:
         t = todo.pop()
         if isinstance(t, str):
             out.append(t)
-        elif isinstance(t, Compose):
-            out.append(f"Compose(n_in={t.n_in}, n_out={t.n_out}, after=")
-            todo += (")", t.before, ", before=", t.after)
-        elif isinstance(t, Tensor):
-            out.append(f"Tensor(n_in={t.n_in}, n_out={t.n_out}, left=")
-            todo += (")", t.right, ", right=", t.left)
+        elif isinstance(t, Generator):
+            out.append(leaf(t))
         else:
-            out.append(repr(t))
+            first, second = _children(t)
+            opening, middle = heads(t)
+            out.append(opening)
+            todo += (")", second, middle, first)
     return "".join(out)
 
 
-@dataclass(frozen=True, eq=False)
+def _repr_heads(t: Diagram) -> tuple[str, str]:
+    first, second = ("after", "before") if isinstance(t, Compose) else ("left", "right")
+    return f"{type(t).__name__}(n_in={t.n_in}, n_out={t.n_out}, {first}=", f", {second}="
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Compose(Diagram):
     """`after . before`: feed the outputs of `before` into `after`."""
 
     after: Diagram
     before: Diagram
-
-    __repr__ = _term_repr
 
     def __post_init__(self) -> None:
         if self.before.n_out != self.after.n_in:
@@ -204,12 +220,10 @@ class Compose(Diagram):
         _set_arity(self, self.before.n_in, self.after.n_out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Tensor(Diagram):
     left: Diagram
     right: Diagram
-
-    __repr__ = _term_repr
 
     def __post_init__(self) -> None:
         _set_arity(
@@ -225,9 +239,7 @@ def _leaf_value(g: Generator) -> tuple:
         return (g.r, g.n, g.m)
     if isinstance(g, WSpider):
         return (g.n, g.m)
-    if isinstance(g, _Fixed):
-        return (g.text, g.arity)
-    return tuple(getattr(g, f.name) for f in fields(g))
+    return (g.text, g.arity)
 
 
 def _children(d: Diagram) -> tuple[Diagram, Diagram]:
@@ -569,111 +581,65 @@ def parse_diagram(text: str) -> Diagram:
     return d
 
 
-def _generator_text(g: Diagram) -> str:
+def _generator_text(g: Generator) -> str:
     if isinstance(g, ZSpider):
         return f"(z {format_scalar(g.r)} {g.n} {g.m})"
     if isinstance(g, WSpider):
         return f"(w {g.n} {g.m})"
-    if isinstance(g, _Fixed):
-        return g.text
-    raise TypeError(f"not a diagram: {g!r}")
+    return g.text
+
+
+def _text_heads(t: Diagram) -> tuple[str, str]:
+    return ("(compose " if isinstance(t, Compose) else "(tensor "), " "
 
 
 def print_diagram(d: Diagram) -> str:
     """Core-syntax text for a term; `parse_diagram` inverts it exactly."""
-    out: list[str] = []
-    todo: list = [d]  # terms still to print, and literal text between them
-    while todo:
-        t = todo.pop()
-        if isinstance(t, str):
-            out.append(t)
-        elif isinstance(t, Compose):
-            out.append("(compose ")
-            todo += (")", t.before, " ", t.after)
-        elif isinstance(t, Tensor):
-            out.append("(tensor ")
-            todo += (")", t.right, " ", t.left)
-        else:
-            out.append(_generator_text(t))
-    return "".join(out)
+    return _write(d, _generator_text, _text_heads)
 
 
 # -- graphviz rendering --------------------------------------------------
 
 
-class _Wire:
-    __slots__ = ("parent", "ticks", "ends")
-
-    def __init__(self) -> None:
-        self.parent: "_Wire | None" = None
-        self.ticks = 0
-        self.ends: list[str] = []
-
-    def find(self) -> "_Wire":
-        w = self
-        while w.parent is not None:
-            w = w.parent
-        while self.parent is not None and self.parent is not w:
-            nxt = self.parent
-            self.parent = w
-            self = nxt  # noqa: PLW0642 - path compression walk
-        return w
-
-
-def _union(a: _Wire, b: _Wire) -> None:
-    ra, rb = a.find(), b.find()
-    if ra is rb:
-        return
-    rb.parent = ra
-    ra.ticks += rb.ticks
-    ra.ends.extend(rb.ends)
-
-
 def render_dot(d: Diagram) -> str:
-    """Graphviz source: white Z nodes, black W nodes, dashed ticked edges."""
-    counter = [0]
+    """Graphviz source: white Z nodes, black W nodes, dashed ticked edges.
+
+    Wires are ints in creation order, joined into classes by composition.
+    Each class is a path with two ends or a closed loop with none: one edge.
+    """
     nodes: list[str] = []
-    registry: list[_Wire] = []
+    parent: list[int] = []  # union-find over wires, with path halving
+    ticks: list[int] = []  # read on a class's root
+    ends: list[list[str]] = []  # read on a class's root: its end nodes, in order
 
-    def fresh_node(attrs: str) -> str:
-        name = f"n{counter[0]}"
-        counter[0] += 1
-        nodes.append(f"  {name} [{attrs}];")
-        return name
-
-    def new_wire(end: str | None = None, ticks: int = 0) -> _Wire:
-        w = _Wire()
-        w.ticks = ticks
-        if end is not None:
-            w.ends.append(end)
-        registry.append(w)
+    def root(w: int) -> int:
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
         return w
 
-    def spider_ports(t: Diagram, name: str) -> tuple[list[_Wire], list[_Wire]]:
-        return (
-            [new_wire(name) for _ in range(t.n_in)],
-            [new_wire(name) for _ in range(t.n_out)],
-        )
+    def new_wire(end: str | None = None, tick: int = 0) -> int:
+        parent.append(len(parent))
+        ticks.append(tick)
+        ends.append([] if end is None else [end])
+        return len(parent) - 1
 
-    def gen(t: Diagram) -> tuple[list[_Wire], list[_Wire]]:
+    def spider(t: Diagram, label: str, attrs: str) -> tuple[list[int], list[int]]:
+        name = f"n{len(nodes)}"
+        nodes.append(f'  {name} [label="{label}" {attrs}];')
+        ports = [new_wire(name) for _ in range(t.n_in + t.n_out)]
+        return ports[: t.n_in], ports[t.n_in :]
+
+    def gen(t: Diagram) -> tuple[list[int], list[int]]:
         if isinstance(t, ZSpider):
-            name = fresh_node(
-                f'label="Z({format_scalar(t.r)})" shape=ellipse style=filled fillcolor=white'
-            )
-            return spider_ports(t, name)
+            label = f"Z({format_scalar(t.r)})"
+            return spider(t, label, "shape=ellipse style=filled fillcolor=white")
         if isinstance(t, WSpider):
-            name = fresh_node(
-                'label="W" shape=circle style=filled fillcolor=black fontcolor=white'
-            )
-            return spider_ports(t, name)
+            return spider(t, "W", "shape=circle style=filled fillcolor=black fontcolor=white")
         if t is Fswap:
-            name = fresh_node('label="fswap" shape=box')
-            return spider_ports(t, name)
-        if t is Id:
-            w = new_wire()
-            return [w], [w]
-        if t is Tick:
-            w = new_wire(ticks=1)
+            return spider(t, "fswap", "shape=box")
+        if t is Id or t is Tick:
+            w = new_wire(tick=1 if t is Tick else 0)
             return [w], [w]
         if t is Swap:
             w1, w2 = new_wire(), new_wire()
@@ -688,47 +654,37 @@ def render_dot(d: Diagram) -> str:
             return [], []
         raise TypeError(f"not a diagram: {t!r}")
 
-    def compose(after: tuple, before: tuple) -> tuple[list[_Wire], list[_Wire]]:
+    def compose(after: tuple, before: tuple) -> tuple[list[int], list[int]]:
         for wb, wa in zip(before[1], after[0]):
-            _union(wb, wa)
+            rb, ra = root(wb), root(wa)
+            if rb != ra:  # the class keeps before's root, with before's ends first
+                parent[ra] = rb
+                ticks[rb] += ticks[ra]
+                ends[rb] += ends[ra]
         return before[0], after[1]
 
-    def tensor(left: tuple, right: tuple) -> tuple[list[_Wire], list[_Wire]]:
+    def tensor(left: tuple, right: tuple) -> tuple[list[int], list[int]]:
         return left[0] + right[0], left[1] + right[1]
 
     ins, outs = fold(d, gen, compose, tensor)
+    named = len(nodes)  # closed loops are named after the spiders
     for k, w in enumerate(ins):
-        name = f"in{k}"
-        nodes.append(f'  {name} [label="in {k}" shape=plaintext];')
-        # Boundary attachments go in front so edges read input -> output.
-        w.find().ends.insert(0, name)
+        nodes.append(f'  in{k} [label="in {k}" shape=plaintext];')
+        ends[root(w)].insert(0, f"in{k}")  # in front, so edges read input -> output
     for k, w in enumerate(outs):
-        name = f"out{k}"
-        nodes.append(f'  {name} [label="out {k}" shape=plaintext];')
-        w.find().ends.append(name)
+        nodes.append(f'  out{k} [label="out {k}" shape=plaintext];')
+        ends[root(w)].append(f"out{k}")
 
-    seen: set[int] = set()
     edges: list[str] = []
-
-    def edge_attrs(w: _Wire) -> str:
-        if w.ticks == 0:
-            return ""
-        label = "∤" if w.ticks == 1 else f"∤x{w.ticks}"
-        return f' [style=dashed label="{label}"]'
-
-    for w in registry:
-        root = w.find()
-        if id(root) in seen:
-            continue
-        seen.add(id(root))
-        ends = root.ends
-        if len(ends) == 2:
-            edges.append(f"  {ends[0]} -> {ends[1]}{edge_attrs(root)};")
-        elif len(ends) == 1:
-            # Both endpoints land on the same spider (a self-loop leg pair).
-            edges.append(f"  {ends[0]} -> {ends[0]}{edge_attrs(root)};")
-        else:
-            # A closed loop touching no node at all; draw it on a point.
-            name = fresh_node('label="" shape=point')
-            edges.append(f"  {name} -> {name}{edge_attrs(root)};")
+    classes = dict.fromkeys(root(w) for w in range(len(parent)))  # by first-created wire
+    for r in classes:
+        if not ends[r]:  # a closed loop touching no node: draw it on a point
+            ends[r] = [f"n{named}"]
+            nodes.append(f'  n{named} [label="" shape=point];')
+            named += 1
+        attrs = ""
+        if ticks[r]:
+            label = "∤" if ticks[r] == 1 else f"∤x{ticks[r]}"
+            attrs = f' [style=dashed label="{label}"]'
+        edges.append(f"  {ends[r][0]} -> {ends[r][-1]}{attrs};")
     return "digraph zw {\n  rankdir=BT;\n" + "\n".join(nodes + edges) + "\n}\n"

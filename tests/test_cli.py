@@ -6,7 +6,14 @@ import json
 
 import pytest
 
-from zwtick import semantics
+from zwtick import (
+    ArityError,
+    DiagramParseError,
+    NormalFormError,
+    ScalarParseError,
+    SemanticsError,
+    semantics,
+)
 from zwtick.cli import main
 
 
@@ -173,6 +180,11 @@ class TestRenderVerb:
 
 
 class TestFailureModes:
+    def test_library_errors_are_value_errors(self):
+        # `main` reports bad input by catching OSError and ValueError only.
+        errors = (ArityError, DiagramParseError, NormalFormError, ScalarParseError, SemanticsError)
+        assert all(issubclass(e, ValueError) for e in errors)
+
     def test_missing_file(self, capsys):
         assert main(["interp", "/nonexistent/d.zwt"]) == 2
         assert capsys.readouterr().err.startswith("error:")

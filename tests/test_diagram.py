@@ -1,5 +1,6 @@
 """Term construction, arity discipline, duality, and the text form."""
 
+import copy
 import pickle
 import random
 
@@ -30,6 +31,7 @@ from zwtick import (
     bend_cup,
     bra0,
     bra1,
+    choi,
     compose_many,
     conjugate_term,
     dagger,
@@ -185,6 +187,33 @@ class TestEquality:
         hash(d)
         copied = pickle.loads(pickle.dumps(d))
         assert copied == d and "_hash" not in vars(copied) and hash(copied) == hash(d)
+        # The seven fixed generators copy to themselves: layers dispatch by identity.
+        d = Compose(
+            Tensor(Cup, Fswap),
+            Tensor(Tensor(Tick, Id), Compose(Swap, Tensor(Cap, Empty))),
+        )
+        hash(d)
+        routes = (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t)))
+        for route_ in routes:
+            copied = route_(d)
+            assert copied == d and "_hash" not in vars(copied)
+            for (path, g), (_, h) in zip(subdiagrams(d), subdiagrams(copied)):
+                if g in (Cup, Cap, Fswap, Swap, Tick, Id, Empty):
+                    assert h is g, path
+            assert choi(copied) == choi(d)
+
+    def test_shared_subterms_compare_in_linear_time(self):
+        def shared(leaf, first_leaf, depth):
+            # d doubles in every layer; e is d with its first-applied leaf replaced.
+            d, e = leaf, first_leaf
+            for _ in range(depth):
+                d, e = Compose(d, d), Compose(d, e)
+            return d, e
+
+        a, _ = shared(WSpider(1, 1), Tick, 40)
+        b, c = shared(WSpider(1, 1), ZSpider(HALF, 1, 1), 40)
+        assert a == b and b == a
+        assert a != c and c != a
 
 
 class TestPermutations:
@@ -338,30 +367,95 @@ class TestRenderDot:
         assert "Z(1/2)" in src
         assert "dashed" in src
 
-    def test_pinned_output(self):
+    @pytest.mark.parametrize(
+        "d, expected",
+        [
+            pytest.param(
+                Tensor(
+                    Compose(
+                        Tensor(Cup, Tick),
+                        Compose(Tensor(ZSpider(HALF, 1, 1), Fswap), Tensor(Cap, WSpider(1, 1))),
+                    ),
+                    Compose(Cup, Compose(Tensor(Tick, Tick), Cap)),
+                ),
+                "digraph zw {\n"
+                "  rankdir=BT;\n"
+                '  n0 [label="W" shape=circle style=filled fillcolor=black fontcolor=white];\n'
+                '  n1 [label="Z(1/2)" shape=ellipse style=filled fillcolor=white];\n'
+                '  n2 [label="fswap" shape=box];\n'
+                '  in0 [label="in 0" shape=plaintext];\n'
+                '  out0 [label="out 0" shape=plaintext];\n'
+                '  n3 [label="" shape=point];\n'
+                "  n1 -> n2;\n"
+                "  in0 -> n0;\n"
+                "  n0 -> n2;\n"
+                "  n2 -> n1;\n"
+                '  n2 -> out0 [style=dashed label="∤"];\n'
+                '  n3 -> n3 [style=dashed label="∤x2"];\n'
+                "}\n",
+                id="mixed",
+            ),
+            pytest.param(
+                Id,
+                "digraph zw {\n"
+                "  rankdir=BT;\n"
+                '  in0 [label="in 0" shape=plaintext];\n'
+                '  out0 [label="out 0" shape=plaintext];\n'
+                "  in0 -> out0;\n"
+                "}\n",
+                id="wire",
+            ),
+            pytest.param(
+                Compose(Cup, Cap),
+                "digraph zw {\n"
+                "  rankdir=BT;\n"
+                '  n0 [label="" shape=point];\n'
+                "  n0 -> n0;\n"
+                "}\n",
+                id="loop",
+            ),
+            pytest.param(
+                parse_diagram(
+                    "(compose (tensor (id 1) cup)"
+                    " (compose (tensor (id 1) (tensor tick (id 1))) (tensor cap (id 1))))"
+                ),
+                "digraph zw {\n"
+                "  rankdir=BT;\n"
+                '  in0 [label="in 0" shape=plaintext];\n'
+                '  out0 [label="out 0" shape=plaintext];\n'
+                '  in0 -> out0 [style=dashed label="∤"];\n'
+                "}\n",
+                id="snake-through-tick",
+            ),
+            pytest.param(
+                parse_diagram(
+                    "(compose (tensor (z 1/2 1 1) (w 1 1))"
+                    " (compose swap (tensor (w 1 1) (z w 1 1))))"
+                ),
+                "digraph zw {\n"
+                "  rankdir=BT;\n"
+                '  n0 [label="W" shape=circle style=filled fillcolor=black fontcolor=white];\n'
+                '  n1 [label="Z(w)" shape=ellipse style=filled fillcolor=white];\n'
+                '  n2 [label="Z(1/2)" shape=ellipse style=filled fillcolor=white];\n'
+                '  n3 [label="W" shape=circle style=filled fillcolor=black fontcolor=white];\n'
+                '  in0 [label="in 0" shape=plaintext];\n'
+                '  in1 [label="in 1" shape=plaintext];\n'
+                '  out0 [label="out 0" shape=plaintext];\n'
+                '  out1 [label="out 1" shape=plaintext];\n'
+                "  in0 -> n0;\n"
+                "  n0 -> n3;\n"
+                "  in1 -> n1;\n"
+                "  n1 -> n2;\n"
+                "  n2 -> out0;\n"
+                "  n3 -> out1;\n"
+                "}\n",
+                id="spiders-at-both-boundaries",
+            ),
+        ],
+    )
+    def test_pinned_output(self, d, expected):
         # Node numbers follow the traversal order: before, then after.
-        d = Compose(
-            Tensor(Cup, Tick),
-            Compose(Tensor(ZSpider(HALF, 1, 1), Fswap), Tensor(Cap, WSpider(1, 1))),
-        )
-        d = Tensor(d, Compose(Cup, Compose(Tensor(Tick, Tick), Cap)))
-        assert render_dot(d) == (
-            "digraph zw {\n"
-            "  rankdir=BT;\n"
-            '  n0 [label="W" shape=circle style=filled fillcolor=black fontcolor=white];\n'
-            '  n1 [label="Z(1/2)" shape=ellipse style=filled fillcolor=white];\n'
-            '  n2 [label="fswap" shape=box];\n'
-            '  in0 [label="in 0" shape=plaintext];\n'
-            '  out0 [label="out 0" shape=plaintext];\n'
-            '  n3 [label="" shape=point];\n'
-            "  n1 -> n2;\n"
-            "  in0 -> n0;\n"
-            "  n0 -> n2;\n"
-            "  n2 -> n1;\n"
-            '  n2 -> out0 [style=dashed label="∤"];\n'
-            '  n3 -> n3 [style=dashed label="∤x2"];\n'
-            "}\n"
-        )
+        assert render_dot(d) == expected
 
     def test_runs_on_random_terms(self):
         rng = random.Random(6)
