@@ -14,6 +14,7 @@ the same wire cancel semantically but not syntactically.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -36,13 +37,15 @@ class Diagram:
     `==` is structural and `hash` agrees with it.  Both, and the `repr` that
     `Compose` and `Tensor` inherit (generators keep the dataclass one), walk
     the term on an explicit stack, so any depth is safe.  A term's hash is
-    computed once and kept on each of its nodes.
+    computed once and kept on each of its nodes.  A composite node made by a
+    shared builder also keeps its `flatten` list.
     """
 
     n_in: int = field(init=False, default=0)
     n_out: int = field(init=False, default=0)
 
     _hash = None  # set on the node by its first hash
+    _flat = None  # set on a shared builder's composite output, by `_shared`
 
     def __hash__(self) -> int:
         t = type(self)
@@ -102,12 +105,6 @@ class Diagram:
 
     def __repr__(self) -> str:
         return _write(self, repr, _repr_heads)
-
-    def __getstate__(self) -> dict:
-        # String hashes differ between processes, so a copy or pickle drops the kept hash.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,6 +216,9 @@ class Compose(Diagram):
             )
         _set_arity(self, self.before.n_in, self.after.n_out)
 
+    def __reduce__(self) -> tuple:
+        return _from_table, (_node_table(self),)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Tensor(Diagram):
@@ -231,6 +231,9 @@ class Tensor(Diagram):
             self.left.n_in + self.right.n_in,
             self.left.n_out + self.right.n_out,
         )
+
+    def __reduce__(self) -> tuple:
+        return _from_table, (_node_table(self),)
 
 
 def _leaf_value(g: Generator) -> tuple:
@@ -250,13 +253,122 @@ def _children(d: Diagram) -> tuple[Diagram, Diagram]:
     raise TypeError(f"not a diagram: {d!r}")
 
 
+# -- copies and pickles --------------------------------------------------
+#
+# A composite term is copied and pickled as a table of its distinct nodes in
+# post-order, and rebuilt from it with a loop, so any depth is safe and a
+# shared subterm is written and rebuilt once.  The kept hash and flattened
+# list are not carried: string hashes differ between processes.
+
+
+def _node_table(d: Diagram) -> list:
+    """d's distinct nodes, children first: a generator as itself, a composite
+    node as (class, row of its first child, row of its second)."""
+    rows: list = []
+    row: dict[int, int] = {}  # id(node) -> its row
+    todo: list[Diagram] = [d]
+    while todo:
+        node = todo[-1]
+        if id(node) in row:
+            todo.pop()
+            continue
+        if isinstance(node, Generator):
+            entry = node
+        else:
+            a, b = _children(node)
+            missing = [c for c in (a, b) if id(c) not in row]
+            if missing:
+                todo += missing
+                continue
+            entry = (type(node), row[id(a)], row[id(b)])
+        row[id(node)] = len(rows)
+        rows.append(entry)
+        todo.pop()
+    return rows
+
+
+def _from_table(rows: list) -> Diagram:
+    built: list[Diagram] = []
+    for entry in rows:
+        if isinstance(entry, tuple):
+            cls, i, j = entry
+            entry = cls(built[i], built[j])
+        built.append(entry)
+    return built[-1]
+
+
+# -- flattening ----------------------------------------------------------
+
+
+def flatten(d: Diagram) -> list[tuple[Generator, int]]:
+    """The generators of d other than `Id` and `Empty`, in application order.
+
+    Each comes with `lo`, the number of live wires below its inputs when it
+    is applied (wire k of w live wires is bit w-1-k of a basis index).  The
+    walk keeps an explicit stack, so any depth is safe.  A node that keeps
+    its own list (`_flat`, set by `_shared`) is spliced in, shifted by the
+    live wires below it, and not walked again.
+    """
+    out: list[tuple[Generator, int]] = []
+    width = d.n_in
+    stack: list[tuple[Diagram, int]] = [(d, 0)]
+    while stack:
+        node, off = stack.pop()
+        if isinstance(node, Generator):
+            if node is Id or node is Empty:
+                continue
+            out.append((node, width - off - node.n_in))
+        elif not isinstance(node, (Compose, Tensor)):
+            raise TypeError(f"not a diagram: {node!r}")
+        elif node._flat is not None:
+            shift = width - off - node.n_in
+            out += node._flat if shift == 0 else [(g, lo + shift) for g, lo in node._flat]
+        elif isinstance(node, Compose):
+            stack.append((node.after, off))
+            stack.append((node.before, off))
+            continue
+        else:
+            stack.append((node.right, off + node.left.n_out))
+            stack.append((node.left, off))
+            continue
+        width += node.n_out - node.n_in
+    return out
+
+
 # -- bulk builders -------------------------------------------------------
+
+#: Most outputs each shared builder keeps.
+_SHARED_SIZE = 1024
+
+
+def _shared(build: Callable) -> Callable:
+    """Memoize a builder whose outputs repeat, keyed by its arguments.
+
+    Terms that use the builder share its outputs.  A composite output keeps
+    its `flatten` list, so flattening a term that holds it splices the list
+    in instead of walking the output's wires again.
+    """
+
+    @functools.lru_cache(maxsize=_SHARED_SIZE)
+    @functools.wraps(build)
+    def cached(*args):
+        d = build(*args)
+        if isinstance(d, (Compose, Tensor)):
+            object.__setattr__(d, "_flat", flatten(d))
+        return d
+
+    return cached
 
 
 def id_n(n: int) -> Diagram:
     """n parallel wires; the empty diagram when n = 0."""
     if n < 0:
         raise ArityError(f"negative wire count {n}")
+    return _wire_bundle(n)
+
+
+@_shared
+def _wire_bundle(n: int) -> Diagram:
     if n == 0:
         return Empty
     d: Diagram = Id
@@ -289,11 +401,17 @@ def permutation_diagram(perm: list[int]) -> Diagram:
 
     Built from adjacent-transposition layers via odd-even sorting, so the
     result is a genuine term over Swap with at most len(perm) layers;
-    identity permutations produce plain wires.
+    identity permutations produce plain wires.  Equal permutations share
+    one network.
     """
-    k = len(perm)
-    if sorted(perm) != list(range(k)):
+    if sorted(perm) != list(range(len(perm))):
         raise ValueError(f"not a permutation: {perm}")
+    return _swap_network(tuple(perm))
+
+
+@_shared
+def _swap_network(perm: tuple[int, ...]) -> Diagram:
+    k = len(perm)
     cur = list(range(k))
     layers: list[Diagram] = []
     parity = 0
@@ -430,7 +548,7 @@ def transpose_term(d: Diagram) -> Diagram:
 
 
 def has_tick(d: Diagram) -> bool:
-    return fold(d, lambda g: g is Tick, operator.or_, operator.or_)
+    return any(g is Tick for g, _ in flatten(d))
 
 
 def generator_count(d: Diagram) -> int:

@@ -31,6 +31,7 @@ from .diagram import (
     Tick,
     WSpider,
     ZSpider,
+    _shared,
     has_tick,
     id_n,
     route,
@@ -114,12 +115,25 @@ _PLUG = Compose(
 )
 
 
+@_shared
 def _merge_chain(group: int) -> Diagram:
     """(1 + group) -> 1 fold of binary merges onto an accumulator wire."""
     d = id_n(1)
     for _ in range(group):
         d = Compose(_MERGE, Tensor(d, id_n(1)))
     return d
+
+
+@_shared
+def _merge_layer(groups: tuple[int, ...]) -> Diagram:
+    """One merge chain per accumulator, by the sizes of the groups it gathers."""
+    return tensor_many([_merge_chain(group) for group in groups])
+
+
+@_shared
+def _tick_layer(plain: int, ticked: int) -> Diagram:
+    """`plain` wires, then `ticked` ticked wires."""
+    return tensor_many([id_n(plain)] + [Tick] * ticked)
 
 
 def _node_rows(nf: NormalForm, unreduced: bool) -> list[tuple[Scalar, int, int]]:
@@ -151,25 +165,19 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
     # Accumulator wires: (top-sum, out-sum_1, ..., out-sum_n), all seeded |0>.
     d: Diagram = tensor_many([ket0] * (n + 1))
     accs, top = wires("acc", n + 1), [("top", 0)]
-    chains: dict[int, Diagram] = {}  # merge chain by group size, built once per call
     for coeff, x, y in _node_rows(nf, unreduced):
         plain = [("x", k) for k in range(n) if (x >> (n - 1 - k)) & 1]
         ticked = [("y", k) for k in range(n) if (y >> (n - 1 - k)) & 1]
         node = ZSpider(coeff, 0, 1 + len(plain) + len(ticked))
         d = Compose(Tensor(id_n(n + 1), node), d)
         # Tick the bra-side legs of the node.
-        tick_layer: list[Diagram] = [id_n(n + 1 + 1 + len(plain))]
-        tick_layer.extend([Tick] * len(ticked))
-        d = Compose(tensor_many(tick_layer), d)
+        d = Compose(_tick_layer(n + 1 + 1 + len(plain), len(ticked)), d)
         # Route each leg next to its accumulator, then merge groups at once:
         # accumulator 0 gathers the top leg, accumulator k + 1 qubit k's legs.
         groups = [top] + [[leg for leg in plain + ticked if leg[1] == k] for k in range(n)]
         gathered = [w for acc, group in zip(accs, groups) for w in (acc, *group)]
         d = Compose(route(accs + top + plain + ticked, gathered), d)
-        for group in groups:
-            if len(group) not in chains:
-                chains[len(group)] = _merge_chain(len(group))
-        d = Compose(tensor_many([chains[len(group)] for group in groups]), d)
+        d = Compose(_merge_layer(tuple(len(group) for group in groups)), d)
     # Consume the top accumulator with the plug; outputs remain in order.
     d = Compose(Tensor(_PLUG, id_n(n)), d)
     return d

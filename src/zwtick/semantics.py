@@ -51,6 +51,7 @@ from .diagram import (
     compose_many,
     conjugate_term,
     dagger,
+    flatten,
     fold,
     id_n,
     interleave,
@@ -285,34 +286,19 @@ _TABLES_LOCK = threading.Lock()
 def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
     """The steps of d in application order, each (apply function, *args).
 
-    Plain wires and units are dropped.  Each run of consecutive swaps and
-    ticks is one relabelling of the bits.  Doubled, a generator whose inputs
-    are exactly the outputs of the generator step just before it is composed
-    into that step, so a run of generators on the same wires is one step.
-    A step collects its run's generators until the end, when each whole run
-    gets its `_Table` from the store, built only if no evaluation has stored
-    an equal run at that placement.
+    The generators come from `flatten`, which drops plain wires and units.
+    Each run of consecutive swaps and ticks is one relabelling of the bits.
+    Doubled, a generator whose inputs are exactly the outputs of the
+    generator step just before it is composed into that step, so a run of
+    generators on the same wires is one step.  A step collects its run's
+    generators until the end, when each whole run gets its `_Table` from the
+    store, built only if no evaluation has stored an equal run at that
+    placement.
     """
     steps: list[tuple] = []
     routing: dict[int, int] = {}  # pending swaps: output bit <- input bit
     exchange = 0  # pending ticks: input bits exchanged between x and y
-    width = d.n_in
-    stack: list[tuple[Diagram, int]] = [(d, 0)]
-    while stack:
-        node, off = stack.pop()
-        if isinstance(node, Compose):
-            stack.append((node.after, off))
-            stack.append((node.before, off))
-            continue
-        if isinstance(node, Tensor):
-            stack.append((node.right, off + node.left.n_out))
-            stack.append((node.left, off))
-            continue
-        if not isinstance(node, Generator):
-            raise TypeError(f"not a diagram: {node!r}")
-        if node is Id or node is Empty:
-            continue
-        lo = width - off - node.n_in
+    for node, lo in flatten(d):
         if node is Swap:
             routing[lo], routing[lo + 1] = routing.get(lo + 1, lo + 1), routing.get(lo, lo)
             continue
@@ -332,7 +318,6 @@ def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
         else:
             n, run = node.n_in, [node]
         steps.append((_apply_gen, lo, n, node.n_out, run))
-        width += node.n_out - node.n_in
     if routing or exchange:
         steps.extend(_relabel_step(routing, exchange))
     for i, (apply, *args) in enumerate(steps):

@@ -10,6 +10,7 @@ from zwtick import (
     Compose,
     Cup,
     Diagram,
+    Empty,
     Fswap,
     Id,
     Matrix,
@@ -26,7 +27,7 @@ from zwtick import (
     id_n,
     tensor_many,
 )
-from zwtick.diagram import fold
+from zwtick.diagram import Generator, fold
 
 SMALL_FRACTIONS = (
     Fraction(0),
@@ -254,6 +255,29 @@ def assoc_key_reference(d: Diagram):
         lambda after, before: chain("compose", before, after),
         lambda left, right: chain("tensor", left, right),
     )
+
+
+def flatten_reference(d: Diagram) -> list[tuple[Generator, int]]:
+    """(generator, lo) pairs as the netlist evaluator first walked a term:
+    every node visited, kept flattened lists ignored."""
+    out = []
+    width = d.n_in
+    stack = [(d, 0)]
+    while stack:
+        node, off = stack.pop()
+        if isinstance(node, Compose):
+            stack.append((node.after, off))
+            stack.append((node.before, off))
+            continue
+        if isinstance(node, Tensor):
+            stack.append((node.right, off + node.left.n_out))
+            stack.append((node.left, off))
+            continue
+        if node is Id or node is Empty:
+            continue
+        out.append((node, width - off - node.n_in))
+        width += node.n_out - node.n_in
+    return out
 
 
 # -- quantum states ------------------------------------------------------

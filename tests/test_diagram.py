@@ -42,6 +42,7 @@ from zwtick import (
     id_n,
     interp,
     ket0,
+    nf_to_diagram,
     not_gate,
     parse_diagram,
     parse_matrix,
@@ -58,10 +59,10 @@ from zwtick import (
     transpose_term,
     unzip,
 )
-from zwtick.diagram import interleave, route, wires
+from zwtick.diagram import flatten, interleave, route, wires
 from zwtick.semantics import _int_compose, interp_sparse
 
-from _support import random_term
+from _support import flatten_reference, random_nf, random_term
 
 
 class TestArities:
@@ -233,6 +234,108 @@ class TestPermutations:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             permutation_diagram([0, 0])
+        with pytest.raises(ValueError):
+            permutation_diagram([1, 2])
+
+
+def _spine(d):
+    """The layers of a chain of `Compose` nodes, last applied first."""
+    layers = []
+    while isinstance(d, Compose):
+        layers.append(d.after)
+        d = d.before
+    return layers + [d]
+
+
+class TestSharedBuilders:
+    """Swap networks, wire bundles and normal-form layers are built once and shared."""
+
+    def test_networks_are_shared_and_equal_to_hand_built_ones(self):
+        net = permutation_diagram([1, 2, 0])
+        assert permutation_diagram((1, 2, 0)) is net
+        assert route(["a", "b", "c"], ["c", "a", "b"]) is net
+        hand = Compose(Tensor(Swap, Id), Tensor(Id, Swap))
+        assert net == hand and hash(net) == hash(hand)
+        assert print_diagram(net) == print_diagram(hand)
+        bundle = Tensor(Id, Tensor(Id, Tensor(Id, Id)))
+        assert id_n(4) is id_n(4) and id_n(4) == bundle and hash(id_n(4)) == hash(bundle)
+        assert permutation_diagram([0, 1, 2]) is id_n(3)
+        assert id_n(1) is Id and id_n(0) is Empty
+        with pytest.raises(ArityError):
+            id_n(-1)
+
+    def test_nf_rebuilds_share_their_wiring_layers(self):
+        nf = random_nf(random.Random(5), 3, density=0.6)
+        a, b = nf_to_diagram(nf), nf_to_diagram(nf)
+        assert a is not b and a == b
+        la, lb = _spine(a), _spine(b)
+        assert len(la) == 4 * len(nf.terms) + 2
+        assert la[0] is not lb[0] and la[-1] is not lb[-1]  # the plug layer and the kets
+        for i in range(len(nf.terms)):
+            merge, routing, ticks, node = la[1 + 4 * i : 5 + 4 * i]
+            assert merge is lb[1 + 4 * i] and routing is lb[2 + 4 * i] and ticks is lb[3 + 4 * i]
+            assert node is not lb[4 + 4 * i] and node.left is lb[4 + 4 * i].left
+
+    def test_kept_lists_stay_on_composite_nodes(self):
+        # Fill the caches first: a kept list set on a generator would show below.
+        nf_to_diagram(random_nf(random.Random(6), 2))
+        for g in (Id, Empty, Swap, Fswap, Tick, Cup, Cap):
+            assert "_flat" not in vars(g)
+        net = permutation_diagram([2, 0, 1])
+        assert "_flat" in vars(net) and "_flat" in vars(id_n(5))
+        for copy_ in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
+            for d in (net, id_n(5), Tensor(net, id_n(5))):
+                copied = copy_(d)
+                assert copied == d and copied is not d and "_flat" not in vars(copied)
+                assert flatten(copied) == flatten(d)
+
+
+class TestFlatten:
+    """`flatten` against the node-by-node walk that ignores kept lists."""
+
+    def test_random_terms(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            d = random_term(rng, max_wires=4)
+            assert flatten(d) == flatten_reference(d)
+
+    def test_nf_rebuilds(self):
+        rng = random.Random(42)
+        for _ in range(40):
+            nf = random_nf(rng, rng.randint(0, 4), density=rng.random())
+            for d in (nf_to_diagram(nf), nf_to_diagram(nf, unreduced=True)):
+                assert flatten(d) == flatten_reference(d)
+
+    def test_shared_networks_at_offsets(self):
+        net = route(["a", "b", "c"], ["c", "b", "a"])
+        split = ZSpider(ONE, 1, 3)
+        cases = [
+            net,
+            Tensor(id_n(2), net),
+            Tensor(net, id_n(1)),
+            Tensor(net, net),
+            Tensor(Tensor(split, net), Id),  # the spider widens the wires before the network
+            Tensor(Tensor(net, ZSpider(ONE, 1, 0)), Id),  # and narrows them after
+            Compose(Tensor(net, id_n(2)), Tensor(Tensor(Id, split), Id)),
+            Compose(Tensor(Cup, net), Tensor(Tensor(Id, split), Id)),
+            Compose(Tensor(Id, Tensor(bend_cap(2), id_n(3))), Tensor(Id, Tensor(net, Cup))),
+        ]
+        for d in cases:
+            assert flatten(d) == flatten_reference(d), print_diagram(d)
+        # Shifted by the wires below it: the swaps of `net` move down by one.
+        assert flatten(Tensor(net, Id)) == [(g, lo + 1) for g, lo in flatten(net)]
+
+    def test_random_terms_around_shared_networks(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            d = random_term(rng, max_wires=4)
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randint(0, d.n_out)
+                below = rng.randint(0, d.n_out - k)
+                net = permutation_diagram(rng.sample(range(k), k))
+                layer = tensor_many([id_n(d.n_out - k - below), net, id_n(below)])
+                d = Compose(random_term(rng, max_wires=5, n_in=d.n_out), Compose(layer, d))
+            assert flatten(d) == flatten_reference(d)
 
 
 class TestRoute:
@@ -544,6 +647,19 @@ class TestDeepTerms:
         out = apply_rule(d, rule_named("zs"), params, pos)
         expected = compose_many([ZSpider(OMEGA * OMEGA, 1, 1)] + [self.Z] * (self.LAYERS - 2))
         assert print_diagram(out) == print_diagram(expected)
+
+    def test_pickle_and_deepcopy(self):
+        chain = compose_many([not_gate] * self.LAYERS)
+        dag = WSpider(1, 1)
+        for _ in range(40):  # 2^40 leaves, 41 distinct nodes
+            dag = Compose(dag, dag)
+        for d in (chain, dag):
+            hash(d)
+            for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+                assert copied is not d and copied == d and hash(copied) == hash(d)
+        copied = pickle.loads(pickle.dumps(dag))
+        assert copied.after is copied.before and copied.after.after is copied.after.before
+        assert len(pickle.dumps(dag)) < 2_000
 
     def test_left_nested_tensor(self):
         parts = [self.Z, Tick] * (self.LAYERS // 2)

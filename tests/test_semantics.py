@@ -66,9 +66,11 @@ from zwtick import (
     unzip,
 )
 from zwtick import semantics
+from zwtick.diagram import route, wires
 from zwtick.semantics import MAX_DENSE_LOG2, _apply_gen, _apply_relabel, _netlist, interp_sparse
 
 from _support import (
+    flatten_reference,
     mat_dagger,
     mat_kron,
     mat_mul,
@@ -340,6 +342,30 @@ class TestNetlistEvaluator:
         # The pure evaluator keeps one step per generator.
         chain = compose_many([WSpider(1, 1), ZSpider(OMEGA, 1, 1)] * 3)
         assert len(_netlist(chain, False)) == 6 and len(_netlist(chain, True)) == 1
+
+    def test_steps_match_the_reference_walk(self, monkeypatch):
+        # The steps built from `flatten`, which splices the kept lists of
+        # shared networks, equal those built from a walk over every node.
+        def steps(d, doubled):
+            out = []
+            for apply, *args in _netlist(d, doubled):
+                out.append((apply, *args[:-1], args[-1].matrix) if apply is _apply_gen else (apply, *args))
+            return out
+
+        rng = random.Random(33)
+        terms = [random_term(rng, max_wires=4) for _ in range(100)]
+        for _ in range(20):
+            nf = random_nf(rng, rng.randint(0, 4), density=rng.random())
+            terms += [nf_to_diagram(nf), nf_to_diagram(nf, unreduced=True)]
+        terms += [Tensor(route(wires("a", 3), wires("a", 3)[::-1]), tensor_many([Tick, Id]))]
+        want = {}
+        for k, d in enumerate(terms):
+            want[k, True] = steps(d, True)
+            if not has_tick(d):
+                want[k, False] = steps(d, False)
+        monkeypatch.setattr(semantics, "flatten", flatten_reference)
+        for (k, doubled), expected in want.items():
+            assert steps(terms[k], doubled) == expected
 
     def test_fused_run_builds_one_table(self, monkeypatch):
         # A run's matrix is carried along it; only the whole run gets a table,
