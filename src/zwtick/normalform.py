@@ -32,14 +32,14 @@ from .diagram import (
     WSpider,
     ZSpider,
     _shared,
-    has_tick,
+    flatten,
     id_n,
     route,
     tensor_many,
     wires,
 )
 from .scalar import HALF, ONE, Scalar, ScalarParseError, ZERO, format_scalar, parse_scalar
-from .semantics import Matrix, SemanticsError, _mirrored, bend_inputs, interp, state_operator
+from .semantics import Matrix, SemanticsError, _interp_flat, _mirrored, bend_inputs, state_operator
 
 
 class NormalFormError(ValueError):
@@ -245,12 +245,17 @@ def compare_maps(
     """
     if d1.n_in != d2.n_in or d1.n_out != d2.n_out:
         return False, lambda: None
-    if not (has_tick(d1) or has_tick(d2)):
-        if _equal_up_to_phase(interp(d1).entries, interp(d2).entries):
-            return True, lambda: None
-        return False, lambda: first_difference(canonical_of_map(d1), canonical_of_map(d2))
-    a, b = canonical_of_map(d1), canonical_of_map(d2)
-    return a == b, lambda: first_difference(a, b)
+    # Each side is flattened once, for the tick test and the evaluation,
+    # and the second only when the first has no tick.
+    flats = []
+    for d in (d1, d2):
+        flats.append(flatten(d))
+        if any(g is Tick for g, _ in flats[-1]):
+            a, b = canonical_of_map(d1), canonical_of_map(d2)
+            return a == b, lambda: first_difference(a, b)
+    if _equal_up_to_phase(_interp_flat(d1, flats[0]).entries, _interp_flat(d2, flats[1]).entries):
+        return True, lambda: None
+    return False, lambda: first_difference(canonical_of_map(d1), canonical_of_map(d2))
 
 
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:

@@ -268,6 +268,13 @@ def interp_sparse(d: Diagram) -> Matrix:
 # as its upper triangle x <= y alone; the entry at (y, x) is the conjugate of
 # the one at (x, y).  `apply_superop` splits a non-Hermitian input into two
 # Hermitian ones and runs each.
+#
+# Every step is of one kind: a run of generators, then a relabelling of the
+# bits, which is one exchange of bits between x and y followed by one bit
+# permutation.  Swaps and ticks only move bits, so each run of them is the
+# relabelling of the step just before it, written as that step writes its
+# entries, with no pass of its own.  A run with no step before it relabels a
+# step whose run is `Empty`, the 0 -> 0 unit.
 
 #: Most runs the table store holds.  A rule grid of `check_soundness` uses
 #: about 500 distinct runs; each batch of normal-form round trips adds a few
@@ -283,22 +290,25 @@ _TABLES: dict[tuple, _Table] = {}
 _TABLES_LOCK = threading.Lock()
 
 
-def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
-    """The steps of d in application order, each (apply function, *args).
+def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> list[tuple]:
+    """The steps of a flattened term, each (lo, n, m, table, exchange, moved, moves).
 
-    The generators come from `flatten`, which drops plain wires and units.
-    Each run of consecutive swaps and ticks is one relabelling of the bits.
-    Doubled, a generator whose inputs are exactly the outputs of the
-    generator step just before it is composed into that step, so a run of
-    generators on the same wires is one step.  A step collects its run's
-    generators until the end, when each whole run gets its `_Table` from the
-    store, built only if no evaluation has stored an equal run at that
-    placement.
+    `flat` is `flatten(d)`, which drops plain wires and units.  A step runs
+    the generators of `table` on bits lo..lo+n-1, which become m bits.  It
+    then exchanges the `exchange` bits between x and y and sends bit src to
+    bit dst for each (src, dst) in `moves`; `moved` has the dst bits set.
+    Each run of consecutive swaps and ticks is the relabelling of the step
+    just before it.  Doubled, a generator whose inputs are exactly the
+    outputs of the step just before it is composed into that step, unless
+    that step relabels, so a run of generators on the same wires is one
+    step.  A step collects its run's generators until the end, when each
+    whole run gets its `_Table` from the store, built only if no evaluation
+    has stored an equal run at that placement.
     """
-    steps: list[tuple] = []
+    steps: list[list] = []  # [lo, n, m, run, exchange, moved, moves]
     routing: dict[int, int] = {}  # pending swaps: output bit <- input bit
     exchange = 0  # pending ticks: input bits exchanged between x and y
-    for node, lo in flatten(d):
+    for node, lo in flat:
         if node is Swap:
             routing[lo], routing[lo + 1] = routing.get(lo + 1, lo + 1), routing.get(lo, lo)
             continue
@@ -309,26 +319,41 @@ def _netlist(d: Diagram, doubled: bool) -> list[tuple]:
             exchange ^= 1 << routing.get(lo, lo)
             continue
         if routing or exchange:
-            steps.extend(_relabel_step(routing, exchange))
+            _relabel(steps, routing, exchange)
             routing, exchange = {}, 0
-        if doubled and steps and steps[-1][0] is _apply_gen and steps[-1][1] == lo and steps[-1][3] == node.n_in:
+        last = steps[-1] if steps else None
+        if doubled and last and last[0] == lo and last[2] == node.n_in and not (last[4] or last[5]):
             # The step just before outputs exactly these inputs: extend its run.
-            _, _, n, _, run = steps.pop()
-            run.append(node)
+            last[2] = node.n_out
+            last[3].append(node)
         else:
-            n, run = node.n_in, [node]
-        steps.append((_apply_gen, lo, n, node.n_out, run))
+            steps.append([lo, node.n_in, node.n_out, [node], 0, 0, ()])
     if routing or exchange:
-        steps.extend(_relabel_step(routing, exchange))
-    for i, (apply, *args) in enumerate(steps):
-        if apply is _apply_gen:
-            lo, n, m, run = args
-            key = (*run, lo)
-            table = _TABLES.get(key)
-            if table is None:
-                table = _store(key)
-            steps[i] = (apply, lo, n, m, table)
-    return steps
+        _relabel(steps, routing, exchange)
+    out = []
+    for lo, n, m, run, exchange, moved, moves in steps:
+        key = (*run, lo)
+        table = _TABLES.get(key)
+        if table is None:
+            table = _store(key)
+        out.append((lo, n, m, table, exchange, moved, moves))
+    return out
+
+
+def _relabel(steps: list[list], routing: dict[int, int], exchange: int) -> None:
+    """Make swaps `routing` and ticks `exchange` the relabelling of the last step.
+
+    With no step before them, they relabel a new step whose run is `Empty`.
+    """
+    moves = tuple((src, dst) for dst, src in routing.items() if src != dst)
+    if not (moves or exchange):
+        return
+    if not steps:
+        steps.append([0, 0, 0, [Empty]])
+    moved = 0
+    for _, dst in moves:
+        moved |= 1 << dst
+    steps[-1][4:] = exchange, moved, moves
 
 
 def _store(key: tuple) -> _Table:
@@ -342,14 +367,6 @@ def _store(key: tuple) -> _Table:
             del _TABLES[next(iter(_TABLES))]
         _TABLES[key] = table
     return table
-
-
-def _relabel_step(routing: dict[int, int], exchange: int) -> list[tuple]:
-    moves = [(src, dst) for dst, src in routing.items() if src != dst]
-    moved = 0
-    for _, dst in moves:
-        moved |= 1 << dst
-    return [(_apply_relabel, exchange, moved, moves)] if moves or exchange else []
 
 
 class _Table:
@@ -384,33 +401,75 @@ class _Table:
         return out
 
 
-def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, table: _Table) -> dict:
-    """Apply a run of generators: on x alone, or doubled on the upper triangle.
+def _apply_step(
+    ops: dict, doubled: bool, lo: int, n: int, m: int, table: _Table, exchange: int, moved: int, moves: tuple
+) -> dict:
+    """Apply a step: on x alone, or doubled on the upper triangle.
+
+    An output (r, s) joins an entry's own bits, those outside the run, to a
+    branch's output bits.  Both the exchange, e = (r ^ s) & exchange, and
+    the bit permutation split over those two disjoint sets, so each entry's
+    own bits are relabelled once, and each branch pattern's output bits
+    once per call, kept beside the shared `table.pairs`, which stay as the
+    run alone writes them.
 
     Doubled, the entry v at (x, y), x < y, stands for itself and conj(v) at
     (y, x), whose branches are the conjugates of its own, mirrored.  So a
     branch landing at (r, s) adds v*c there when r < s, its conjugate at
     (s, r) when r > s, and both on the diagonal r == s.  A diagonal entry
-    x == y is its own mirror, and its branches come in mirrored pairs: only
-    those with r <= s are kept.
+    x == y is its own mirror, and its branches come in mirrored pairs, which
+    the relabelling keeps mirrored: only those with r <= s are kept.
     """
     nmask = (1 << n) - 1
     lomask = (1 << lo) - 1
     hi, new_hi = lo + n, lo + m
     out: dict[tuple[int, int], Scalar] = {}
     clashes = []
+    relabels = exchange or moved
+    if relabels:
+        routed: dict[int, int] = {}
+
+        def route(i: int) -> int:
+            # Bit src of i goes to bit dst for each (src, dst) in `moves`.
+            r = routed.get(i)
+            if r is None:
+                f = i & moved
+                r = i ^ f
+                for src, dst in moves:
+                    if (f >> src) & 1:
+                        r |= 1 << dst
+                routed[i] = r
+            return r
+
+        def relabel(r: int, s: int) -> tuple[int, int]:
+            e = (r ^ s) & exchange
+            return (route(r ^ e), route(s ^ e)) if moved else (r ^ e, s ^ e)
+
+        cache: dict = {}  # a branch pattern -> its relabelled branches
+    else:
+        cache = table.pairs if doubled else table.cols
     if doubled:
         pairs = table.pairs
         for (x, y), v in ops.items():
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
-            branches = pairs.get((cx << n) | cy)
+            pattern = (cx << n) | cy
+            branches = cache.get(pattern)
             if branches is None:
-                branches = pairs[(cx << n) | cy] = table.branches(cx, cy)
+                branches = pairs.get(pattern)
+                if branches is None:
+                    branches = pairs[pattern] = table.branches(cx, cy)
+                if relabels:
+                    branches = cache[pattern] = [(*relabel(rx, ry), c) for rx, ry, c in branches]
             if not branches:
                 continue
             bx = ((x >> hi) << new_hi) | (x & lomask)
             by = ((y >> hi) << new_hi) | (y & lomask)
+            if relabels:
+                e = (bx ^ by) & exchange
+                bx, by = bx ^ e, by ^ e
+                if moved:
+                    bx, by = route(bx), route(by)
             diagonal = x == y
             for rx, ry, c in branches:
                 r, s = bx | rx, by | ry
@@ -433,10 +492,17 @@ def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, table: _Table)
     else:
         cols = table.cols
         for (x, y), v in ops.items():
-            branches = cols.get((x >> lo) & nmask)
+            cx = (x >> lo) & nmask
+            branches = cache.get(cx)
             if branches is None:
-                continue
+                branches = cols.get(cx)
+                if branches is None:
+                    continue
+                if relabels:
+                    branches = cache[cx] = [(route(rx), c) for rx, c in branches]
             bx = ((x >> hi) << new_hi) | (x & lomask)
+            if relabels:
+                bx = route(bx)
             for rx, c in branches:
                 key = (bx | rx, y)
                 nv = v if c is ONE else v * c
@@ -450,56 +516,27 @@ def _apply_gen(ops: dict, doubled: bool, lo: int, n: int, m: int, table: _Table)
     return out
 
 
-def _apply_relabel(ops: dict, doubled: bool, exchange: int, moved: int, moves: list[tuple[int, int]]) -> dict:
-    """Exchange the `exchange` bits between x and y, then route the `moved` bits.
-
-    Each pattern of moved bits is routed once.  Doubled, an entry routed
-    below the diagonal is stored at its mirror, conjugated.
-    """
-    routed: dict[int, int] = {}
-
-    def route(i: int) -> int:
-        f = i & moved
-        r = routed.get(f)
-        if r is None:
-            r = 0
-            for src, dst in moves:
-                if (f >> src) & 1:
-                    r |= 1 << dst
-            routed[f] = r
-        return (i ^ f) | r
-
-    if not doubled:
-        return {(route(x), y): v for (x, y), v in ops.items()}
-    out = {}
-    for (x, y), v in ops.items():
-        e = (x ^ y) & exchange
-        r, s = x ^ e, y ^ e
-        if moves:
-            r, s = route(r), route(s)
-        if r <= s:
-            out[r, s] = v
-        else:
-            out[s, r] = v.conj()
-    return out
-
-
-def _evaluate(d: Diagram, ops: dict, doubled: bool) -> dict:
-    """Run the steps of d over the sparse operator `ops` on its input wires.
+def _evaluate(flat: list[tuple[Generator, int]], ops: dict, doubled: bool) -> dict:
+    """Run the steps of a flattened term over the sparse operator `ops` on its input wires.
 
     Doubled, `ops` is the upper triangle of a Hermitian operator, and so is
     the result.
     """
-    for apply, *args in _netlist(d, doubled):
-        ops = apply(ops, doubled, *args)
+    for step in _netlist(flat, doubled):
+        ops = _apply_step(ops, doubled, *step)
     return ops
 
 
 def interp(d: Diagram) -> Matrix:
     """Pure matrix of a tick-free diagram: 2^m rows by 2^n columns."""
+    return _interp_flat(d, flatten(d))
+
+
+def _interp_flat(d: Diagram, flat: list[tuple[Generator, int]]) -> Matrix:
+    """`interp` of d from `flat`, its `flatten` list."""
     _check_dense(d.n_out, d.n_in)
     cols = 1 << d.n_in
-    out = _evaluate(d, {(c, c): ONE for c in range(cols)}, doubled=False)
+    out = _evaluate(flat, {(c, c): ONE for c in range(cols)}, doubled=False)
     return Matrix.from_entries(1 << d.n_out, cols, out)
 
 
@@ -563,10 +600,11 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
         for part, v in ((h, (a + b) * HALF), (k, (a - b) * _HALF_OVER_I)):
             if not v.is_zero():
                 part[x, y] = v
-    out = _mirrored(dim, _evaluate(d, h, doubled=True))
+    flat = flatten(d)
+    out = _mirrored(dim, _evaluate(flat, h, doubled=True))
     if k:
         entries = out.entries
-        for key, v in _mirrored(dim, _evaluate(d, k, doubled=True)).entries.items():
+        for key, v in _mirrored(dim, _evaluate(flat, k, doubled=True)).entries.items():
             v = entries.get(key, ZERO) + I * v
             if v.is_zero():
                 entries.pop(key, None)
@@ -581,7 +619,7 @@ def state_operator(d: Diagram) -> Matrix:
         raise SemanticsError(f"state_operator needs a state, got {d.n_in} inputs")
     _check_dense(d.n_out, d.n_out)
     dim = 1 << d.n_out
-    return _mirrored(dim, _evaluate(d, {(0, 0): ONE}, doubled=True))
+    return _mirrored(dim, _evaluate(flatten(d), {(0, 0): ONE}, doubled=True))
 
 
 def _mirrored(dim: int, upper: dict) -> Matrix:

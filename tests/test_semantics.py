@@ -13,6 +13,7 @@ from zwtick import (
     Cap,
     Compose,
     Cup,
+    Empty,
     Fswap,
     HALF,
     I,
@@ -66,8 +67,8 @@ from zwtick import (
     unzip,
 )
 from zwtick import semantics
-from zwtick.diagram import route, wires
-from zwtick.semantics import MAX_DENSE_LOG2, _apply_gen, _apply_relabel, _netlist, interp_sparse
+from zwtick.diagram import flatten, route, wires
+from zwtick.semantics import MAX_DENSE_LOG2, _gen_matrix, _netlist, interp_sparse
 
 from _support import (
     flatten_reference,
@@ -282,6 +283,48 @@ def _relabel_run(rng, width, kind):
     return [_placed(g, rng.randrange(width - g.n_in + 1), width) for g in gens]
 
 
+def _folded_relabel_term(rng, case, ticks):
+    """A term whose first step carries a swap-and-tick run, then random layers.
+
+    `case` picks the run: a tick on a wire the step leaves alone
+    ("untouched_tick"), swaps across the edges of the step's outputs
+    ("swaps_across"), a swap and a tick after a cup or a (w 2 1)
+    ("narrowing"), or a swap and a tick with no step before them
+    ("leading").  Without `ticks`, no tick is placed.  Returns the term
+    without the random layers, then the whole term.
+    """
+    if case == "narrowing":
+        g = rng.choice([Cup, WSpider(2, 1)])
+        width = 4 if g is Cup else 3
+    else:
+        g = rng.choice(
+            [WSpider(1, 1), WSpider(1, 2), ZSpider(random_scalar(rng), 1, 1), ZSpider(random_scalar(rng), 1, 2)]
+        )
+        width = rng.randint(2, 3)
+    at = rng.randrange(width - g.n_in + 1)
+    out = width + g.n_out - g.n_in
+
+    def swap_and_tick(w):
+        run = [_placed(Swap, rng.randrange(w - 1), w)] + ([_placed(Tick, rng.randrange(w), w)] if ticks else [])
+        rng.shuffle(run)
+        return run
+
+    if case == "leading":
+        layers = swap_and_tick(width) + [_placed(g, at, width)]
+    elif case == "narrowing":
+        layers = [_placed(g, at, width)] + swap_and_tick(out)
+    elif case == "untouched_tick":
+        free = [k for k in range(out) if not at <= k < at + g.n_out]
+        layers = [_placed(g, at, width), _placed(Tick, rng.choice(free), out)]
+    else:
+        edges = [p for p in (at - 1, at + g.n_out - 1) if p >= 0 and p + 1 < out]
+        layers = [_placed(g, at, width)] + [_placed(Swap, p, out) for p in rng.sample(edges, rng.randint(1, len(edges)))]
+        if ticks:
+            layers.append(_placed(Tick, rng.randrange(out), out))
+    tail = random_term(rng, max_wires=3, max_gens=3, allow_tick=ticks, n_in=out)
+    return compose_many(layers), compose_many(layers + [tail])
+
+
 def _vec(rho):
     n = rho.rows.bit_length() - 1
     return Matrix.from_entries(
@@ -330,27 +373,30 @@ class TestNetlistEvaluator:
                 base = Tensor(base, ZSpider(random_scalar(rng), 0, 1))
             layers = _same_wire_run(rng, base.n_out, rng.randint(4, 12))
             d = compose_many([base] + layers)
-            steps, base_steps = _netlist(d, True), _netlist(base, True)
+            steps, base_steps = _netlist(flatten(d), True), _netlist(flatten(base), True)
             assert len(steps) <= len(base_steps) + 1
-            # The fused step holds the matrix of the generators it fused.
+            # The fused step holds the matrix of the generators it fused and
+            # relabels nothing.
             gens = [g for layer in layers for _, g in subdiagrams(layer) if isinstance(g, (WSpider, ZSpider))]
             run = interp_sparse(compose_many(gens))
             if len(steps) == len(base_steps):  # the run extended the base's last step
-                run = run.matmul(base_steps[-1][-1].matrix)
-            assert steps[-1][-1].matrix == run
+                assert base_steps[-1][4:] == (0, 0, ())
+                run = run.matmul(base_steps[-1][3].matrix)
+            assert steps[-1][3].matrix == run
+            assert steps[-1][4:] == (0, 0, ())
             self._check_doubled(rng, d)
         # The pure evaluator keeps one step per generator.
-        chain = compose_many([WSpider(1, 1), ZSpider(OMEGA, 1, 1)] * 3)
+        chain = flatten(compose_many([WSpider(1, 1), ZSpider(OMEGA, 1, 1)] * 3))
         assert len(_netlist(chain, False)) == 6 and len(_netlist(chain, True)) == 1
+        # A step that relabels is never extended.
+        ticked = flatten(compose_many([WSpider(1, 1), Tick, ZSpider(OMEGA, 1, 1)]))
+        assert [step[4] for step in _netlist(ticked, True)] == [1, 0]
 
-    def test_steps_match_the_reference_walk(self, monkeypatch):
+    def test_steps_match_the_reference_walk(self):
         # The steps built from `flatten`, which splices the kept lists of
         # shared networks, equal those built from a walk over every node.
-        def steps(d, doubled):
-            out = []
-            for apply, *args in _netlist(d, doubled):
-                out.append((apply, *args[:-1], args[-1].matrix) if apply is _apply_gen else (apply, *args))
-            return out
+        def steps(flat, doubled):
+            return [(lo, n, m, table.matrix, *relabel) for lo, n, m, table, *relabel in _netlist(flat, doubled)]
 
         rng = random.Random(33)
         terms = [random_term(rng, max_wires=4) for _ in range(100)]
@@ -358,14 +404,9 @@ class TestNetlistEvaluator:
             nf = random_nf(rng, rng.randint(0, 4), density=rng.random())
             terms += [nf_to_diagram(nf), nf_to_diagram(nf, unreduced=True)]
         terms += [Tensor(route(wires("a", 3), wires("a", 3)[::-1]), tensor_many([Tick, Id]))]
-        want = {}
-        for k, d in enumerate(terms):
-            want[k, True] = steps(d, True)
-            if not has_tick(d):
-                want[k, False] = steps(d, False)
-        monkeypatch.setattr(semantics, "flatten", flatten_reference)
-        for (k, doubled), expected in want.items():
-            assert steps(terms[k], doubled) == expected
+        for d in terms:
+            for doubled in (True, False) if not has_tick(d) else (True,):
+                assert steps(flatten(d), doubled) == steps(flatten_reference(d), doubled)
 
     def test_fused_run_builds_one_table(self, monkeypatch):
         # A run's matrix is carried along it; only the whole run gets a table,
@@ -387,16 +428,65 @@ class TestNetlistEvaluator:
             while base.n_out < 2:
                 base = Tensor(base, ZSpider(random_scalar(rng), 0, 1))
             run = _relabel_run(rng, base.n_out, kind)
-            steps = _netlist(compose_many(run), True)
-            assert len(steps) <= 1 and all(step[0] is _apply_relabel for step in steps)
+            # Alone, the run relabels one step whose run is the empty unit.
+            steps = _netlist(flatten(compose_many(run)), True)
+            assert len(steps) <= 1
+            assert all(step[:3] == (0, 0, 0) and step[3].matrix == _gen_matrix(Empty) for step in steps)
             if kind == "tick":
                 # One exchanged bit, nothing routed.
-                (_, exchange, moved, moves), = steps
-                assert bin(exchange).count("1") == 1 and (moved, moves) == (0, [])
+                (*_, exchange, moved, moves), = steps
+                assert bin(exchange).count("1") == 1 and (moved, moves) == (0, ())
             if kind == "swaps":
-                assert all(step[1] == 0 for step in steps)
+                assert all(step[4] == 0 for step in steps)
+            # After the base, it rides on the base's last step: no step of its own.
+            base_steps = _netlist(flatten(base), True)
+            assert len(_netlist(flatten(compose_many([base] + run)), True)) <= max(len(base_steps), 1)
             tail = random_term(rng, max_wires=3, max_gens=4, n_in=base.n_out)
             self._check_doubled(rng, compose_many([base] + run + [tail]))
+
+    @pytest.mark.parametrize("case", ["untouched_tick", "swaps_across", "narrowing", "leading"])
+    def test_folded_relabels_match_reference(self, monkeypatch, case):
+        # Each term's first step carries a swap-and-tick run of the kind the
+        # case names, unless the random layers after it change the run.
+        # Every semantics of the term must match the reference.
+        folded_on_diagonal = []
+        apply_step = semantics._apply_step
+
+        def watched(ops, doubled, *step):
+            if doubled and (step[4] or step[5]) and any(x == y for x, y in ops):
+                folded_on_diagonal.append(step)
+            return apply_step(ops, doubled, *step)
+
+        monkeypatch.setattr(semantics, "_apply_step", watched)
+        rng = random.Random(f"fold:{case}")
+        skew = 0
+        for k in range(30):
+            ticks = case == "untouched_tick" or k % 2 == 0
+            head, d = _folded_relabel_term(rng, case, ticks)
+            flat = flatten(head)
+            first = _netlist(flat, True)[0]
+            lo, n, m, table, exchange, moved, _ = first
+            outputs = ((1 << m) - 1) << lo
+            if case == "leading":
+                for lo, n, m, table, *relabel in (first, _netlist(flat, False)[0]) if not ticks else (first,):
+                    assert (lo, n, m) == (0, 0, 0) and table.matrix == _gen_matrix(Empty)
+                    assert any(relabel[:2])
+            elif case == "untouched_tick":
+                assert exchange and not exchange & outputs and not moved
+            elif case == "swaps_across":
+                assert moved & outputs and moved & ~outputs
+            else:
+                assert m < n and (exchange or moved)
+            s = Compose(d, random_state(rng, max_wires=d.n_in, n_out=d.n_in))
+            assert state_operator(s) == _unvec(interp_sparse(unzip(s)), s.n_out)
+            doubled = interp_sparse(unzip(d))
+            for rho in (random_hermitian(rng, d.n_in), random_matrix(rng, d.n_in, density=1.0)):
+                skew += not rho.is_hermitian()
+                assert apply_superop(d, rho) == _unvec(doubled.matmul(_vec(rho)), d.n_out)
+            if not ticks:
+                assert interp(d) == interp_sparse(d)
+        assert skew >= 25
+        assert folded_on_diagonal
 
     def test_interp_matches_reference(self):
         rng = random.Random(28)
@@ -420,12 +510,13 @@ class TestNetlistEvaluator:
 
     def test_alternating_tick_chain_is_linear(self):
         # tick transposes a qubit operator; (z w 1 1) multiplies |0><1| by
-        # conj(w) and |1><0| by w.  Every layer is its own step.
+        # conj(w) and |1><0| by w.  Each (z w 1 1) is its own step and
+        # carries the tick after it; the first tick rides on an empty step.
         z = ZSpider(OMEGA, 1, 1)
 
         def run(layers):
             chain = compose_many([Tick, z] * (layers // 2) + [Tick] * (layers % 2))
-            assert len(_netlist(chain, True)) == layers
+            assert len(_netlist(flatten(chain), True)) == layers // 2 + 1
             start = time.perf_counter()
             out = apply_superop(chain, rho), state_operator(Compose(chain, plus))
             return out, time.perf_counter() - start
@@ -447,13 +538,14 @@ class TestNetlistEvaluator:
 
     def test_dense_round_trip_step_count(self):
         # The normal-form diagram of a dense 3-qubit operator: each term's
-        # ticks and routing relabel in one pass, and each binary merge is one
-        # step.  One step per generator, tick and swap run would be 246.
+        # ticks and routing ride on the step before them, and each binary
+        # merge is one step.  One step per generator, tick and swap run
+        # would be 246; a relabelling pass per swap-and-tick run, 128.
         nf = random_nf(random.Random(68), 3, density=0.55)
         assert len(nf.terms) == 20
-        steps = _netlist(nf_to_diagram(nf), True)
-        assert len(steps) <= 140
-        assert sum(step[0] is _apply_gen for step in steps) <= 120
+        steps = _netlist(flatten(nf_to_diagram(nf)), True)
+        assert len(steps) <= 110
+        assert not any(step[3].matrix == _gen_matrix(Empty) for step in steps)
 
 
 def _count_tables(monkeypatch) -> list:
