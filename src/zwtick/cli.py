@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .diagram import Diagram, parse_diagram, render_dot
 from .normalform import (
-    NormalForm,
     _bits,
     canonical_of_map,
     compare_maps,
@@ -21,7 +20,6 @@ from .semantics import (
     MAX_DENSE_LOG2,
     Matrix,
     SemanticsError,
-    _format_complex,
     apply_superop,
     choi,
     format_matrix,
@@ -51,17 +49,6 @@ def _emit_matrix(m: Matrix, float_mode: bool) -> None:
     sys.stdout.write(format_matrix(m, float_mode=float_mode))
 
 
-def _emit_nf(nf: NormalForm, float_mode: bool) -> None:
-    if not float_mode:
-        sys.stdout.write(format_nf(nf))
-        return
-    n = nf.qubits
-    out = [f"n {n}"]
-    for t in nf.terms:
-        out.append(f"{_bits(t.x, n)} {_bits(t.y, n)} {_format_complex(t.coeff.to_complex())}")
-    sys.stdout.write("\n".join(out) + "\n")
-
-
 def _cmd_interp(args: argparse.Namespace) -> int:
     d = _load_diagram(args.file)
     _emit_matrix(interp(d), args.float)
@@ -84,7 +71,7 @@ def _cmd_superop(args: argparse.Namespace) -> int:
 
 def _cmd_nf(args: argparse.Namespace) -> int:
     d = _load_diagram(args.file)
-    _emit_nf(canonical_of_map(d), args.float)
+    sys.stdout.write(format_nf(canonical_of_map(d), float_mode=args.float))
     return 0
 
 

@@ -42,7 +42,7 @@ from .diagram import (
     ticked_cap,
     ticked_cup,
 )
-from .normalform import NFTerm, NormalForm, compare_maps, nf_to_diagram
+from .normalform import _PLUG, NFTerm, NormalForm, compare_maps, nf_to_diagram
 from .scalar import HALF, I, MINUS_ONE, ONE, OMEGA, Scalar, ZERO
 from .semantics import SemanticsError
 
@@ -523,7 +523,6 @@ class EquationCorpusEntry:
 
 def lemma_corpus() -> list[EquationCorpusEntry]:
     mixed_prep = dagger(ground)
-    plug = Compose(Cup, Compose(Tensor(Tick, WSpider(1, 1)), ZSpider(ONE, 1, 2)))
     w = OMEGA
     half_nf = NormalForm(
         1, (NFTerm(0, 0, ONE), NFTerm(0, 1, w), NFTerm(1, 1, HALF))
@@ -590,14 +589,14 @@ def lemma_corpus() -> list[EquationCorpusEntry]:
             "flexsymmetry",
         ),
         EquationCorpusEntry(
-            "effect-absorbs-not", Compose(plug, _X), plug, "normal-form"
+            "effect-absorbs-not", Compose(_PLUG, _X), _PLUG, "normal-form"
         ),
         EquationCorpusEntry(
-            "effect-absorbs-tick", Compose(plug, Tick), plug, "normal-form"
+            "effect-absorbs-tick", Compose(_PLUG, Tick), _PLUG, "normal-form"
         ),
         EquationCorpusEntry(
             "effect-kills-mixed-prep",
-            Compose(plug, mixed_prep),
+            Compose(_PLUG, mixed_prep),
             ZSpider(MINUS_ONE, 0, 0),
             "normal-form",
         ),

@@ -27,8 +27,8 @@ matrix row ranges over output bitstrings, a column over input bitstrings.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .diagram import (
@@ -275,37 +275,32 @@ def interp_sparse(d: Diagram) -> Matrix:
 # relabelling of the step just before it, written as that step writes its
 # entries, with no pass of its own.  A run with no step before it relabels a
 # step whose run is `Empty`, the 0 -> 0 unit.
+#
+# A step is its `_Table`, and the whole step is the key of the table store
+# `_table`: the run's generators (compared by value), its placement and its
+# relabelling.  A bit permutation P commutes with the exchange, P(r ^ ((r ^ s)
+# & E)) = P(r) ^ ((P(r) ^ P(s)) & P(E)), so a table keeps its output bits,
+# and the doubled branches of each input pattern, already relabelled, and
+# every later evaluation of an equal step reuses them.
 
-#: Most runs the table store holds.  A rule grid of `check_soundness` uses
-#: about 500 distinct runs; each batch of normal-form round trips adds a few
-#: hundred, one per fresh coefficient.  A stored run took 2.0 KB on a rule
-#: grid and 2.2 KB on round trips; a store full of the latter held 4.5 MB.
+#: Most steps the table store holds.  A rule grid of `check_soundness` uses
+#: about 660 distinct steps; each batch of normal-form round trips adds a few
+#: hundred, one per fresh coefficient.
 _STORE_SIZE = 2048
 
-#: Run key -> its `_Table`, shared by every evaluation: a run is keyed by its
-#: generators in application order, then `lo`, so equal runs at one
-#: placement share a table whichever term they come from.  When full, the
-#: run stored first is dropped.
-_TABLES: dict[tuple, _Table] = {}
-_TABLES_LOCK = threading.Lock()
 
+def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> list[_Table]:
+    """The steps of a flattened term, each a `_Table`.
 
-def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> list[tuple]:
-    """The steps of a flattened term, each (lo, n, m, table, exchange, moved, moves).
-
-    `flat` is `flatten(d)`, which drops plain wires and units.  A step runs
-    the generators of `table` on bits lo..lo+n-1, which become m bits.  It
-    then exchanges the `exchange` bits between x and y and sends bit src to
-    bit dst for each (src, dst) in `moves`; `moved` has the dst bits set.
-    Each run of consecutive swaps and ticks is the relabelling of the step
-    just before it.  Doubled, a generator whose inputs are exactly the
-    outputs of the step just before it is composed into that step, unless
-    that step relabels, so a run of generators on the same wires is one
-    step.  A step collects its run's generators until the end, when each
-    whole run gets its `_Table` from the store, built only if no evaluation
-    has stored an equal run at that placement.
+    `flat` is `flatten(d)`, which drops plain wires and units.  Each run of
+    consecutive swaps and ticks is the relabelling of the step just before
+    it.  Doubled, a generator whose inputs are exactly the outputs of the
+    step just before it is composed into that step, unless that step
+    relabels, so a run of generators on the same wires is one step.  A step
+    collects its run's generators until the end, when it gets its table
+    from the store, built only if no evaluation has stored an equal step.
     """
-    steps: list[list] = []  # [lo, n, m, run, exchange, moved, moves]
+    steps: list[list] = []  # [lo, run, exchange, moves]
     routing: dict[int, int] = {}  # pending swaps: output bit <- input bit
     exchange = 0  # pending ticks: input bits exchanged between x and y
     for node, lo in flat:
@@ -322,22 +317,14 @@ def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> list[tuple]:
             _relabel(steps, routing, exchange)
             routing, exchange = {}, 0
         last = steps[-1] if steps else None
-        if doubled and last and last[0] == lo and last[2] == node.n_in and not (last[4] or last[5]):
+        if doubled and last and last[0] == lo and last[1][-1].n_out == node.n_in and not (last[2] or last[3]):
             # The step just before outputs exactly these inputs: extend its run.
-            last[2] = node.n_out
-            last[3].append(node)
+            last[1].append(node)
         else:
-            steps.append([lo, node.n_in, node.n_out, [node], 0, 0, ()])
+            steps.append([lo, [node], 0, ()])
     if routing or exchange:
         _relabel(steps, routing, exchange)
-    out = []
-    for lo, n, m, run, exchange, moved, moves in steps:
-        key = (*run, lo)
-        table = _TABLES.get(key)
-        if table is None:
-            table = _store(key)
-        out.append((lo, n, m, table, exchange, moved, moves))
-    return out
+    return [_table(tuple(run), lo, exchange, moves) for lo, run, exchange, moves in steps]
 
 
 def _relabel(steps: list[list], routing: dict[int, int], exchange: int) -> None:
@@ -345,47 +332,63 @@ def _relabel(steps: list[list], routing: dict[int, int], exchange: int) -> None:
 
     With no step before them, they relabel a new step whose run is `Empty`.
     """
-    moves = tuple((src, dst) for dst, src in routing.items() if src != dst)
+    moves = tuple(sorted((src, dst) for dst, src in routing.items() if src != dst))
     if not (moves or exchange):
         return
     if not steps:
-        steps.append([0, 0, 0, [Empty]])
-    moved = 0
-    for _, dst in moves:
-        moved |= 1 << dst
-    steps[-1][4:] = exchange, moved, moves
+        steps.append([0, [Empty]])
+    steps[-1][2:] = exchange, moves
 
 
-def _store(key: tuple) -> _Table:
-    """Build the table of run key (*generators, lo) and store it."""
-    matrix = _gen_matrix(key[0])
-    for g in key[1:-1]:
+@lru_cache(maxsize=_STORE_SIZE)
+def _table(run: tuple[Generator, ...], lo: int, exchange: int, moves: tuple) -> _Table:
+    """The shared table of a step; evicts the least recently used when full."""
+    return _Table(run, lo, exchange, moves)
+
+
+def _run_matrix(run: tuple[Generator, ...]) -> Matrix:
+    """The composed matrix of a run of generators in application order."""
+    matrix = _gen_matrix(run[0])
+    for g in run[1:]:
         matrix = _gen_matrix(g).matmul(matrix)
-    table = _Table(matrix, key[-1])
-    with _TABLES_LOCK:
-        if len(_TABLES) >= _STORE_SIZE:
-            del _TABLES[next(iter(_TABLES))]
-        _TABLES[key] = table
-    return table
+    return matrix
+
+
+def _permute(i: int, moved: int, moves: tuple) -> int:
+    """Send bit src of i to bit dst for each (src, dst) in `moves`; `moved` has the dst bits set."""
+    f = i & moved
+    r = i ^ f
+    for src, dst in moves:
+        if (f >> src) & 1:
+            r |= 1 << dst
+    return r
 
 
 class _Table:
-    """Columns of a run of generators at bit `lo`, and its doubled branches.
+    """A step: a run of generators on bits lo..lo+n-1, which become m bits,
+    then an exchange of bits between x and y and a bit permutation.
 
-    `matrix` is the run's composed matrix.  `cols` maps input bits c to
-    [(output bits << lo, entry)] over its nonzero entries.  `pairs` caches
-    the doubled branches of each (ket, bra) input pattern.  A table is shared
-    through `_TABLES`, so nothing in it is changed once built; `pairs` only
-    gains patterns.
+    `moves` holds the (src, dst) pairs of the permutation and `moved` its
+    dst bits; `exchange` is the exchanged bits after the permutation.
+    `cols` maps input bits c to [(output bits, entry)] over the run's
+    nonzero entries, its output bits placed at `lo` and permuted.  `pairs`
+    caches the doubled branches of each (ket, bra) input pattern, fully
+    relabelled.  A table is shared by every evaluation, so nothing in it is
+    changed once built; `pairs` only gains patterns.  Concurrent
+    evaluations need no lock: two that fill one pattern at once store equal
+    lists, and two that build one step at once each get a correct table.
     """
 
-    __slots__ = ("matrix", "cols", "pairs")
+    __slots__ = ("run", "lo", "n", "m", "exchange", "moved", "moves", "cols", "pairs")
 
-    def __init__(self, matrix: Matrix, lo: int):
-        self.matrix = matrix
+    def __init__(self, run: tuple[Generator, ...], lo: int, exchange: int, moves: tuple):
+        self.run, self.lo, self.n, self.m = run, lo, run[0].n_in, run[-1].n_out
+        self.moved = moved = sum(1 << dst for _, dst in moves)
+        self.moves = moves
+        self.exchange = _permute(exchange, moved, moves)
         self.cols: dict[int, list[tuple[int, Scalar]]] = {}
-        for (row, col), v in matrix.entries.items():
-            self.cols.setdefault(col, []).append((row << lo, v))
+        for (row, col), v in _run_matrix(run).entries.items():
+            self.cols.setdefault(col, []).append((_permute(row << lo, moved, moves), v))
         self.pairs: dict[int, list[tuple[int, int, Scalar]]] = {}
 
     def branches(self, cx: int, cy: int) -> "list[tuple[int, int, Scalar]] | tuple[()]":
@@ -393,25 +396,23 @@ class _Table:
         xs, ys = self.cols.get(cx), self.cols.get(cy)
         if xs is None or ys is None:  # a missing column is zero; one shared empty tuple
             return ()
+        exchange = self.exchange
         out = []
         for rx, a in xs:
             for ry, b in ys:
                 c = a * b.conj()
-                out.append((rx, ry, ONE if c == ONE else c))
+                e = (rx ^ ry) & exchange
+                out.append((rx ^ e, ry ^ e, ONE if c == ONE else c))
         return out
 
 
-def _apply_step(
-    ops: dict, doubled: bool, lo: int, n: int, m: int, table: _Table, exchange: int, moved: int, moves: tuple
-) -> dict:
+def _apply_step(ops: dict, doubled: bool, table: _Table) -> dict:
     """Apply a step: on x alone, or doubled on the upper triangle.
 
     An output (r, s) joins an entry's own bits, those outside the run, to a
-    branch's output bits.  Both the exchange, e = (r ^ s) & exchange, and
-    the bit permutation split over those two disjoint sets, so each entry's
-    own bits are relabelled once, and each branch pattern's output bits
-    once per call, kept beside the shared `table.pairs`, which stay as the
-    run alone writes them.
+    branch's output bits.  Both the exchange and the bit permutation split
+    over those two disjoint sets, and the table holds its branches already
+    relabelled, so only each entry's own bits are relabelled here.
 
     Doubled, the entry v at (x, y), x < y, stands for itself and conj(v) at
     (y, x), whose branches are the conjugates of its own, mirrored.  So a
@@ -420,56 +421,31 @@ def _apply_step(
     x == y is its own mirror, and its branches come in mirrored pairs, which
     the relabelling keeps mirrored: only those with r <= s are kept.
     """
+    lo, n = table.lo, table.n
     nmask = (1 << n) - 1
     lomask = (1 << lo) - 1
-    hi, new_hi = lo + n, lo + m
+    hi, new_hi = lo + n, lo + table.m
+    exchange, moved, moves = table.exchange, table.moved, table.moves
     out: dict[tuple[int, int], Scalar] = {}
     clashes = []
-    relabels = exchange or moved
-    if relabels:
-        routed: dict[int, int] = {}
-
-        def route(i: int) -> int:
-            # Bit src of i goes to bit dst for each (src, dst) in `moves`.
-            r = routed.get(i)
-            if r is None:
-                f = i & moved
-                r = i ^ f
-                for src, dst in moves:
-                    if (f >> src) & 1:
-                        r |= 1 << dst
-                routed[i] = r
-            return r
-
-        def relabel(r: int, s: int) -> tuple[int, int]:
-            e = (r ^ s) & exchange
-            return (route(r ^ e), route(s ^ e)) if moved else (r ^ e, s ^ e)
-
-        cache: dict = {}  # a branch pattern -> its relabelled branches
-    else:
-        cache = table.pairs if doubled else table.cols
     if doubled:
         pairs = table.pairs
         for (x, y), v in ops.items():
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
             pattern = (cx << n) | cy
-            branches = cache.get(pattern)
+            branches = pairs.get(pattern)
             if branches is None:
-                branches = pairs.get(pattern)
-                if branches is None:
-                    branches = pairs[pattern] = table.branches(cx, cy)
-                if relabels:
-                    branches = cache[pattern] = [(*relabel(rx, ry), c) for rx, ry, c in branches]
+                branches = pairs[pattern] = table.branches(cx, cy)
             if not branches:
                 continue
             bx = ((x >> hi) << new_hi) | (x & lomask)
             by = ((y >> hi) << new_hi) | (y & lomask)
-            if relabels:
+            if moved:
+                bx, by = _permute(bx, moved, moves), _permute(by, moved, moves)
+            if exchange:
                 e = (bx ^ by) & exchange
                 bx, by = bx ^ e, by ^ e
-                if moved:
-                    bx, by = route(bx), route(by)
             diagonal = x == y
             for rx, ry, c in branches:
                 r, s = bx | rx, by | ry
@@ -492,17 +468,12 @@ def _apply_step(
     else:
         cols = table.cols
         for (x, y), v in ops.items():
-            cx = (x >> lo) & nmask
-            branches = cache.get(cx)
+            branches = cols.get((x >> lo) & nmask)
             if branches is None:
-                branches = cols.get(cx)
-                if branches is None:
-                    continue
-                if relabels:
-                    branches = cache[cx] = [(route(rx), c) for rx, c in branches]
+                continue
             bx = ((x >> hi) << new_hi) | (x & lomask)
-            if relabels:
-                bx = route(bx)
+            if moved:
+                bx = _permute(bx, moved, moves)
             for rx, c in branches:
                 key = (bx | rx, y)
                 nv = v if c is ONE else v * c
@@ -522,8 +493,8 @@ def _evaluate(flat: list[tuple[Generator, int]], ops: dict, doubled: bool) -> di
     Doubled, `ops` is the upper triangle of a Hermitian operator, and so is
     the result.
     """
-    for step in _netlist(flat, doubled):
-        ops = _apply_step(ops, doubled, *step)
+    for table in _netlist(flat, doubled):
+        ops = _apply_step(ops, doubled, table)
     return ops
 
 
@@ -538,6 +509,17 @@ def _interp_flat(d: Diagram, flat: list[tuple[Generator, int]]) -> Matrix:
     cols = 1 << d.n_in
     out = _evaluate(flat, {(c, c): ONE for c in range(cols)}, doubled=False)
     return Matrix.from_entries(1 << d.n_out, cols, out)
+
+
+def _choi_flat(d: Diagram, flat: list[tuple[Generator, int]]) -> Matrix:
+    """`choi` of d from `flat`, its `flatten` list.
+
+    `flatten(bend_inputs(d))` is the Bell pairs' list followed by `flat`, so
+    d is not walked again.
+    """
+    k = d.n_in + d.n_out
+    _check_dense(k, k)
+    return _mirrored(1 << k, _evaluate(flatten(bend_cap(d.n_in)) + flat, {(0, 0): ONE}, doubled=True))
 
 
 # -- wire doubling -------------------------------------------------------
@@ -645,7 +627,8 @@ def bend_inputs(d: Diagram) -> Diagram:
 
 
 def choi(d: Diagram) -> Matrix:
-    return state_operator(bend_inputs(d))
+    """The state operator of `bend_inputs(d)`."""
+    return _choi_flat(d, flatten(d))
 
 
 def proper_choi(d: Diagram) -> Matrix:

@@ -2,8 +2,11 @@
 
 import hashlib
 import random
+import sys
+import threading
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -68,7 +71,7 @@ from zwtick import (
 )
 from zwtick import semantics
 from zwtick.diagram import flatten, route, wires
-from zwtick.semantics import MAX_DENSE_LOG2, _gen_matrix, _netlist, interp_sparse
+from zwtick.semantics import MAX_DENSE_LOG2, _gen_matrix, _netlist, _permute, _run_matrix, _table, interp_sparse
 
 from _support import (
     flatten_reference,
@@ -380,23 +383,23 @@ class TestNetlistEvaluator:
             gens = [g for layer in layers for _, g in subdiagrams(layer) if isinstance(g, (WSpider, ZSpider))]
             run = interp_sparse(compose_many(gens))
             if len(steps) == len(base_steps):  # the run extended the base's last step
-                assert base_steps[-1][4:] == (0, 0, ())
-                run = run.matmul(base_steps[-1][3].matrix)
-            assert steps[-1][3].matrix == run
-            assert steps[-1][4:] == (0, 0, ())
+                assert _relabelling(base_steps[-1]) == (0, 0, ())
+                run = run.matmul(_run_matrix(base_steps[-1].run))
+            assert _run_matrix(steps[-1].run) == run
+            assert _relabelling(steps[-1]) == (0, 0, ())
             self._check_doubled(rng, d)
         # The pure evaluator keeps one step per generator.
         chain = flatten(compose_many([WSpider(1, 1), ZSpider(OMEGA, 1, 1)] * 3))
         assert len(_netlist(chain, False)) == 6 and len(_netlist(chain, True)) == 1
         # A step that relabels is never extended.
         ticked = flatten(compose_many([WSpider(1, 1), Tick, ZSpider(OMEGA, 1, 1)]))
-        assert [step[4] for step in _netlist(ticked, True)] == [1, 0]
+        assert [step.exchange for step in _netlist(ticked, True)] == [1, 0]
 
     def test_steps_match_the_reference_walk(self):
         # The steps built from `flatten`, which splices the kept lists of
         # shared networks, equal those built from a walk over every node.
         def steps(flat, doubled):
-            return [(lo, n, m, table.matrix, *relabel) for lo, n, m, table, *relabel in _netlist(flat, doubled)]
+            return [(t.lo, t.n, t.m, t.run, *_relabelling(t), t.cols) for t in _netlist(flat, doubled)]
 
         rng = random.Random(33)
         terms = [random_term(rng, max_wires=4) for _ in range(100)]
@@ -412,7 +415,7 @@ class TestNetlistEvaluator:
         # A run's matrix is carried along it; only the whole run gets a table,
         # and a later evaluation of an equal run reuses the stored one.
         built = _count_tables(monkeypatch)
-        semantics._TABLES.clear()
+        _table.cache_clear()
         chain = compose_many([not_gate] * 10_001)
         assert state_operator(Compose(chain, ket0)) == M([[ZERO, ZERO], [ZERO, ONE]])
         assert built == [0]
@@ -431,13 +434,13 @@ class TestNetlistEvaluator:
             # Alone, the run relabels one step whose run is the empty unit.
             steps = _netlist(flatten(compose_many(run)), True)
             assert len(steps) <= 1
-            assert all(step[:3] == (0, 0, 0) and step[3].matrix == _gen_matrix(Empty) for step in steps)
+            assert all((step.lo, step.n, step.m, step.run) == (0, 0, 0, (Empty,)) for step in steps)
             if kind == "tick":
                 # One exchanged bit, nothing routed.
-                (*_, exchange, moved, moves), = steps
-                assert bin(exchange).count("1") == 1 and (moved, moves) == (0, ())
+                (step,) = steps
+                assert bin(step.exchange).count("1") == 1 and (step.moved, step.moves) == (0, ())
             if kind == "swaps":
-                assert all(step[4] == 0 for step in steps)
+                assert all(step.exchange == 0 for step in steps)
             # After the base, it rides on the base's last step: no step of its own.
             base_steps = _netlist(flatten(base), True)
             assert len(_netlist(flatten(compose_many([base] + run)), True)) <= max(len(base_steps), 1)
@@ -452,10 +455,10 @@ class TestNetlistEvaluator:
         folded_on_diagonal = []
         apply_step = semantics._apply_step
 
-        def watched(ops, doubled, *step):
-            if doubled and (step[4] or step[5]) and any(x == y for x, y in ops):
-                folded_on_diagonal.append(step)
-            return apply_step(ops, doubled, *step)
+        def watched(ops, doubled, table):
+            if doubled and (table.exchange or table.moved) and any(x == y for x, y in ops):
+                folded_on_diagonal.append(table)
+            return apply_step(ops, doubled, table)
 
         monkeypatch.setattr(semantics, "_apply_step", watched)
         rng = random.Random(f"fold:{case}")
@@ -465,12 +468,12 @@ class TestNetlistEvaluator:
             head, d = _folded_relabel_term(rng, case, ticks)
             flat = flatten(head)
             first = _netlist(flat, True)[0]
-            lo, n, m, table, exchange, moved, _ = first
-            outputs = ((1 << m) - 1) << lo
+            n, m, exchange, moved = first.n, first.m, first.exchange, first.moved
+            outputs = ((1 << m) - 1) << first.lo
             if case == "leading":
-                for lo, n, m, table, *relabel in (first, _netlist(flat, False)[0]) if not ticks else (first,):
-                    assert (lo, n, m) == (0, 0, 0) and table.matrix == _gen_matrix(Empty)
-                    assert any(relabel[:2])
+                for step in (first, _netlist(flat, False)[0]) if not ticks else (first,):
+                    assert (step.lo, step.n, step.m, step.run) == (0, 0, 0, (Empty,))
+                    assert step.exchange or step.moved
             elif case == "untouched_tick":
                 assert exchange and not exchange & outputs and not moved
             elif case == "swaps_across":
@@ -545,7 +548,11 @@ class TestNetlistEvaluator:
         assert len(nf.terms) == 20
         steps = _netlist(flatten(nf_to_diagram(nf)), True)
         assert len(steps) <= 110
-        assert not any(step[3].matrix == _gen_matrix(Empty) for step in steps)
+        assert not any(_run_matrix(step.run) == _gen_matrix(Empty) for step in steps)
+
+
+def _relabelling(table) -> tuple:
+    return table.exchange, table.moved, table.moves
 
 
 def _count_tables(monkeypatch) -> list:
@@ -555,22 +562,12 @@ def _count_tables(monkeypatch) -> list:
     class CountedTable(semantics._Table):
         __slots__ = ()
 
-        def __init__(self, matrix, lo):
+        def __init__(self, run, lo, exchange, moves):
             built.append(lo)
-            super().__init__(matrix, lo)
+            super().__init__(run, lo, exchange, moves)
 
     monkeypatch.setattr(semantics, "_Table", CountedTable)
     return built
-
-
-class _WatchedStore(dict):
-    """A table store that records the most runs it ever held."""
-
-    peak = 0
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.peak = max(self.peak, len(self))
 
 
 class TestTableStore:
@@ -590,11 +587,17 @@ class TestTableStore:
             cases.append((d, random_hermitian(rng, d.n_in), random_matrix(rng, d.n_in, density=1.0)))
         return cases
 
+    @staticmethod
+    def _tables(d) -> list:
+        """The tables every evaluation in `_results` steps through."""
+        flats = [(flatten(bend_inputs(d)), True), (flatten(d), True)]
+        return [t for flat, doubled in flats + ([] if has_tick(d) else [(flatten(d), False)]) for t in _netlist(flat, doubled)]
+
     def test_cold_and_warm_stores_agree(self, monkeypatch):
         cases = self._cases(71, 50)
         cold = []
         for d, h, k in cases:
-            semantics._TABLES.clear()
+            _table.cache_clear()
             got = self._results(d, h, k)
             doubled = interp_sparse(unzip(d))
             want = [
@@ -608,7 +611,7 @@ class TestTableStore:
             cold.append(got)
         assert sum(not k.is_hermitian() for _, _, k in cases) == len(cases)
         # Warm: each term again, rebuilt from its text in another order, so
-        # every run is a fresh but equal one that finds its stored table.
+        # every step is a fresh but equal one that finds its stored table.
         for d, h, k in cases:
             self._results(d, h, k)
         built = _count_tables(monkeypatch)
@@ -621,51 +624,131 @@ class TestTableStore:
 
     def test_cancelling_term_leaves_stored_tables_intact(self):
         cases = self._cases(73, 30)
-        before = [self._results(d, h, k) for d, h, k in cases]
-        stored = {
-            key: (t, {c: list(rows) for c, rows in t.cols.items()}, {p: list(b) for p, b in t.pairs.items()})
-            for key, t in semantics._TABLES.items()
-        }
         # (w 2 1) on (|0> + |1>)(|0> - |1>): the two |0> amplitudes cancel.
         plus, minus = ZSpider(ONE, 0, 1), ZSpider(MINUS_ONE, 0, 1)
         cancel = Compose(WSpider(2, 1), Tensor(plus, minus))
-        assert interp(cancel) == M([[ZERO], [ONE]])
-        assert state_operator(cancel) == M([[ZERO, ZERO], [ZERO, ONE]])
-        assert state_operator(compose_many([cancel, not_gate, not_gate])) == M([[ZERO, ZERO], [ZERO, ONE]])
         # 2|-><-| through |x> -> (w 2 1)|x+>: the |0> amplitudes cancel again.
         rho = M([[ONE, MINUS_ONE], [MINUS_ONE, ONE]])
-        assert apply_superop(Compose(WSpider(2, 1), Tensor(Id, plus)), rho) == M([[ZERO, ZERO], [ZERO, ONE]])
-        for key, (table, cols, pairs) in stored.items():
+        spread = Compose(WSpider(2, 1), Tensor(Id, plus))
+
+        def cancelling():
+            assert interp(cancel) == M([[ZERO], [ONE]])
+            assert state_operator(cancel) == M([[ZERO, ZERO], [ZERO, ONE]])
+            assert state_operator(compose_many([cancel, not_gate, not_gate])) == M([[ZERO, ZERO], [ZERO, ONE]])
+            assert apply_superop(spread, rho) == M([[ZERO, ZERO], [ZERO, ONE]])
+
+        before = [self._results(d, h, k) for d, h, k in cases]
+        cancelling()
+        tables = [t for d, _, _ in cases for t in self._tables(d)]
+        tables += _netlist(flatten(cancel), False) + _netlist(flatten(cancel), True)
+        tables += _netlist(flatten(compose_many([cancel, not_gate, not_gate])), True) + _netlist(flatten(spread), True)
+        stored = [(t, {c: list(rows) for c, rows in t.cols.items()}, {p: list(b) for p, b in t.pairs.items()}) for t in tables]
+        assert any(pairs for _, _, pairs in stored)
+        cancelling()
+        for table, cols, pairs in stored:
             assert table.cols == cols
             assert {p: list(table.pairs[p]) for p in pairs} == pairs
         assert [self._results(d, h, k) for d, h, k in cases] == before
 
     def test_runs_are_keyed_by_placement(self):
-        semantics._TABLES.clear()
+        _table.cache_clear()
         flip_low, flip_high = Tensor(Id, not_gate), Tensor(not_gate, Id)
         assert interp(flip_low) != interp(flip_high)
         assert interp(flip_low).entries == {(1, 0): ONE, (0, 1): ONE, (3, 2): ONE, (2, 3): ONE}
         assert interp(flip_high).entries == {(2, 0): ONE, (3, 1): ONE, (0, 2): ONE, (1, 3): ONE}
-        assert {(not_gate, 0), (not_gate, 1)} <= semantics._TABLES.keys()
+        (low,), (high,) = _netlist(flatten(flip_low), False), _netlist(flatten(flip_high), False)
+        assert low is not high
+        assert (low.run, low.lo) == ((not_gate,), 0) and (high.run, high.lo) == ((not_gate,), 1)
+        assert _table.cache_info().currsize == 2
+        # A term parsed again from its text finds the same tables.
+        for d, want in ((flip_low, low), (flip_high, high)):
+            (again,) = _netlist(flatten(parse_diagram(print_diagram(d))), False)
+            assert again is want
 
     def test_store_never_exceeds_its_bound(self, monkeypatch):
         bound = semantics._STORE_SIZE
-        store = _WatchedStore()
-        monkeypatch.setattr(semantics, "_TABLES", store)
+        assert _table.cache_info().maxsize == bound
+        _table.cache_clear()
         scales = [Scalar(k + 2) for k in range(bound + 50)]
-        for r in scales:
+
+        def check(r):
             assert interp(ZSpider(r, 1, 1)) == M([[ONE, ZERO], [ZERO, r]])
-        assert store.peak == len(store) == bound
-        # The runs stored first were dropped first.
-        assert (ZSpider(scales[49], 1, 1), 0) not in store
-        assert (ZSpider(scales[50], 1, 1), 0) in store
-        # One evaluation with more distinct runs than the store holds.
+
+        for r in scales:
+            check(r)
+        assert _table.cache_info().currsize == bound
+        # The least recently used step is dropped first: scales[50], the
+        # oldest left, is used again, so scales[49] displaces scales[51].
+        built = _count_tables(monkeypatch)
+        check(scales[50])
+        assert built == []
+        check(scales[49])
+        assert built == [0]
+        check(scales[50])
+        assert built == [0]
+        check(scales[51])
+        assert built == [0, 0]
+        assert _table.cache_info().currsize == bound
+        # One evaluation with more distinct steps than the store holds.
         product = ONE
         for r in scales:
             product = product * r
         chain = compose_many([ZSpider(r.inverse(), 1, 1) for r in scales] + [ZSpider(product, 1, 1)])
         assert interp(chain) == M([[ONE, ZERO], [ZERO, ONE]])
-        assert store.peak == bound
+        assert _table.cache_info().currsize == bound
+
+    def test_concurrent_evaluations_agree(self):
+        # Four threads evaluate the same terms, each in its own order, from
+        # a cold store, so they build and fill the same tables at once.
+        cases = self._cases(74, 30)
+        want = [self._results(d, h, k) for d, h, k in cases]
+        uses = Counter(id(t) for d, _, _ in cases for t in {id(t): t for t in self._tables(d)}.values())
+        assert sum(count > 1 for count in uses.values()) >= 10  # steps shared between terms
+        orders = [random.Random(75 + i).sample(range(len(cases)), len(cases)) for i in range(4)]
+        got: list = [None] * 4
+        start = threading.Barrier(4)
+
+        def work(i):
+            start.wait(timeout=60)
+            got[i] = {j: self._results(*cases[j]) for j in orders[i]}
+
+        _table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for results in got:
+            assert results is not None and [results[j] for j in range(len(cases))] == want
+
+    def test_stored_branches_are_relabelled(self):
+        # A table keeps its branches relabelled: they are the branches of
+        # the same run with no relabelling, exchanged and then permuted.
+        rng = random.Random(76)
+        checked = 0
+        for _ in range(60):
+            d = random_term(rng, max_wires=3, max_gens=8)
+            for step in _netlist(flatten(d), True):
+                if not (step.exchange or step.moves):
+                    continue
+                plain = _table(step.run, step.lo, 0, ())
+                back = tuple((dst, src) for src, dst in step.moves)
+                exchange = _permute(step.exchange, step.moved, back)  # the exchange before the permutation
+                for cx in range(1 << step.n):
+                    for cy in range(1 << step.n):
+                        want = []
+                        for rx, ry, c in plain.branches(cx, cy):
+                            e = (rx ^ ry) & exchange
+                            want.append((_permute(rx ^ e, step.moved, step.moves), _permute(ry ^ e, step.moved, step.moves), c))
+                        assert list(step.branches(cx, cy)) == want
+                        checked += 1
+        assert checked >= 100
 
 
 class TestHPPresentation:
