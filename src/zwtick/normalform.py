@@ -42,11 +42,10 @@ from .scalar import HALF, ONE, Scalar, ScalarParseError, ZERO, format_scalar, pa
 from .semantics import (
     Matrix,
     SemanticsError,
-    _choi_flat,
     _format_complex,
     _interp_flat,
     _mirrored,
-    choi,
+    bend_inputs,
     state_operator,
 )
 
@@ -201,7 +200,7 @@ def nf_of_diagram(d: Diagram) -> NormalForm:
 
 def canonical_of_map(d: Diagram) -> NormalForm:
     """Complete invariant of a general diagram: normal form of its bent state."""
-    return nf_from_matrix(choi(d))
+    return nf_from_matrix(state_operator(bend_inputs(d)))
 
 
 def first_difference(a: NormalForm, b: NormalForm) -> "tuple[int, int, Scalar, Scalar] | None":
@@ -242,8 +241,8 @@ def compare_maps(
     and two such maps are equal exactly when A = cB with |c| = 1.  So a
     tick-free pair is decided from `interp` of each side (2^(n+m) entries),
     and a ticked or mixed pair from `canonical_of_map` of each side
-    (4^(n+m) entries), evaluated from the `flatten` list the tick test
-    read.  Arities that differ are unequal before any evaluation.
+    (4^(n+m) entries).  Arities that differ are unequal before any
+    evaluation.
 
     The second value, called after a "not equal", returns the first entry
     (x, y, lhs, rhs) where the canonical forms differ (`first_difference`),
@@ -254,18 +253,17 @@ def compare_maps(
     """
     if d1.n_in != d2.n_in or d1.n_out != d2.n_out:
         return False, lambda: None
-    # Each side is flattened once, for the tick test and the evaluation.
-    flats = (flatten(d1), flatten(d2))
-
-    def canonical() -> tuple[NormalForm, NormalForm]:
-        return nf_from_matrix(_choi_flat(d1, flats[0])), nf_from_matrix(_choi_flat(d2, flats[1]))
-
-    if any(g is Tick for flat in flats for g, _ in flat):
-        a, b = canonical()
-        return a == b, lambda: first_difference(a, b)
+    # Each side is flattened once, for the tick test and the evaluation,
+    # and the second only when the first has no tick.
+    flats = []
+    for d in (d1, d2):
+        flats.append(flatten(d))
+        if any(g is Tick for g, _ in flats[-1]):
+            a, b = canonical_of_map(d1), canonical_of_map(d2)
+            return a == b, lambda: first_difference(a, b)
     if _equal_up_to_phase(_interp_flat(d1, flats[0]).entries, _interp_flat(d2, flats[1]).entries):
         return True, lambda: None
-    return False, lambda: first_difference(*canonical())
+    return False, lambda: first_difference(canonical_of_map(d1), canonical_of_map(d2))
 
 
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:

@@ -511,17 +511,6 @@ def _interp_flat(d: Diagram, flat: list[tuple[Generator, int]]) -> Matrix:
     return Matrix.from_entries(1 << d.n_out, cols, out)
 
 
-def _choi_flat(d: Diagram, flat: list[tuple[Generator, int]]) -> Matrix:
-    """`choi` of d from `flat`, its `flatten` list.
-
-    `flatten(bend_inputs(d))` is the Bell pairs' list followed by `flat`, so
-    d is not walked again.
-    """
-    k = d.n_in + d.n_out
-    _check_dense(k, k)
-    return _mirrored(1 << k, _evaluate(flatten(bend_cap(d.n_in)) + flat, {(0, 0): ONE}, doubled=True))
-
-
 # -- wire doubling -------------------------------------------------------
 
 
@@ -627,8 +616,7 @@ def bend_inputs(d: Diagram) -> Diagram:
 
 
 def choi(d: Diagram) -> Matrix:
-    """The state operator of `bend_inputs(d)`."""
-    return _choi_flat(d, flatten(d))
+    return state_operator(bend_inputs(d))
 
 
 def proper_choi(d: Diagram) -> Matrix:

@@ -637,17 +637,35 @@ class TestTableStore:
             assert state_operator(compose_many([cancel, not_gate, not_gate])) == M([[ZERO, ZERO], [ZERO, ONE]])
             assert apply_superop(spread, rho) == M([[ZERO, ZERO], [ZERO, ONE]])
 
+        def own_tables():
+            tables = _netlist(flatten(cancel), False) + _netlist(flatten(cancel), True)
+            tables += _netlist(flatten(compose_many([cancel, not_gate, not_gate])), True)
+            return tables + _netlist(flatten(spread), True)
+
+        def snapshot(tables):
+            return [(t, {c: list(rows) for c, rows in t.cols.items()}, {p: list(b) for p, b in t.pairs.items()}) for t in tables]
+
+        def check(stored):
+            for table, cols, pairs in stored:
+                assert table.cols == cols
+                assert {p: list(table.pairs[p]) for p in pairs} == pairs
+
         before = [self._results(d, h, k) for d, h, k in cases]
-        cancelling()
-        tables = [t for d, _, _ in cases for t in self._tables(d)]
-        tables += _netlist(flatten(cancel), False) + _netlist(flatten(cancel), True)
-        tables += _netlist(flatten(compose_many([cancel, not_gate, not_gate])), True) + _netlist(flatten(spread), True)
-        stored = [(t, {c: list(rows) for c, rows in t.cols.items()}, {p: list(b) for p, b in t.pairs.items()}) for t in tables]
+        # Every table as it stands before any cancelling term has run: the
+        # cases' tables, and the cancelling terms' own, which have no pairs yet.
+        tables = [t for d, _, _ in cases for t in self._tables(d)] + own_tables()
+        stored = snapshot(tables)
         assert any(pairs for _, _, pairs in stored)
         cancelling()
-        for table, cols, pairs in stored:
-            assert table.cols == cols
-            assert {p: list(table.pairs[p]) for p in pairs} == pairs
+        check(stored)
+        # Again, with the pairs that first run filled in.
+        stored = snapshot(tables)
+        assert any(pairs for _, _, pairs in snapshot(own_tables()))
+        cancelling()
+        check(stored)
+        # The checks read the tables the evaluations use.
+        again = [t for d, _, _ in cases for t in self._tables(d)] + own_tables()
+        assert all(a is b for a, b in zip(tables, again, strict=True))
         assert [self._results(d, h, k) for d, h, k in cases] == before
 
     def test_runs_are_keyed_by_placement(self):
