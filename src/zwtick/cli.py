@@ -78,10 +78,6 @@ def _cmd_nf(args: argparse.Namespace) -> int:
 def _cmd_eq(args: argparse.Namespace) -> int:
     d1 = _load_diagram(args.file1)
     d2 = _load_diagram(args.file2)
-    if (d1.n_in, d1.n_out) != (d2.n_in, d2.n_out):
-        print("not equal")
-        print(f"arities differ: {d1.n_in} -> {d1.n_out} vs {d2.n_in} -> {d2.n_out}", file=sys.stderr)
-        return 1
     equal, explain = compare_maps(d1, d2)
     if equal:
         print("equal")
@@ -89,10 +85,14 @@ def _cmd_eq(args: argparse.Namespace) -> int:
     # The verdict stays alone on stdout; the witness goes to stderr under it.
     print("not equal")
     try:
-        x, y, lhs, rhs = explain()
+        witness = explain()
     except SemanticsError:
         print(f"no witness: normal form exceeds 2^{MAX_DENSE_LOG2} entries", file=sys.stderr)
         return 1
+    if witness is None:
+        print(f"arities differ: {d1.n_in} -> {d1.n_out} vs {d2.n_in} -> {d2.n_out}", file=sys.stderr)
+        return 1
+    x, y, lhs, rhs = witness
     n = d1.n_in + d1.n_out
     print(f"first difference at {_bits(x, n)} {_bits(y, n)}: {lhs} vs {rhs}", file=sys.stderr)
     return 1

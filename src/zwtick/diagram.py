@@ -34,26 +34,22 @@ class DiagramParseError(ValueError):
 class Diagram:
     """Base class; every node carries its cached wire counts.
 
-    `==` is structural and `hash` agrees with it.  Both, and the `repr` that
-    `Compose` and `Tensor` inherit (generators keep the dataclass one), walk
-    the term on an explicit stack, so any depth is safe.  A term's hash is
-    computed once and kept on each of its nodes.  A composite node made by a
-    shared builder also keeps its `flatten` list.
+    `==` is structural and `hash` agrees with it.  Generators are frozen
+    dataclasses that compare and hash by their fields.  On `Compose` and
+    `Tensor`, `==`, `hash` and `repr` walk the term on an explicit stack, so
+    any depth is safe, and a term's hash is computed once and kept on each
+    of its composite nodes.  A composite node made by a shared builder also
+    keeps its `flatten` list.
     """
 
-    n_in: int = field(init=False, default=0)
-    n_out: int = field(init=False, default=0)
+    n_in: int = field(init=False, default=0, compare=False)
+    n_out: int = field(init=False, default=0, compare=False)
 
-    _hash = None  # set on the node by its first hash
+    _hash = None  # set on a composite node by its first hash
     _flat = None  # set on a shared builder's composite output, by `_shared`
 
     def __hash__(self) -> int:
-        t = type(self)
-        # Spiders are hashed afresh, as `_leaf_value` would: quicker than keeping it.
-        if t is WSpider:
-            return hash((t, self.n, self.m))
-        if t is ZSpider:
-            return hash((t, self.r, self.n, self.m))
+        # Generators hash by their fields; a composite keeps its hash on the node.
         h = self._hash
         if h is None:
             todo: list[Diagram] = [self]
@@ -62,14 +58,12 @@ class Diagram:
                 if node._hash is not None:
                     todo.pop()
                     continue
-                if isinstance(node, Generator):
-                    h = hash((type(node), *_leaf_value(node)))
-                else:
-                    a, b = _children(node)
-                    if a._hash is None or b._hash is None:
-                        todo += (a, b)
-                        continue
-                    h = hash((type(node), a._hash, b._hash))
+                a, b = _children(node)
+                waiting = [c for c in (a, b) if c._hash is None and not isinstance(c, Generator)]
+                if waiting:
+                    todo += waiting
+                    continue
+                h = hash((type(node), hash(a), hash(b)))
                 object.__setattr__(node, "_hash", h)
                 todo.pop()
         return h
@@ -77,13 +71,7 @@ class Diagram:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        t = type(self)
-        if t is type(other):  # spiders without the walk
-            if t is WSpider:
-                return self.n == other.n and self.m == other.m
-            if t is ZSpider:
-                return self.n == other.n and self.m == other.m and self.r == other.r
-        elif not isinstance(other, Diagram):
+        if not isinstance(other, Diagram):
             return NotImplemented
         todo: list[tuple[Diagram, Diagram]] = [(self, other)]
         seen: set[tuple[int, int]] = set()  # composite pairs: shared subterms compare once
@@ -93,12 +81,12 @@ class Diagram:
                 continue
             if type(a) is not type(b):
                 return False
-            if a._hash is not None and b._hash is not None and a._hash != b._hash:
-                return False
             if isinstance(a, Generator):
-                if _leaf_value(a) != _leaf_value(b):
+                if a != b:
                     return False
             elif (id(a), id(b)) not in seen:
+                if a._hash is not None and b._hash is not None and a._hash != b._hash:
+                    return False
                 seen.add((id(a), id(b)))
                 todo += zip(_children(a), _children(b))
         return True
@@ -117,7 +105,7 @@ def _set_arity(obj: Diagram, n: int, m: int) -> None:
     object.__setattr__(obj, "n_out", m)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ZSpider(Generator):
     """White spider with parameter r: sends |0..0> to |0..0> and |1..1> to r|1..1>."""
 
@@ -131,7 +119,7 @@ class ZSpider(Generator):
         _set_arity(self, self.n, self.m)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WSpider(Generator):
     """Black spider: one unit of excitation distributed over its legs.
 
@@ -149,7 +137,7 @@ class WSpider(Generator):
         _set_arity(self, self.n, self.m)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _Fixed(Generator):
     """A generator without parameters, named by its core-syntax text."""
 
@@ -234,15 +222,6 @@ class Tensor(Diagram):
 
     def __reduce__(self) -> tuple:
         return _from_table, (_node_table(self),)
-
-
-def _leaf_value(g: Generator) -> tuple:
-    """The fields that tell generators of one class apart."""
-    if isinstance(g, ZSpider):
-        return (g.r, g.n, g.m)
-    if isinstance(g, WSpider):
-        return (g.n, g.m)
-    return (g.text, g.arity)
 
 
 def _children(d: Diagram) -> tuple[Diagram, Diagram]:

@@ -41,7 +41,6 @@ from .diagram import (
 from .scalar import HALF, ONE, Scalar, ScalarParseError, ZERO, format_scalar, parse_scalar
 from .semantics import (
     Matrix,
-    SemanticsError,
     _format_complex,
     _interp_flat,
     _mirrored,
@@ -193,8 +192,6 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
 
 def nf_of_diagram(d: Diagram) -> NormalForm:
     """Normal form of the operator denoted by a 0 -> m state diagram."""
-    if d.n_in != 0:
-        raise SemanticsError(f"nf_of_diagram needs a state, got {d.n_in} inputs")
     return nf_from_matrix(state_operator(d))
 
 

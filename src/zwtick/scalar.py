@@ -12,6 +12,7 @@ maps (n0, n1, n2, n3) to (n0, -n3, -n2, -n1), as conj(w^k) = -w^{4-k}.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm, sqrt
 from typing import Union
@@ -200,8 +201,14 @@ SQRT2 = Scalar(0, 1, 0, -1)  # w - w^3
 #   term     := rational | rational? "w" ("^" ("2" | "3"))?
 #   rational := INT ("/" POSINT)?
 #
-# No whitespace anywhere.  "w" denotes the primitive eighth root of unity,
-# so "1/2w^2" reads as (1/2) * w^2 and "-w^3+1" as 1 - w^3.
+# No whitespace inside (the ends are stripped) and ASCII digits only.  "w"
+# denotes the primitive eighth root of unity, so "1/2w^2" reads as
+# (1/2) * w^2 and "-w^3+1" as 1 - w^3.
+
+_TERM = r"(?=[0-9w])[0-9]*(?:/[0-9]+)?(?:w(?:\^[23])?)?"
+_SCALAR = re.compile(rf"-?{_TERM}(?:[+-]{_TERM})*")
+# The terms of a string `_SCALAR` accepts: sign, numerator, denominator, "w", exponent.
+_TERMS = re.compile(r"([+-]?)(?=[0-9w])([0-9]*)(?:/([0-9]+))?(w?)(?:\^([23]))?")
 
 
 class ScalarParseError(ValueError):
@@ -209,64 +216,20 @@ class ScalarParseError(ValueError):
 
 
 def parse_scalar(text: str) -> Scalar:
+    """The scalar `text` writes in the grammar above.
+
+    A `ScalarParseError` names the position (in the stripped text) where the
+    longest well-formed prefix ends, or a zero denominator.
+    """
     s = text.strip()
-    if not s:
-        raise ScalarParseError("empty scalar")
-    pos = 0
-    n = len(s)
+    if not _SCALAR.fullmatch(s):
+        m = _SCALAR.match(s)
+        raise ScalarParseError(f"bad scalar at {m.end() if m else 0} in {text!r}")
     coeffs = [Fraction(0)] * 4
-
-    def parse_uint() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and "0" <= s[pos] <= "9":
-            pos += 1
-        if pos == start:
-            raise ScalarParseError(f"expected digits at {start} in {text!r}")
-        return int(s[start:pos])
-
-    first = True
-    while pos < n:
-        sign = 1
-        if s[pos] == "+":
-            if first:
-                raise ScalarParseError(f"unexpected '+' at start of {text!r}")
-            pos += 1
-        elif s[pos] == "-":
-            sign = -1
-            pos += 1
-        elif not first:
-            raise ScalarParseError(f"expected '+' or '-' at {pos} in {text!r}")
-        first = False
-        if pos >= n:
-            raise ScalarParseError(f"dangling sign in {text!r}")
-
-        coef = Fraction(1)
-        have_coef = "0" <= s[pos] <= "9"
-        if have_coef:
-            num = parse_uint()
-            den = 1
-            if pos < n and s[pos] == "/":
-                pos += 1
-                den = parse_uint()
-                if den == 0:
-                    raise ScalarParseError(f"zero denominator in {text!r}")
-            coef = Fraction(num, den)
-        power = 0
-        if pos < n and s[pos] == "w":
-            pos += 1
-            power = 1
-            if pos < n and s[pos] == "^":
-                pos += 1
-                if pos < n and s[pos] in "23":
-                    power = int(s[pos])
-                    pos += 1
-                else:
-                    raise ScalarParseError(f"bad exponent at {pos} in {text!r}")
-        elif not have_coef:
-            raise ScalarParseError(f"expected term at {pos} in {text!r}")
-        coeffs[power] += sign * coef
-
+    for sign, num, den, w, power in _TERMS.findall(s):
+        if den and not int(den):
+            raise ScalarParseError(f"zero denominator in {text!r}")
+        coeffs[int(power or len(w))] += Fraction(int(sign + (num or "1")), int(den or 1))
     return Scalar(*coeffs)
 
 

@@ -17,6 +17,7 @@ from zwtick import (
     NFTerm,
     NormalForm,
     Scalar,
+    ScalarParseError,
     Swap,
     Tensor,
     Tick,
@@ -255,6 +256,70 @@ def assoc_key_reference(d: Diagram):
         lambda after, before: chain("compose", before, after),
         lambda left, right: chain("tensor", left, right),
     )
+
+
+def parse_scalar_reference(text: str) -> Scalar:
+    """The scalar text form as first parsed: a character scanner with a
+    sign state machine, one term at a time."""
+    s = text.strip()
+    if not s:
+        raise ScalarParseError("empty scalar")
+    pos = 0
+    n = len(s)
+    coeffs = [Fraction(0)] * 4
+
+    def parse_uint() -> int:
+        nonlocal pos
+        start = pos
+        while pos < n and "0" <= s[pos] <= "9":
+            pos += 1
+        if pos == start:
+            raise ScalarParseError(f"expected digits at {start} in {text!r}")
+        return int(s[start:pos])
+
+    first = True
+    while pos < n:
+        sign = 1
+        if s[pos] == "+":
+            if first:
+                raise ScalarParseError(f"unexpected '+' at start of {text!r}")
+            pos += 1
+        elif s[pos] == "-":
+            sign = -1
+            pos += 1
+        elif not first:
+            raise ScalarParseError(f"expected '+' or '-' at {pos} in {text!r}")
+        first = False
+        if pos >= n:
+            raise ScalarParseError(f"dangling sign in {text!r}")
+
+        coef = Fraction(1)
+        have_coef = "0" <= s[pos] <= "9"
+        if have_coef:
+            num = parse_uint()
+            den = 1
+            if pos < n and s[pos] == "/":
+                pos += 1
+                den = parse_uint()
+                if den == 0:
+                    raise ScalarParseError(f"zero denominator in {text!r}")
+            coef = Fraction(num, den)
+        power = 0
+        if pos < n and s[pos] == "w":
+            pos += 1
+            power = 1
+            if pos < n and s[pos] == "^":
+                pos += 1
+                if pos < n and s[pos] in "23":
+                    power = int(s[pos])
+                    pos += 1
+                else:
+                    raise ScalarParseError(f"bad exponent at {pos} in {text!r}")
+        elif not have_coef:
+            raise ScalarParseError(f"expected term at {pos} in {text!r}")
+        coeffs[power] += sign * coef
+
+    return Scalar(*coeffs)
 
 
 def flatten_reference(d: Diagram) -> list[tuple[Generator, int]]:

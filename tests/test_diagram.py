@@ -176,6 +176,23 @@ class TestEquality:
         assert Tensor(Id, Cup) != Compose(Id, Id) and (Id == "(id 1)") is False
         assert len({ZSpider(HALF, 1, 1), ZSpider(HALF, 1, 1), Tick, Tick}) == 2
 
+    def test_generators_are_values(self):
+        # Separately built equal generators are equal and hash alike.
+        for a, b in (
+            (ZSpider(parse_scalar("1/2w"), 2, 1), ZSpider(HALF * OMEGA, 2, 1)),
+            (WSpider(1, 3), parse_diagram("(w 1 3)")),
+        ):
+            assert a is not b and a == b and hash(a) == hash(b)
+        # A fixed generator copies and pickles to its singleton.
+        for g in (Id, Swap, Fswap, Cup, Cap, Tick, Empty):
+            for copy_ in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
+                assert copy_(g) is g
+        # A generator never equals a composite, even one denoting the same map.
+        z = ZSpider(HALF, 1, 1)
+        for composite in (Compose(z, Id), Compose(Id, z), Tensor(z, Empty), Tensor(Empty, z)):
+            assert (z == composite) is False and (composite == z) is False
+            assert z != composite and composite != z
+
     def test_repr_reads_like_the_fields(self):
         assert repr(Compose(Tick, Tensor(Id, Empty))) == (
             "Compose(n_in=1, n_out=1, after=_Fixed(n_in=1, n_out=1, text='tick', arity=(1, 1)), "

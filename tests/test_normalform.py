@@ -21,6 +21,7 @@ from zwtick import (
     ONE,
     RULES,
     Scalar,
+    SemanticsError,
     Tensor,
     Tick,
     WSpider,
@@ -134,6 +135,10 @@ class TestCanonical:
 
     def test_identity_bends_to_cap(self):
         assert canonical_of_map(Id) == nf_of_diagram(Cap)
+
+    def test_nf_of_diagram_needs_a_state(self):
+        with pytest.raises(SemanticsError, match="state_operator needs a state, got 1 inputs"):
+            nf_of_diagram(Id)
 
     def test_tick_is_swap_normal_form(self):
         assert canonical_of_map(Tick) == nf_from_matrix(interp(Swap))

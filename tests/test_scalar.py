@@ -23,6 +23,8 @@ from zwtick import (
     parse_scalar,
 )
 
+from _support import parse_scalar_reference
+
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=8
 )
@@ -147,6 +149,34 @@ class TestTextFormat:
     def test_rejects_garbage(self, bad):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
+
+    # Pieces of scalar text, valid and not: random strings of them hit every
+    # branch of the grammar, inner spaces and non-ASCII digits included.
+    PIECES = ("0", "1", "2", "3", "4", "12", "1/2", "/", "w", "w^2", "w^3", "^", "+", "-", " ", "x", "\u0661", "\u00b2")
+    EDGES = ("", "+1", "--1", "1+", "w^1", "w^4", "1//2", "1/0", "1/00", "1 +1", "1/ 2", " 1/2w ", "\u00b2", "\u0661")
+
+    def test_matches_reference_scanner(self):
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except ScalarParseError:
+                return None
+
+        rng = random.Random(18)
+        texts = list(self.EDGES)
+        texts += ["".join(rng.choices(self.PIECES, k=rng.randint(1, 8))) for _ in range(20_000)]
+        accepted = 0
+        for text in texts:
+            got = outcome(parse_scalar, text)
+            assert got == outcome(parse_scalar_reference, text), text
+            accepted += got is not None
+        assert 2_000 < accepted < len(texts) - 2_000
+
+    def test_error_names_a_position(self):
+        with pytest.raises(ScalarParseError, match=r"at 1 in '1/'"):
+            parse_scalar("1/")
+        with pytest.raises(ScalarParseError, match="zero denominator"):
+            parse_scalar("1/0")
 
 
 class TestPredicates:

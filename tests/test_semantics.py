@@ -683,6 +683,14 @@ class TestTableStore:
             (again,) = _netlist(flatten(parse_diagram(print_diagram(d))), False)
             assert again is want
 
+    def test_equal_runs_share_a_table(self):
+        # Runs parsed apart, with spider parameters built apart, find one table.
+        pure = "(compose (tensor (z 1/2w^3 1 1) (w 1 2)) (compose swap (tensor (id 1) (z -w 1 1))))"
+        ticked = f"(compose (tensor tick (id 2)) {pure})"
+        for text, doubled in ((pure, False), (pure, True), (ticked, True)):
+            first, second = (_netlist(flatten(parse_diagram(text)), doubled) for _ in range(2))
+            assert first and all(a is b for a, b in zip(first, second, strict=True))
+
     def test_store_never_exceeds_its_bound(self, monkeypatch):
         bound = semantics._STORE_SIZE
         assert _table.cache_info().maxsize == bound
