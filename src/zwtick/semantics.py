@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from operator import itemgetter
 
 from .diagram import (
@@ -282,6 +283,30 @@ def interp_sparse(d: Diagram) -> Matrix:
 # & E)) = P(r) ^ ((P(r) ^ P(s)) & P(E)), so a table keeps its output bits,
 # and the doubled branches of each input pattern, already relabelled, and
 # every later evaluation of an equal step reuses them.
+#
+# Doubled, one backward pass over the steps (`_dead_patterns`) first finds
+# the (ket bit, bra bit) patterns each wire can no longer carry in an entry
+# that reaches a nonzero result, and each step drops the branches that land
+# on such a pattern.  The pass reads only which entries of each run are
+# nonzero, never their values, so a dropped branch contributes exactly 0.
+# It keeps constraints as groups of at most `_GROUP_WIRES` wires, each with
+# its allowed joint patterns, because a per-wire view loses what a plug
+# such as cup . (tick (x) (w 1 1)) . (z 1 1 2) says: its top wire carries
+# ket != bra.  A step's transfer undoes the relabelling, then meets the
+# groups on the run's outputs with the run's doubled support, which gives
+# one group over their other wires and the run's inputs, projected onto
+# single wires when it spans more than `_GROUP_WIRES`.  A run with a zero
+# column (a cup, (w 2 1), an effect) starts a group of its own; a run with
+# every column nonzero and no constrained output only moves the groups, so
+# a term with no zero column has no dead pattern.  The masks a step tests
+# are the groups after it, seen one wire at a time, and it tests only the
+# bits its run writes.  A step's transfer is kept per constraint in a dict
+# shared by the steps with its placement, relabelling and support, whatever
+# their entries.  When some constraint allows no pattern at all, the result
+# is 0 and no step runs.
+
+#: Most wires a constraint group of the dead-pattern pass spans.
+_GROUP_WIRES = 3
 
 #: Most steps the table store holds.  A rule grid of `check_soundness` uses
 #: about 660 distinct steps; each batch of normal-form round trips adds a few
@@ -346,6 +371,12 @@ def _table(run: tuple[Generator, ...], lo: int, exchange: int, moves: tuple) -> 
     return _Table(run, lo, exchange, moves)
 
 
+@lru_cache(maxsize=_STORE_SIZE)
+def _transfers(lo: int, n: int, m: int, exchange: int, moves: tuple, support: tuple) -> dict:
+    """The dead-pattern memo of every step with this placement, relabelling and support."""
+    return {}
+
+
 def _run_matrix(run: tuple[Generator, ...]) -> Matrix:
     """The composed matrix of a run of generators in application order."""
     matrix = _gen_matrix(run[0])
@@ -371,15 +402,22 @@ class _Table:
     `moves` holds the (src, dst) pairs of the permutation and `moved` its
     dst bits; `exchange` is the exchanged bits after the permutation.
     `cols` maps input bits c to [(output bits, entry)] over the run's
-    nonzero entries, its output bits placed at `lo` and permuted.  `pairs`
-    caches the doubled branches of each (ket, bra) input pattern, fully
-    relabelled.  A table is shared by every evaluation, so nothing in it is
-    changed once built; `pairs` only gains patterns.  Concurrent
-    evaluations need no lock: two that fill one pattern at once store equal
-    lists, and two that build one step at once each get a correct table.
+    nonzero entries, its output bits placed at `lo` and permuted, and
+    `outs` is those output bits; `full` says every column is nonzero.
+    `pairs` caches the doubled branches of each (ket, bra) input pattern,
+    fully relabelled, and `live`, for each set of dead-pattern masks, those
+    that survive them.  `transfers` caches the dead-pattern pass through
+    the step, (masks, groups before) for each groups after it; it reads
+    only the run's support, so it is one dict shared by every step with
+    this placement, relabelling and support (`_transfers`), such as the
+    normal-form nodes of every coefficient.  A table is shared by every
+    evaluation, so nothing in it is changed once built; `pairs`, `live`
+    and `transfers` only gain keys.  Concurrent evaluations need no lock: two
+    that fill one key at once store equal values, and two that build one
+    step at once each get a correct table.
     """
 
-    __slots__ = ("run", "lo", "n", "m", "exchange", "moved", "moves", "cols", "pairs")
+    __slots__ = ("run", "lo", "n", "m", "exchange", "moved", "moves", "cols", "outs", "full", "pairs", "live", "transfers")
 
     def __init__(self, run: tuple[Generator, ...], lo: int, exchange: int, moves: tuple):
         self.run, self.lo, self.n, self.m = run, lo, run[0].n_in, run[-1].n_out
@@ -389,7 +427,12 @@ class _Table:
         self.cols: dict[int, list[tuple[int, Scalar]]] = {}
         for (row, col), v in _run_matrix(run).entries.items():
             self.cols.setdefault(col, []).append((_permute(row << lo, moved, moves), v))
+        self.outs = _permute(((1 << self.m) - 1) << lo, moved, moves)
+        self.full = len(self.cols) == 1 << self.n
         self.pairs: dict[int, list[tuple[int, int, Scalar]]] = {}
+        self.live: dict[tuple, dict[int, list[tuple[int, int, Scalar]]]] = {}
+        support = tuple(sorted((col, tuple(sorted(row for row, _ in rows))) for col, rows in self.cols.items()))
+        self.transfers: dict[tuple, tuple] = _transfers(lo, self.n, self.m, self.exchange, moves, support)
 
     def branches(self, cx: int, cy: int) -> "list[tuple[int, int, Scalar]] | tuple[()]":
         """Doubled branches of ket bits cx and bra bits cy: the run on x, its conjugate on y."""
@@ -406,7 +449,145 @@ class _Table:
         return out
 
 
-def _apply_step(ops: dict, doubled: bool, table: _Table) -> dict:
+def _dead_patterns(tables: list[_Table]) -> "list[tuple[int, int, int, int] | None] | None":
+    """The dead-pattern masks after each doubled step, or None when the result is 0.
+
+    A step's masks (d00, d01, d10, d11) have bit b set when, after the
+    step, wire b carries ket bit and bra bit 0 0, 0 1, 1 0 or 1 1 in no
+    entry that reaches a nonzero result; a step after which nothing is
+    dead has None.  The pass walks the steps backward from the result,
+    where nothing is dead, carrying the groups after each step.
+    """
+    dead: list = [None] * len(tables)
+    groups: tuple = ()
+    for i in range(len(tables) - 1, -1, -1):
+        table = tables[i]
+        if not groups and table.full:
+            continue
+        known = table.transfers.get(groups)
+        if known is None:
+            known = table.transfers[groups] = (_masks(groups), _transfer(table, groups))
+        dead[i], groups = known
+        if groups is None:
+            return None
+    return dead
+
+
+def _masks(groups: tuple) -> "tuple[int, int, int, int] | None":
+    """(d00, d01, d10, d11): the wires of `groups` on which each (ket, bra) pattern is dead."""
+    d00 = d01 = d10 = d11 = 0
+    for wires, allowed in groups:
+        s00 = s01 = s10 = s11 = 0  # the bits j on which some allowed pattern has each
+        for x, y in allowed:
+            s00, s01, s10, s11 = s00 | ~x & ~y, s01 | ~x & y, s10 | x & ~y, s11 | x & y
+        for j, wire in enumerate(wires):
+            b = 1 << wire
+            d00 |= 0 if s00 >> j & 1 else b
+            d01 |= 0 if s01 >> j & 1 else b
+            d10 |= 0 if s10 >> j & 1 else b
+            d11 |= 0 if s11 >> j & 1 else b
+    return (d00, d01, d10, d11) if d00 | d01 | d10 | d11 else None
+
+
+def _transfer(table: _Table, groups: tuple) -> "tuple | None":
+    """The groups before a step, from `groups` after it; None when no pattern is live.
+
+    A group is (wires, allowed): a tuple of wires, given by their bits,
+    and the frozenset of (ket bits, bra bits) that an entry may carry on
+    them, bit j standing for wires[j].  A group away from the run's
+    outputs keeps its patterns and only has its wires moved back.
+    """
+    outs, exchange, lo, shift = table.outs, table.exchange, table.lo, table.n - table.m
+    sources = {dst: src for src, dst in table.moves}
+
+    def before(wire: int) -> int:
+        wire = sources.get(wire, wire)
+        return wire if wire < lo else wire + shift
+
+    kept, meet = [], []
+    for wires, allowed in groups:
+        swapped = touches = 0
+        for j, wire in enumerate(wires):
+            swapped |= (exchange >> wire & 1) << j
+            touches |= outs >> wire & 1
+        if swapped:  # undo the exchange, its own inverse
+            allowed = frozenset((x ^ ((x ^ y) & swapped), y ^ ((x ^ y) & swapped)) for x, y in allowed)
+        if touches:
+            meet.append((wires, allowed))
+        else:
+            kept.append((tuple(map(before, wires)), allowed))
+    if meet or not table.full:
+        met = _meet(table, meet, before)
+        if met is None:
+            return None
+        kept += met
+    return tuple(sorted(g for g in kept if len(g[1]) < 4 ** len(g[0])))
+
+
+def _meet(table: _Table, meet: list, before) -> "list | None":
+    """The groups in `meet`, which touch the run's outputs, carried before the run.
+
+    Each branch of the run's doubled support, from input pattern (cx, cy)
+    to (rx, ry), is live when every group allows (rx, ry) on its wires
+    among the outputs; it then allows (cx, cy) on the inputs together with
+    what those groups allow on their other wires.  The result is one group
+    over the inputs and those wires, or one group per wire when that would
+    span more than `_GROUP_WIRES`.
+    """
+    outs, lo, cols = table.outs, table.lo, table.cols
+    wires = list(range(lo, lo + table.n))  # input bit j of the run is wire lo + j
+    owner = [0] * table.n  # which part of the result holds each of its wires
+    lookups = []  # per group: its output wires, and their bits -> its other bits, placed as in `wires`
+    for group_wires, allowed in meet:
+        size = 1 << len(group_wires)
+        theirs, rest = [0] * size, [0] * size  # each local pattern's bits, placed
+        mask = 0
+        for j, wire in enumerate(group_wires):
+            if outs >> wire & 1:
+                bit, placed = 1 << wire, theirs
+                mask |= bit
+            else:
+                bit, placed = 1 << len(wires), rest
+                wires.append(before(wire))
+                owner.append(len(lookups) + 1)
+            for v in range(size):
+                if v >> j & 1:
+                    placed[v] |= bit
+        split: dict = {}
+        for x, y in allowed:
+            split.setdefault((theirs[x], theirs[y]), set()).add((rest[x], rest[y]))
+        lookups.append((mask, split))
+    joint = len(wires) <= _GROUP_WIRES
+    parts: list[set] = [set() for _ in range(len(lookups) + 1)]  # apart: the inputs, then each group
+    for cx, xs in cols.items():
+        for cy, ys in cols.items():
+            for rx, _ in xs:
+                for ry, _ in ys:
+                    rests = []
+                    for mask, split in lookups:
+                        allowed = split.get((rx & mask, ry & mask))
+                        if allowed is None:
+                            break
+                        rests.append(allowed)
+                    else:
+                        if not joint:
+                            parts[0].add((cx, cy))
+                            for part, allowed in zip(parts[1:], rests):
+                                part |= allowed
+                            continue
+                        for combo in product(*rests):
+                            x, y = cx, cy
+                            for ox, oy in combo:
+                                x, y = x | ox, y | oy
+                            parts[0].add((x, y))
+    if not parts[0]:
+        return None
+    if joint:
+        return [(tuple(wires), frozenset(parts[0]))]
+    return [((wire,), frozenset((x >> j & 1, y >> j & 1) for x, y in parts[owner[j]])) for j, wire in enumerate(wires)]
+
+
+def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, int, int] | None") -> dict:
     """Apply a step: on x alone, or doubled on the upper triangle.
 
     An output (r, s) joins an entry's own bits, those outside the run, to a
@@ -420,6 +601,14 @@ def _apply_step(ops: dict, doubled: bool, table: _Table) -> dict:
     (s, r) when r > s, and both on the diagonal r == s.  A diagonal entry
     x == y is its own mirror, and its branches come in mirrored pairs, which
     the relabelling keeps mirrored: only those with r <= s are kept.
+
+    A branch is dropped when its output bits carry a pattern that `dead`
+    (from `_dead_patterns`) marks; the table keeps the surviving branches
+    of each input pattern under `dead`.  An entry's own bits are not
+    tested: the step that wrote them did, and a wire's live patterns only
+    widen from there on (the input's own bits are never tested, which
+    costs pruning, not exactness).  The masks are the same under
+    ket <-> bra, so a branch and its mirror are dropped together.
     """
     lo, n = table.lo, table.n
     nmask = (1 << n) - 1
@@ -430,6 +619,12 @@ def _apply_step(ops: dict, doubled: bool, table: _Table) -> dict:
     clashes = []
     if doubled:
         pairs = table.pairs
+        if dead:
+            d00, d01, d10, d11 = dead
+            d00, differ = d00 & table.outs, d01 & d10
+            live = table.live.get(dead)
+            if live is None:
+                live = table.live[dead] = {}
         for (x, y), v in ops.items():
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
@@ -437,6 +632,14 @@ def _apply_step(ops: dict, doubled: bool, table: _Table) -> dict:
             branches = pairs.get(pattern)
             if branches is None:
                 branches = pairs[pattern] = table.branches(cx, cy)
+            if dead and branches:
+                kept = live.get(pattern)
+                if kept is None:
+                    kept = live[pattern] = [
+                        (rx, ry, c) for rx, ry, c in branches
+                        if not ((rx ^ ry) & differ or rx & ry & d11 or ~(rx | ry) & d00)
+                    ]
+                branches = kept
             if not branches:
                 continue
             bx = ((x >> hi) << new_hi) | (x & lomask)
@@ -491,10 +694,18 @@ def _evaluate(flat: list[tuple[Generator, int]], ops: dict, doubled: bool) -> di
     """Run the steps of a flattened term over the sparse operator `ops` on its input wires.
 
     Doubled, `ops` is the upper triangle of a Hermitian operator, and so is
-    the result.
+    the result, and each step drops the branches `_dead_patterns` finds dead.
     """
-    for table in _netlist(flat, doubled):
-        ops = _apply_step(ops, doubled, table)
+    tables = _netlist(flat, doubled)
+    if not doubled:
+        for table in tables:
+            ops = _apply_step(ops, False, table, None)
+        return ops
+    dead = _dead_patterns(tables)
+    if dead is None:
+        return {}
+    for table, masks in zip(tables, dead):
+        ops = _apply_step(ops, True, table, masks)
     return ops
 
 
