@@ -551,11 +551,15 @@ class TestNetlistEvaluator:
         assert len(steps) <= 110
         assert not any(_run_matrix(step.run) == _gen_matrix(Empty) for step in steps)
 
-    def test_dense_round_trip_entries_touched(self, monkeypatch):
-        # The same normal form: dropping dead (ket, bra) patterns cuts the
-        # entries fed to its steps from 4,599 to 1,673 and the peak live
-        # entries from 146 to 59.
-        nf = random_nf(random.Random(68), 3, density=0.55)
+    @pytest.mark.parametrize(
+        "qubits, seed, density, most_fed, most_live", [(3, 68, 0.55, 2000, 64), (4, 131, 1.0, 100_000, 450)]
+    )
+    def test_dense_round_trip_entries_touched(self, monkeypatch, qubits, seed, density, most_fed, most_live):
+        # Dropping dead (ket, bra) patterns cuts the entries fed to the steps
+        # from 4,599 to 1,673 on the 3-qubit normal form above (peak live
+        # entries 146 to 59), and from 266,523 to 81,081 on a full 4-qubit
+        # one of 136 terms (peak 407).
+        nf = random_nf(random.Random(seed), qubits, density=density)
         fed, live = [], []
         apply_step = semantics._apply_step
 
@@ -567,8 +571,8 @@ class TestNetlistEvaluator:
 
         monkeypatch.setattr(semantics, "_apply_step", counting)
         assert state_operator(nf_to_diagram(nf)) == nf_to_matrix(nf)
-        assert sum(fed) <= 2000
-        assert max(fed + live) <= 64
+        assert sum(fed) <= most_fed
+        assert max(fed + live) <= most_live
 
 
 def _relabelling(table) -> tuple:
