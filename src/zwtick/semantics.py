@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from operator import itemgetter
 
 from .diagram import (
@@ -292,18 +291,19 @@ def interp_sparse(d: Diagram) -> Matrix:
 # It keeps constraints as groups of at most `_GROUP_WIRES` wires, each with
 # its allowed joint patterns, because a per-wire view loses what a plug
 # such as cup . (tick (x) (w 1 1)) . (z 1 1 2) says: its top wire carries
-# ket != bra.  A step's transfer undoes the relabelling, then meets the
-# groups on the run's outputs with the run's doubled support, which gives
-# one group over their other wires and the run's inputs, projected onto
-# single wires when it spans more than `_GROUP_WIRES`.  A run with a zero
-# column (a cup, (w 2 1), an effect) starts a group of its own; a run with
-# every column nonzero and no constrained output only moves the groups, so
-# a term with no zero column has no dead pattern.  The masks a step tests
-# are the groups after it, seen one wire at a time, and it tests only the
-# bits its run writes.  A step's transfer is kept per constraint in a dict
-# shared by the steps with its placement, relabelling and support, whatever
-# their entries.  When some constraint allows no pattern at all, the result
-# is 0 and no step runs.
+# ket != bra.  A step's transfer undoes the relabelling, then pulls each
+# group on the run's outputs back through the run's doubled support, one
+# walk for all of them: each gives a group over the run's inputs and its own
+# other wires, and is dropped when that spans more than `_GROUP_WIRES`.
+# Groups on the same wires meet.  A run with a zero column (a cup, (w 2 1),
+# an effect) starts a group over its inputs; a run with every column nonzero
+# and no constrained output only moves the groups, so a term with no zero
+# column has no dead pattern.  The masks a step tests are the groups after
+# it, seen one wire at a time, and it tests only the bits its run writes.
+# A step's transfer is kept per constraint in a dict shared by the steps
+# with its placement, relabelling and support, whatever their entries.
+# When some constraint allows no pattern at all, the result is 0 and no
+# step runs.
 
 #: Most wires a constraint group of the dead-pattern pass spans.
 _GROUP_WIRES = 3
@@ -404,20 +404,21 @@ class _Table:
     `cols` maps input bits c to [(output bits, entry)] over the run's
     nonzero entries, its output bits placed at `lo` and permuted, and
     `outs` is those output bits; `full` says every column is nonzero.
-    `pairs` caches the doubled branches of each (ket, bra) input pattern,
-    fully relabelled, and `live`, for each set of dead-pattern masks, those
-    that survive them.  `transfers` caches the dead-pattern pass through
+    `live` caches, for each set of dead-pattern masks (None for none), the
+    doubled branches of each (ket, bra) input pattern that survive them,
+    fully relabelled.  `transfers` caches the dead-pattern pass through
     the step, (masks, groups before) for each groups after it; it reads
     only the run's support, so it is one dict shared by every step with
     this placement, relabelling and support (`_transfers`), such as the
     normal-form nodes of every coefficient.  A table is shared by every
-    evaluation, so nothing in it is changed once built; `pairs`, `live`
-    and `transfers` only gain keys.  Concurrent evaluations need no lock: two
-    that fill one key at once store equal values, and two that build one
-    step at once each get a correct table.
+    evaluation, so nothing in it is changed once built; `live`, each dict
+    in it, and `transfers` only gain keys.  Concurrent evaluations need no
+    lock: `setdefault` gives two that add one set of masks at once the same
+    dict, two that fill one key at once store equal values, and two that
+    build one step at once each get a correct table.
     """
 
-    __slots__ = ("run", "lo", "n", "m", "exchange", "moved", "moves", "cols", "outs", "full", "pairs", "live", "transfers")
+    __slots__ = ("run", "lo", "n", "m", "exchange", "moved", "moves", "cols", "outs", "full", "live", "transfers")
 
     def __init__(self, run: tuple[Generator, ...], lo: int, exchange: int, moves: tuple):
         self.run, self.lo, self.n, self.m = run, lo, run[0].n_in, run[-1].n_out
@@ -429,23 +430,33 @@ class _Table:
             self.cols.setdefault(col, []).append((_permute(row << lo, moved, moves), v))
         self.outs = _permute(((1 << self.m) - 1) << lo, moved, moves)
         self.full = len(self.cols) == 1 << self.n
-        self.pairs: dict[int, list[tuple[int, int, Scalar]]] = {}
-        self.live: dict[tuple, dict[int, list[tuple[int, int, Scalar]]]] = {}
+        self.live: dict[tuple | None, dict[int, list[tuple[int, int, Scalar]]]] = {}
         support = tuple(sorted((col, tuple(sorted(row for row, _ in rows))) for col, rows in self.cols.items()))
         self.transfers: dict[tuple, tuple] = _transfers(lo, self.n, self.m, self.exchange, moves, support)
 
-    def branches(self, cx: int, cy: int) -> "list[tuple[int, int, Scalar]] | tuple[()]":
-        """Doubled branches of ket bits cx and bra bits cy: the run on x, its conjugate on y."""
+    def branches(self, cx: int, cy: int, dead: "tuple[int, int, int, int] | None") -> "list[tuple[int, int, Scalar]] | tuple[()]":
+        """Doubled branches of ket bits cx and bra bits cy: the run on x, its conjugate on y.
+
+        A branch whose output bits carry a pattern that the masks `dead`
+        mark is left out before its entry is multiplied.
+        """
         xs, ys = self.cols.get(cx), self.cols.get(cy)
         if xs is None or ys is None:  # a missing column is zero; one shared empty tuple
             return ()
+        d00 = d11 = differ = 0
+        if dead:
+            d00, d01, d10, d11 = dead
+            d00, differ = d00 & self.outs, d01 & d10
         exchange = self.exchange
         out = []
         for rx, a in xs:
             for ry, b in ys:
-                c = a * b.conj()
                 e = (rx ^ ry) & exchange
-                out.append((rx ^ e, ry ^ e, ONE if c == ONE else c))
+                r, s = rx ^ e, ry ^ e
+                if (r ^ s) & differ or r & s & d11 or ~(r | s) & d00:
+                    continue
+                c = a * b.conj()
+                out.append((r, s, ONE if c == ONE else c))
         return out
 
 
@@ -495,7 +506,10 @@ def _transfer(table: _Table, groups: tuple) -> "tuple | None":
     A group is (wires, allowed): a tuple of wires, given by their bits,
     and the frozenset of (ket bits, bra bits) that an entry may carry on
     them, bit j standing for wires[j].  A group away from the run's
-    outputs keeps its patterns and only has its wires moved back.
+    outputs keeps its patterns and only has its wires moved back; one on
+    them is pulled back through the run (`_pull`).  Groups on the same
+    wires meet, and a group that allows every pattern, or spans more than
+    `_GROUP_WIRES`, is dropped.
     """
     outs, exchange, lo, shift = table.outs, table.exchange, table.lo, table.n - table.m
     sources = {dst: src for src, dst in table.moves}
@@ -504,7 +518,8 @@ def _transfer(table: _Table, groups: tuple) -> "tuple | None":
         wire = sources.get(wire, wire)
         return wire if wire < lo else wire + shift
 
-    kept, meet = [], []
+    met: dict = {}  # wires -> allowed
+    touching = []
     for wires, allowed in groups:
         swapped = touches = 0
         for j, wire in enumerate(wires):
@@ -513,35 +528,37 @@ def _transfer(table: _Table, groups: tuple) -> "tuple | None":
         if swapped:  # undo the exchange, its own inverse
             allowed = frozenset((x ^ ((x ^ y) & swapped), y ^ ((x ^ y) & swapped)) for x, y in allowed)
         if touches:
-            meet.append((wires, allowed))
+            touching.append((wires, allowed))
         else:
-            kept.append((tuple(map(before, wires)), allowed))
-    if meet or not table.full:
-        met = _meet(table, meet, before)
-        if met is None:
+            met[tuple(map(before, wires))] = allowed
+    for wires, allowed in _pull(table, touching, before):
+        allowed &= met.get(wires, allowed)
+        if not allowed:
             return None
-        kept += met
-    return tuple(sorted(g for g in kept if len(g[1]) < 4 ** len(g[0])))
+        met[wires] = allowed
+    return tuple(sorted(g for g in met.items() if len(g[0]) <= _GROUP_WIRES and len(g[1]) < 4 ** len(g[0])))
 
 
-def _meet(table: _Table, meet: list, before) -> "list | None":
-    """The groups in `meet`, which touch the run's outputs, carried before the run.
+def _pull(table: _Table, groups: list, before) -> list:
+    """The groups in `groups`, which touch the run's outputs, each pulled back through the run on its own.
 
-    Each branch of the run's doubled support, from input pattern (cx, cy)
-    to (rx, ry), is live when every group allows (rx, ry) on its wires
-    among the outputs; it then allows (cx, cy) on the inputs together with
-    what those groups allow on their other wires.  The result is one group
-    over the inputs and those wires, or one group per wire when that would
-    span more than `_GROUP_WIRES`.
+    A group becomes one over the run's inputs and its own wires off the
+    outputs; one that would span more than `_GROUP_WIRES` is dropped, which
+    only prunes less.  One walk over the run's doubled support, from input
+    pattern (cx, cy) to (rx, ry), serves the rest: a branch is live when
+    each of them allows (rx, ry) on its wires among the outputs, and then
+    (cx, cy) joins each one's result together with each pattern that group
+    allows on its other wires.  A run with a zero column also gives a group
+    over its inputs: the pairs of its nonzero columns.
     """
-    outs, lo, cols = table.outs, table.lo, table.cols
-    wires = list(range(lo, lo + table.n))  # input bit j of the run is wire lo + j
-    owner = [0] * table.n  # which part of the result holds each of its wires
-    lookups = []  # per group: its output wires, and their bits -> its other bits, placed as in `wires`
-    for group_wires, allowed in meet:
+    outs, n, cols = table.outs, table.n, table.cols
+    inputs = tuple(range(table.lo, table.lo + n))  # input bit j of the run is wire lo + j
+    pulled = [] if table.full else [(inputs, {(cx, cy) for cx in cols for cy in cols})]
+    lookups = []  # per group: its bits among the outputs, and their patterns -> its other bits, placed
+    for group_wires, allowed in groups:
         size = 1 << len(group_wires)
         theirs, rest = [0] * size, [0] * size  # each local pattern's bits, placed
-        mask = 0
+        mask, wires = 0, list(inputs)
         for j, wire in enumerate(group_wires):
             if outs >> wire & 1:
                 bit, placed = 1 << wire, theirs
@@ -549,42 +566,27 @@ def _meet(table: _Table, meet: list, before) -> "list | None":
             else:
                 bit, placed = 1 << len(wires), rest
                 wires.append(before(wire))
-                owner.append(len(lookups) + 1)
             for v in range(size):
                 if v >> j & 1:
                     placed[v] |= bit
+        if len(wires) > _GROUP_WIRES:
+            continue
         split: dict = {}
         for x, y in allowed:
-            split.setdefault((theirs[x], theirs[y]), set()).add((rest[x], rest[y]))
-        lookups.append((mask, split))
-    joint = len(wires) <= _GROUP_WIRES
-    parts: list[set] = [set() for _ in range(len(lookups) + 1)]  # apart: the inputs, then each group
-    for cx, xs in cols.items():
-        for cy, ys in cols.items():
-            for rx, _ in xs:
-                for ry, _ in ys:
-                    rests = []
-                    for mask, split in lookups:
-                        allowed = split.get((rx & mask, ry & mask))
-                        if allowed is None:
-                            break
-                        rests.append(allowed)
-                    else:
-                        if not joint:
-                            parts[0].add((cx, cy))
-                            for part, allowed in zip(parts[1:], rests):
-                                part |= allowed
-                            continue
-                        for combo in product(*rests):
-                            x, y = cx, cy
-                            for ox, oy in combo:
-                                x, y = x | ox, y | oy
-                            parts[0].add((x, y))
-    if not parts[0]:
-        return None
-    if joint:
-        return [(tuple(wires), frozenset(parts[0]))]
-    return [((wire,), frozenset((x >> j & 1, y >> j & 1) for x, y in parts[owner[j]])) for j, wire in enumerate(wires)]
+            split.setdefault((theirs[x], theirs[y]), []).append((rest[x], rest[y]))
+        found: set = set()
+        lookups.append((mask, split, found))
+        pulled.append((tuple(wires), found))
+    if lookups:
+        for cx, xs in cols.items():
+            for cy, ys in cols.items():
+                for rx, _ in xs:
+                    for ry, _ in ys:
+                        rests = [split.get((rx & mask, ry & mask)) for mask, split, _ in lookups]
+                        if all(rests):
+                            for rest, (_, _, found) in zip(rests, lookups):
+                                found.update((cx | ox, cy | oy) for ox, oy in rest)
+    return [(wires, frozenset(found)) for wires, found in pulled]
 
 
 def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, int, int] | None") -> dict:
@@ -603,12 +605,13 @@ def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, 
     the relabelling keeps mirrored: only those with r <= s are kept.
 
     A branch is dropped when its output bits carry a pattern that `dead`
-    (from `_dead_patterns`) marks; the table keeps the surviving branches
-    of each input pattern under `dead`.  An entry's own bits are not
-    tested: the step that wrote them did, and a wire's live patterns only
-    widen from there on (the input's own bits are never tested, which
-    costs pruning, not exactness).  The masks are the same under
-    ket <-> bra, so a branch and its mirror are dropped together.
+    (from `_dead_patterns`) marks; the table builds and keeps only the
+    surviving branches of each input pattern under `dead`, one lookup per
+    entry.  An entry's own bits are not tested: the step that wrote them
+    did, and a wire's live patterns only widen from there on (the input's
+    own bits are never tested, which costs pruning, not exactness).  The
+    masks are the same under ket <-> bra, so a branch and its mirror are
+    dropped together.
     """
     lo, n = table.lo, table.n
     nmask = (1 << n) - 1
@@ -618,28 +621,14 @@ def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, 
     out: dict[tuple[int, int], Scalar] = {}
     clashes = []
     if doubled:
-        pairs = table.pairs
-        if dead:
-            d00, d01, d10, d11 = dead
-            d00, differ = d00 & table.outs, d01 & d10
-            live = table.live.get(dead)
-            if live is None:
-                live = table.live[dead] = {}
+        live = table.live.setdefault(dead, {})
         for (x, y), v in ops.items():
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
             pattern = (cx << n) | cy
-            branches = pairs.get(pattern)
+            branches = live.get(pattern)
             if branches is None:
-                branches = pairs[pattern] = table.branches(cx, cy)
-            if dead and branches:
-                kept = live.get(pattern)
-                if kept is None:
-                    kept = live[pattern] = [
-                        (rx, ry, c) for rx, ry, c in branches
-                        if not ((rx ^ ry) & differ or rx & ry & d11 or ~(rx | ry) & d00)
-                    ]
-                branches = kept
+                branches = live[pattern] = table.branches(cx, cy, dead)
             if not branches:
                 continue
             bx = ((x >> hi) << new_hi) | (x & lomask)

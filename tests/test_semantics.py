@@ -552,13 +552,14 @@ class TestNetlistEvaluator:
         assert not any(_run_matrix(step.run) == _gen_matrix(Empty) for step in steps)
 
     @pytest.mark.parametrize(
-        "qubits, seed, density, most_fed, most_live", [(3, 68, 0.55, 2000, 64), (4, 131, 1.0, 100_000, 450)]
+        "qubits, seed, density, most_fed, most_live", [(3, 68, 0.55, 1673, 59), (4, 131, 1.0, 81_081, 407)]
     )
     def test_dense_round_trip_entries_touched(self, monkeypatch, qubits, seed, density, most_fed, most_live):
         # Dropping dead (ket, bra) patterns cuts the entries fed to the steps
         # from 4,599 to 1,673 on the 3-qubit normal form above (peak live
         # entries 146 to 59), and from 266,523 to 81,081 on a full 4-qubit
-        # one of 136 terms (peak 407).
+        # one of 136 terms (peak 407).  The limits are those counts, so any
+        # pruning lost on a normal form fails here.
         nf = random_nf(random.Random(seed), qubits, density=density)
         fed, live = [], []
         apply_step = semantics._apply_step
@@ -671,29 +672,29 @@ class TestTableStore:
                 (
                     t,
                     {c: list(rows) for c, rows in t.cols.items()},
-                    {p: list(b) for p, b in t.pairs.items()},
                     {dead: {p: list(b) for p, b in live.items()} for dead, live in t.live.items()},
                 )
                 for t in tables
             ]
 
         def check(stored):
-            for table, cols, pairs, live in stored:
+            for table, cols, live in stored:
                 assert table.cols == cols
-                assert {p: list(table.pairs[p]) for p in pairs} == pairs
                 assert {dead: {p: list(table.live[dead][p]) for p in kept} for dead, kept in live.items()} == live
 
         before = [self._results(d, h, k) for d, h, k in cases]
         # Every table as it stands before any cancelling term has run: the
-        # cases' tables, and the cancelling terms' own, which have no pairs yet.
+        # cases' tables, and the cancelling terms' own, which have no branches
+        # yet.  Branches are stored both with no masks (None) and under some.
         tables = [t for d, _, _ in cases for t in self._tables(d)] + own_tables()
         stored = snapshot(tables)
-        assert any(pairs for _, _, pairs, _ in stored) and any(live for *_, live in stored)
+        assert any(None in live for *_, live in stored)
+        assert any(dead is not None for *_, live in stored for dead in live)
         cancelling()
         check(stored)
-        # Again, with the pairs that first run filled in.
+        # Again, with the branches that first run filled in.
         stored = snapshot(tables)
-        assert any(pairs for _, _, pairs, _ in snapshot(own_tables()))
+        assert any(any(live.values()) for *_, live in snapshot(own_tables()))
         cancelling()
         check(stored)
         # The checks read the tables the evaluations use.
@@ -789,10 +790,27 @@ class TestTableStore:
     def test_stored_branches_are_relabelled(self):
         # A table keeps its branches relabelled: they are the branches of
         # the same run with no relabelling, exchanged and then permuted.
+        # Under the masks `_dead_patterns` gives a step of the term or of its
+        # bent form, it keeps those branches but the ones with a dead
+        # pattern on some output wire.
         rng = random.Random(76)
-        checked = 0
+        checked = dropped = 0
         for _ in range(60):
             d = random_term(rng, max_wires=3, max_gens=8)
+            for t in (d, bend_inputs(d)):
+                steps = _netlist(flatten(t), True)
+                for step, masks in zip(steps, semantics._dead_patterns(steps) or ()):
+                    if not masks:
+                        continue
+                    for cx in range(1 << step.n):
+                        for cy in range(1 << step.n):
+                            every = step.branches(cx, cy, None)
+                            want = [
+                                (r, s, c) for r, s, c in every
+                                if not any(step.outs >> b & 1 and masks[2 * (r >> b & 1) + (s >> b & 1)] >> b & 1 for b in range(step.outs.bit_length()))
+                            ]
+                            assert list(step.branches(cx, cy, masks)) == want
+                            dropped += len(every) - len(want)
             for step in _netlist(flatten(d), True):
                 if not (step.exchange or step.moves):
                     continue
@@ -802,18 +820,24 @@ class TestTableStore:
                 for cx in range(1 << step.n):
                     for cy in range(1 << step.n):
                         want = []
-                        for rx, ry, c in plain.branches(cx, cy):
+                        for rx, ry, c in plain.branches(cx, cy, None):
                             e = (rx ^ ry) & exchange
                             want.append((_permute(rx ^ e, step.moved, step.moves), _permute(ry ^ e, step.moved, step.moves), c))
-                        assert list(step.branches(cx, cy)) == want
+                        assert list(step.branches(cx, cy, None)) == want
                         checked += 1
-        assert checked >= 100
+        assert checked >= 100 and dropped >= 40
 
 
-def _effect_rich_term(rng, max_wires=3, layers=4):
+def _effect_rich_term(rng, max_wires=3, layers=4, wide=False):
     """Random term rich in the runs the dead-pattern pass starts from: cups,
     ground, effects (w n 0) and (z r n 0), (w 2 1), ticks, and now and then
-    (z -1 0 0), a run whose only entry is 0."""
+    (z -1 0 0), a run whose only entry is 0.
+
+    With `wide`, the term starts on at most one input wire and two states
+    beside it, and a layer on four or more wires may hold one run with a
+    zero column on more wires than the pass's groups span: (w 4 0),
+    (w 4 1), (z r 4 0) or (z r 5 1).
+    """
 
     def r():
         return rng.choice([ONE, MINUS_ONE, HALF, OMEGA, random_scalar(rng, nonzero=True)])
@@ -827,9 +851,15 @@ def _effect_rich_term(rng, max_wires=3, layers=4):
         lambda: ZSpider(r(), 2, 0), lambda: ZSpider(r(), 2, 1),
     ]
     none = [lambda: Cap, lambda: ticked_cap, lambda: ZSpider(r(), 0, 1), lambda: WSpider(0, 1), lambda: WSpider(0, 2)]
-    d = id_n(rng.randint(0, max_wires))
+    wider = [lambda: WSpider(4, 0), lambda: WSpider(4, 1), lambda: ZSpider(r(), 4, 0), lambda: ZSpider(r(), 5, 1)]
+    d = id_n(rng.randint(0, 1 if wide else max_wires))
+    if wide:
+        d = tensor_many([d, rng.choice(none)(), rng.choice(none)()])
     for _ in range(layers):
         parts, left = [], d.n_out
+        if wide and left >= 4 and rng.random() < 0.5:
+            parts.append(rng.choice(wider if left >= 5 else wider[:3])())
+            left -= parts[0].n_in
         while left:
             k = rng.choice([1, 1, 2]) if left >= 2 else 1
             parts.append(rng.choice(one if k == 1 else two)())
@@ -918,6 +948,33 @@ class TestDeadPatterns:
             assert apply_superop(d, random_matrix(rng, d.n_in, density=1.0)).entries == {}
             state = Compose(d, random_state(rng, max_wires=d.n_in, n_out=d.n_in))
             assert state_operator(state) == Matrix.zeros(1 << d.n_out, 1 << d.n_out)
+
+    def test_wide_zero_column_runs(self):
+        # A run with a zero column on more wires than `_GROUP_WIRES` starts
+        # no group, and a group pulled back through it is dropped: the pass
+        # prunes less there, never wrongly, and no group grows too wide.
+        rng = random.Random(85)
+        wide = pruned = 0
+        seen = set()
+        for _ in range(40):
+            d = _effect_rich_term(rng, max_wires=5, layers=6, wide=True)
+            s = bend_inputs(d)
+            want = _unvec(interp_sparse(unzip(s)), s.n_out)
+            assert choi(d) == want
+            assert state_operator(s) == want
+            doubled = interp_sparse(unzip(d))
+            for rho in (random_hermitian(rng, d.n_in), random_matrix(rng, d.n_in, density=1.0)):
+                assert apply_superop(d, rho) == _unvec(doubled.matmul(_vec(rho)), d.n_out)
+            for t in (s, d):
+                tables = _netlist(flatten(t), True)
+                wide += any(table.n > semantics._GROUP_WIRES and not table.full for table in tables)
+                seen |= {(type(g), g.n_in, g.n_out) for table in tables for g in table.run if g.n_in > semantics._GROUP_WIRES}
+                pruned += any(_dead(t) or ())
+                for table in tables:
+                    for _, groups in table.transfers.values():
+                        assert all(len(on) <= semantics._GROUP_WIRES for on, _ in groups or ())
+        assert wide >= 30 and pruned >= 30
+        assert seen == {(WSpider, 4, 0), (WSpider, 4, 1), (ZSpider, 4, 0), (ZSpider, 5, 1)}
 
 
 class TestHPPresentation:
