@@ -583,6 +583,10 @@ _SUGAR: dict[str, Diagram] = {
 }
 
 
+#: The composite forms, by their head word.
+_NODES = {"compose": Compose, "tensor": Tensor}
+
+
 def _tokenize(text: str) -> list[str]:
     out: list[str] = []
     for line in text.splitlines():
@@ -595,86 +599,73 @@ def _tokenize(text: str) -> list[str]:
 def parse_diagram(text: str) -> Diagram:
     """Parse the s-expression diagram syntax; sugar tokens expand to terms.
 
-    Open `compose`/`tensor` forms wait on an explicit stack, so any nesting
-    depth parses.
+    One loop reads the tokens.  Open `compose`/`tensor` forms wait on an
+    explicit stack, so any nesting depth parses.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise DiagramParseError("empty diagram text")
-    pos = 0
+    rest = iter(tokens)
 
-    def need(tok: str) -> None:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            found = tokens[pos] if pos < len(tokens) else "<end>"
-            raise DiagramParseError(f"expected {tok!r}, found {found!r}")
-        pos += 1
-
-    def next_token() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
+    def take() -> str:
+        tok = next(rest, None)
+        if tok is None:
             raise DiagramParseError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
         return tok
 
-    def parse_nat() -> int:
-        tok = next_token()
+    def nat() -> int:
+        tok = take()
         if not (tok.isascii() and tok.isdigit()):
             raise DiagramParseError(f"expected a natural number, found {tok!r}")
         return int(tok)
 
-    def parse_leaf_form(head: str) -> Diagram:
-        if head == "id":
-            n = parse_nat()
-            need(")")
-            return id_n(n)
-        if head == "z":
-            raw = next_token()
-            try:
-                r = parse_scalar(raw)
-            except ScalarParseError as exc:
-                raise DiagramParseError(f"bad spider parameter: {exc}") from None
-            n = parse_nat()
-            m = parse_nat()
-            need(")")
-            return ZSpider(r, n, m)
-        if head == "w":
-            n = parse_nat()
-            m = parse_nat()
-            need(")")
-            return WSpider(n, m)
-        raise DiagramParseError(f"unknown form {head!r}")
+    def close() -> None:
+        tok = next(rest, "<end>")
+        if tok != ")":
+            raise DiagramParseError(f"expected ')', found {tok!r}")
 
-    forms: list[list] = []  # open forms: [head, first argument or None]
-    while True:
-        tok = next_token()
+    forms: list[list] = []  # open forms: [node class, first argument or None]
+    for tok in rest:
         if tok == "(":
-            head = next_token()
-            if head == "compose" or head == "tensor":
-                forms.append([head, None])
+            head = take()
+            if head in _NODES:
+                forms.append([_NODES[head], None])
                 continue
-            d = parse_leaf_form(head)
+            if head == "id":
+                n = nat()
+                close()
+                d = id_n(n)
+            elif head == "z":
+                try:
+                    r = parse_scalar(take())
+                except ScalarParseError as exc:
+                    raise DiagramParseError(f"bad spider parameter: {exc}") from None
+                d = ZSpider(r, nat(), nat())
+                close()
+            elif head == "w":
+                d = WSpider(nat(), nat())
+                close()
+            else:
+                raise DiagramParseError(f"unknown form {head!r}")
         elif tok in _SUGAR:
             d = _SUGAR[tok]
         else:
             raise DiagramParseError(f"unknown diagram token {tok!r}")
         # d completes every open form that already holds its first argument.
         while forms and forms[-1][1] is not None:
-            head, first = forms.pop()
-            need(")")
-            if head == "tensor":
-                d = Tensor(first, d)
-                continue
+            node, first = forms.pop()
+            close()
             try:
-                d = Compose(first, d)
+                d = node(first, d)
             except ArityError as exc:
                 raise DiagramParseError(str(exc)) from None
         if not forms:
             break
         forms[-1][1] = d
-    if pos != len(tokens):
-        raise DiagramParseError(f"trailing tokens starting at {tokens[pos]!r}")
+    else:  # the tokens ran out inside an open form
+        raise DiagramParseError("unexpected end of input")
+    for tok in rest:  # a token after the complete term
+        raise DiagramParseError(f"trailing tokens starting at {tok!r}")
     return d
 
 

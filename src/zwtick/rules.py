@@ -8,9 +8,8 @@ never assumed from the shape of the terms.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
@@ -429,17 +428,6 @@ class CheckReport:
         out.append(f"total {self.total} pass {self.passed} fail {self.failed}")
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "entries": [e.as_dict() for e in self.entries],
-                "total": self.total,
-                "pass": self.passed,
-                "fail": self.failed,
-            },
-            indent=2,
-        )
-
 
 SCALAR_GRID: tuple[Scalar, ...] = (
     ZERO,
@@ -742,39 +730,25 @@ _STEP_FIELDS = {
 }
 
 
-def subterm_at(d: Diagram, position: Sequence[str]) -> Diagram:
-    cur = d
+def _walk(d: Diagram, position: Sequence[str]) -> tuple[list, Diagram]:
+    """The (node, step) pairs along a path, and the subterm at its end."""
+    spine = []
     for step in position:
         want = _STEP_FIELDS.get(step)
         if want is None:
             raise MatchError(f"invalid path step: {step}")
-        if not isinstance(cur, want):
-            found = type(cur).__name__ if isinstance(cur, (Compose, Tensor)) else print_diagram(cur)
+        if not isinstance(d, want):
+            found = type(d).__name__ if isinstance(d, (Compose, Tensor)) else print_diagram(d)
             raise MatchError(
                 f"path step {step} expects a {want.__name__.lower()} node, found {found}"
             )
-        cur = getattr(cur, step)
-    return cur
-
-
-def _replace_at(d: Diagram, position: Sequence[str], new: Diagram) -> Diagram:
-    # Walk down the path, then rebuild each node on it from the bottom up.
-    spine = []
-    for step in position:
-        if step not in _STEP_FIELDS:
-            raise MatchError(f"invalid path step: {step}")
         spine.append((d, step))
         d = getattr(d, step)
-    for node, step in reversed(spine):
-        if step == "after":
-            new = Compose(new, node.before)
-        elif step == "before":
-            new = Compose(node.after, new)
-        elif step == "left":
-            new = Tensor(new, node.right)
-        else:
-            new = Tensor(node.left, new)
-    return new
+    return spine, d
+
+
+def subterm_at(d: Diagram, position: Sequence[str]) -> Diagram:
+    return _walk(d, position)[1]
 
 
 def apply_rule(
@@ -789,10 +763,13 @@ def apply_rule(
         raise MatchError(f"direction must be 'lr' or 'rl', got {direction!r}")
     lhs, rhs = instantiate(rule, params)
     src, dst = (lhs, rhs) if direction == "lr" else (rhs, lhs)
-    sub = subterm_at(d, position)
+    spine, sub = _walk(d, position)
     if _assoc_key(sub) != _assoc_key(src):
         raise MatchError(
             f"no match for rule ({rule.name}) at position {tuple(position)}: "
             f"expected {print_diagram(src)}, found {print_diagram(sub)}"
         )
-    return _replace_at(d, position, dst)
+    # Rebuild each node on the path from the bottom up.
+    for node, step in reversed(spine):
+        dst = replace(node, **{step: dst})
+    return dst

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 from zwtick import (
+    ArityError,
     Cap,
     Compose,
     Cup,
     Diagram,
+    DiagramParseError,
     Empty,
     Fswap,
     Id,
@@ -26,9 +28,10 @@ from zwtick import (
     ZSpider,
     generator_count,
     id_n,
+    parse_scalar,
     tensor_many,
 )
-from zwtick.diagram import Generator, fold
+from zwtick.diagram import _SUGAR, Generator, fold
 
 SMALL_FRACTIONS = (
     Fraction(0),
@@ -320,6 +323,98 @@ def parse_scalar_reference(text: str) -> Scalar:
         coeffs[power] += sign * coef
 
     return Scalar(*coeffs)
+
+
+def _tokenize_reference(text: str) -> list[str]:
+    out: list[str] = []
+    for line in text.splitlines():
+        body = line.split(";", 1)[0]
+        body = body.replace("(", " ( ").replace(")", " ) ")
+        out.extend(body.split())
+    return out
+
+
+def parse_diagram_reference(text: str) -> Diagram:
+    """The diagram text form as first read: a token index shared by nested
+    helpers, with a generic expected-token check for each `)`."""
+    tokens = _tokenize_reference(text)
+    if not tokens:
+        raise DiagramParseError("empty diagram text")
+    pos = 0
+
+    def need(tok: str) -> None:
+        nonlocal pos
+        if pos >= len(tokens) or tokens[pos] != tok:
+            found = tokens[pos] if pos < len(tokens) else "<end>"
+            raise DiagramParseError(f"expected {tok!r}, found {found!r}")
+        pos += 1
+
+    def next_token() -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise DiagramParseError("unexpected end of input")
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_nat() -> int:
+        tok = next_token()
+        if not (tok.isascii() and tok.isdigit()):
+            raise DiagramParseError(f"expected a natural number, found {tok!r}")
+        return int(tok)
+
+    def parse_leaf_form(head: str) -> Diagram:
+        if head == "id":
+            n = parse_nat()
+            need(")")
+            return id_n(n)
+        if head == "z":
+            raw = next_token()
+            try:
+                r = parse_scalar(raw)
+            except ScalarParseError as exc:
+                raise DiagramParseError(f"bad spider parameter: {exc}") from None
+            n = parse_nat()
+            m = parse_nat()
+            need(")")
+            return ZSpider(r, n, m)
+        if head == "w":
+            n = parse_nat()
+            m = parse_nat()
+            need(")")
+            return WSpider(n, m)
+        raise DiagramParseError(f"unknown form {head!r}")
+
+    forms: list[list] = []  # open forms: [head, first argument or None]
+    while True:
+        tok = next_token()
+        if tok == "(":
+            head = next_token()
+            if head == "compose" or head == "tensor":
+                forms.append([head, None])
+                continue
+            d = parse_leaf_form(head)
+        elif tok in _SUGAR:
+            d = _SUGAR[tok]
+        else:
+            raise DiagramParseError(f"unknown diagram token {tok!r}")
+        # d completes every open form that already holds its first argument.
+        while forms and forms[-1][1] is not None:
+            head, first = forms.pop()
+            need(")")
+            if head == "tensor":
+                d = Tensor(first, d)
+                continue
+            try:
+                d = Compose(first, d)
+            except ArityError as exc:
+                raise DiagramParseError(str(exc)) from None
+        if not forms:
+            break
+        forms[-1][1] = d
+    if pos != len(tokens):
+        raise DiagramParseError(f"trailing tokens starting at {tokens[pos]!r}")
+    return d
 
 
 def flatten_reference(d: Diagram) -> list[tuple[Generator, int]]:

@@ -59,10 +59,10 @@ from zwtick import (
     transpose_term,
     unzip,
 )
-from zwtick.diagram import flatten, interleave, route, wires
+from zwtick.diagram import _SUGAR, flatten, interleave, route, wires
 from zwtick.semantics import _int_compose, interp_sparse
 
-from _support import flatten_reference, random_nf, random_term
+from _support import flatten_reference, parse_diagram_reference, random_nf, random_term
 
 
 class TestArities:
@@ -456,28 +456,68 @@ class TestTextForm:
             parse_diagram(bad)
 
     DEEP = "(compose (w 1 1) " * 1500 + "(w 1 1)"
+    DEEP_ERRORS = [
+        (DEEP + ")" * 1499, "expected ')', found '<end>'"),
+        (DEEP + ")" * 1500 + " tick", "trailing tokens starting at 'tick'"),
+        (
+            DEEP.replace("(w 1 1)", "(w 2 1)", 1) + ")" * 1500,
+            "compose mismatch: before produces 1 wires but after consumes 2",
+        ),
+        (
+            DEEP[: -len("(w 1 1)")] + "(w 1 2)" + ")" * 1500,
+            "compose mismatch: before produces 2 wires but after consumes 1",
+        ),
+        ("(tensor " * 1500, "unexpected end of input"),
+    ]
 
     @pytest.mark.parametrize(
         "bad, message",
-        [
-            (DEEP + ")" * 1499, "expected ')', found '<end>'"),
-            (DEEP + ")" * 1500 + " tick", "trailing tokens starting at 'tick'"),
-            (
-                DEEP.replace("(w 1 1)", "(w 2 1)", 1) + ")" * 1500,
-                "compose mismatch: before produces 1 wires but after consumes 2",
-            ),
-            (
-                DEEP[: -len("(w 1 1)")] + "(w 1 2)" + ")" * 1500,
-                "compose mismatch: before produces 2 wires but after consumes 1",
-            ),
-            ("(tensor " * 1500, "unexpected end of input"),
-        ],
+        DEEP_ERRORS,
         ids=["missing-paren", "trailing-token", "outer-arity", "inner-arity", "open-forms"],
     )
     def test_deep_parse_errors(self, bad, message):
         with pytest.raises(DiagramParseError) as exc:
             parse_diagram(bad)
         assert str(exc.value) == message
+
+    # Pieces of diagram text, valid and not.  Random strings of them, and
+    # printed random terms with pieces swapped in or out, reach every branch
+    # of the grammar, `;` comments, `\r`, `\r\n` and form-feed line breaks,
+    # and non-ASCII digits included.
+    PIECES = ("(", ")", "compose", "tensor", "id", "z", "w", *_SUGAR, "0", "1", "2", "3", "10", "-1", "1/2", "w^2", "1/0", "q", "\u0661", "\u00b2", "; note", ";")
+    GAPS = (" ", " ", " ", "", "\n", "\r", "\r\n", "\x0c", "\t")
+
+    @staticmethod
+    def _outcome(parse, text):
+        try:
+            return parse(text)
+        except Exception as exc:  # the two readers must fail alike, whatever the error
+            return type(exc), str(exc)
+
+    def test_matches_reference_reader(self):
+        rng = random.Random(21)
+        texts = [bad for bad, _ in self.DEEP_ERRORS]
+        for _ in range(20_000):
+            if rng.random() < 0.5:
+                pieces = print_diagram(random_term(rng)).replace("(", "( ").replace(")", " )").split()
+            else:
+                pieces = rng.choices(self.PIECES, k=rng.randint(1, 12))
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                k = rng.randrange(len(pieces) + 1)
+                op = rng.randrange(3)
+                if op == 0:
+                    pieces[k:k] = [rng.choice(self.PIECES)]
+                elif op == 1:
+                    del pieces[k : k + 1]
+                else:
+                    pieces[k : k + 1] = [rng.choice(self.PIECES)]
+            texts.append("".join(p + rng.choice(self.GAPS) for p in pieces))
+        accepted = 0
+        for text in texts:
+            got = self._outcome(parse_diagram, text)
+            assert got == self._outcome(parse_diagram_reference, text), repr(text)
+            accepted += not isinstance(got, tuple)
+        assert 2_000 < accepted < len(texts) - 2_000
 
 
 class TestRenderDot:

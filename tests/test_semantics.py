@@ -131,6 +131,29 @@ class TestGeneratorMatrices:
         with pytest.raises(SemanticsError):
             interp(Tick)
 
+    # `_gen_matrix` feeds both the evaluator and its `interp_sparse` oracle,
+    # so a wrong table would pass every differential test: pin the fixed
+    # generators' entries as they were first written out by hand.
+    @pytest.mark.parametrize(
+        "g, rows, cols, entries",
+        [
+            (Id, 2, 2, {(0, 0): ONE, (1, 1): ONE}),
+            (Swap, 4, 4, {(0, 0): ONE, (2, 1): ONE, (1, 2): ONE, (3, 3): ONE}),
+            (Fswap, 4, 4, {(0, 0): ONE, (2, 1): ONE, (1, 2): ONE, (3, 3): MINUS_ONE}),
+            (Cup, 1, 4, {(0, 0): ONE, (0, 3): ONE}),
+            (Cap, 4, 1, {(0, 0): ONE, (3, 0): ONE}),
+            (Empty, 1, 1, {(0, 0): ONE}),
+        ],
+        ids=["id", "swap", "fswap", "cup", "cap", "empty"],
+    )
+    def test_fixed_generator_tables(self, g, rows, cols, entries):
+        got = _gen_matrix(g)
+        assert (got.rows, got.cols, got.entries) == (rows, cols, entries)
+
+    def test_reference_refuses_ticks(self):
+        with pytest.raises(SemanticsError, match="pure interpretation undefined for ticked diagram"):
+            interp_sparse(Compose(Tick, Id))
+
 
 class TestInterpHomomorphism:
     def test_compose_is_matmul(self):
