@@ -211,6 +211,19 @@ _SCALAR = re.compile(rf"-?{_TERM}(?:[+-]{_TERM})*")
 _TERMS = re.compile(r"([+-]?)(?=[0-9w])([0-9]*)(?:/([0-9]+))?(w?)(?:\^([23]))?")
 
 
+#: Most decimal digits zwtick reads or writes in one integer of a scalar's
+#: text, a numerator or a denominator.  It is CPython's default limit on
+#: int/str conversion, checked here so that every interpreter refuses the
+#: same values in the same words; the library never changes the process-wide
+#: setting (`sys.set_int_max_str_digits`).
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
+
+
+def _too_long(what: str) -> str:
+    return f"{what} has more than {MAX_DIGITS} decimal digits, the most zwtick reads or writes in one number"
+
+
 class ScalarParseError(ValueError):
     pass
 
@@ -219,7 +232,8 @@ def parse_scalar(text: str) -> Scalar:
     """The scalar `text` writes in the grammar above.
 
     A `ScalarParseError` names the position (in the stripped text) where the
-    longest well-formed prefix ends, or a zero denominator.
+    longest well-formed prefix ends, a zero denominator, or a number longer
+    than `MAX_DIGITS`.
     """
     s = text.strip()
     if not _SCALAR.fullmatch(s):
@@ -227,6 +241,8 @@ def parse_scalar(text: str) -> Scalar:
         raise ScalarParseError(f"bad scalar at {m.end() if m else 0} in {text!r}")
     coeffs = [Fraction(0)] * 4
     for sign, num, den, w, power in _TERMS.findall(s):
+        if len(num) > MAX_DIGITS or len(den) > MAX_DIGITS:
+            raise ScalarParseError(_too_long("a number in the scalar"))
         if den and not int(den):
             raise ScalarParseError(f"zero denominator in {text!r}")
         coeffs[int(power or len(w))] += Fraction(int(sign + (num or "1")), int(den or 1))
@@ -237,13 +253,19 @@ _POWER_SUFFIX = ("", "w", "w^2", "w^3")
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text for a scalar; `parse_scalar` round-trips it exactly."""
+    """Canonical text for a scalar; `parse_scalar` round-trips it exactly.
+
+    A coordinate whose numerator or denominator is longer than `MAX_DIGITS`
+    raises `ValueError`.
+    """
     parts: list[str] = []
     for k, c in enumerate(x.a):
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
+        if mag.numerator >= _DIGITS_BOUND or mag.denominator >= _DIGITS_BOUND:
+            raise ValueError(_too_long("a coordinate of the scalar"))
         body = str(mag) if k == 0 or mag != 1 else ""
         parts.append(f"{sign}{body}{_POWER_SUFFIX[k]}")
     return "".join(parts) if parts else "0"

@@ -266,12 +266,15 @@ def interp_sparse(d: Diagram) -> Matrix:
 # entries, with no pass of its own.  A run with no step before it relabels a
 # step whose run is `Empty`, the 0 -> 0 unit.
 #
-# A step is its `_Table`, and the whole step is the key of the table store
-# `_table`: the run's generators (compared by value), its placement and its
-# relabelling.  A bit permutation P commutes with the exchange, P(r ^ ((r ^ s)
-# & E)) = P(r) ^ ((P(r) ^ P(s)) & P(E)), so a table keeps its output bits,
-# and the doubled branches of each input pattern, already relabelled, and
-# every later evaluation of an equal step reuses them.
+# A step is its `_Table`, kept in the table store `_table` under the step's
+# placement, its relabelling, and its run.  A run that is one Z spider with
+# legs and r != 0 enters the key by its shape (n, m) alone: its support is
+# the same for every such r, and the step binds r when it is applied.  Any
+# other run enters by its generators, compared by value.  A bit permutation
+# P commutes with the exchange, P(r ^ ((r ^ s) & E)) = P(r) ^ ((P(r) ^ P(s))
+# & P(E)), so a table keeps its output bits, and the doubled branches of
+# each input pattern, already relabelled, and every later evaluation of a
+# step with the same key reuses them.
 #
 # Doubled, one backward pass over the steps (`_dead_patterns`) first finds
 # the (ket bit, bra bit) patterns each wire can no longer carry in an entry
@@ -290,22 +293,21 @@ def interp_sparse(d: Diagram) -> Matrix:
 # and no constrained output only moves the groups, so a term with no zero
 # column has no dead pattern.  The masks a step tests are the groups after
 # it, seen one wire at a time, and it tests only the bits its run writes.
-# A step's transfer is kept per constraint in a dict shared by the steps
-# with its placement, relabelling and support, whatever their entries.
-# When some constraint allows no pattern at all, the result is 0 and no
-# step runs.
+# A step's transfer is kept per constraint in its table, so the steps of
+# one shape share it whatever coefficient they bind.  When some constraint
+# allows no pattern at all, the result is 0 and no step runs.
 
 #: Most wires a constraint group of the dead-pattern pass spans.
 _GROUP_WIRES = 3
 
 #: Most steps the table store holds.  A rule grid of `check_soundness` uses
-#: about 660 distinct steps; each batch of normal-form round trips adds a few
-#: hundred, one per fresh coefficient.
+#: about 170 distinct keys, and 20 cycles of the benchmark's normal-form
+#: round trips about 160, since their Z nodes share a table per shape.
 _STORE_SIZE = 2048
 
 
-def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> list[_Table]:
-    """The steps of a flattened term, each a `_Table`.
+def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> "tuple[list[_Table], list[Scalar | None]]":
+    """The steps of a flattened term: each one's `_Table`, and the coefficient it binds or None.
 
     `flat` is `flatten(d)`, which drops plain wires and units.  Each run of
     consecutive swaps and ticks is the relabelling of the step just before
@@ -313,7 +315,10 @@ def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> list[_Table]:
     step just before it is composed into that step, unless that step
     relabels, so a run of generators on the same wires is one step.  A step
     collects its run's generators until the end, when it gets its table
-    from the store, built only if no evaluation has stored an equal step.
+    from the store, built only if no evaluation has stored a step with the
+    same key.  A run that is one Z spider with legs and r != 0 is keyed by
+    its shape (n, m) and binds r; any other run is keyed by its generators
+    and binds None.
     """
     steps: list[list] = []  # [lo, run, exchange, moves]
     routing: dict[int, int] = {}  # pending swaps: output bit <- input bit
@@ -339,7 +344,13 @@ def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> list[_Table]:
             steps.append([lo, [node], 0, ()])
     if routing or exchange:
         _relabel(steps, routing, exchange)
-    return [_table(tuple(run), lo, exchange, moves) for lo, run, exchange, moves in steps]
+    tables, coefficients = [], []
+    for lo, run, exchange, moves in steps:
+        g = run[0]
+        r = g.r if len(run) == 1 and isinstance(g, ZSpider) and g.n + g.m and not g.r.is_zero() else None
+        tables.append(_table(tuple(run) if r is None else (g.n, g.m), lo, exchange, moves))
+        coefficients.append(r)
+    return tables, coefficients
 
 
 def _relabel(steps: list[list], routing: dict[int, int], exchange: int) -> None:
@@ -356,15 +367,9 @@ def _relabel(steps: list[list], routing: dict[int, int], exchange: int) -> None:
 
 
 @lru_cache(maxsize=_STORE_SIZE)
-def _table(run: tuple[Generator, ...], lo: int, exchange: int, moves: tuple) -> _Table:
+def _table(run: "tuple[Generator, ...] | tuple[int, int]", lo: int, exchange: int, moves: tuple) -> _Table:
     """The shared table of a step; evicts the least recently used when full."""
     return _Table(run, lo, exchange, moves)
-
-
-@lru_cache(maxsize=_STORE_SIZE)
-def _transfers(lo: int, n: int, m: int, exchange: int, moves: tuple, support: tuple) -> dict:
-    """The dead-pattern memo of every step with this placement, relabelling and support."""
-    return {}
 
 
 def _run_matrix(run: tuple[Generator, ...]) -> Matrix:
@@ -389,42 +394,50 @@ class _Table:
     """A step: a run of generators on bits lo..lo+n-1, which become m bits,
     then an exchange of bits between x and y and a bit permutation.
 
-    `moves` holds the (src, dst) pairs of the permutation and `moved` its
-    dst bits; `exchange` is the exchanged bits after the permutation.
-    `cols` maps input bits c to [(output bits, entry)] over the run's
-    nonzero entries, its output bits placed at `lo` and permuted, and
-    `outs` is those output bits; `full` says every column is nonzero.
-    `live` caches, for each set of dead-pattern masks (None for none), the
-    doubled branches of each (ket, bra) input pattern that survive them,
-    fully relabelled.  `transfers` caches the dead-pattern pass through
-    the step, (masks, groups before) for each groups after it; it reads
-    only the run's support, so it is one dict shared by every step with
-    this placement, relabelling and support (`_transfers`), such as the
-    normal-form nodes of every coefficient.  A table is shared by every
-    evaluation, so nothing in it is changed once built; `live`, each dict
-    in it, and `transfers` only gain keys.  Concurrent evaluations need no
-    lock: `setdefault` gives two that add one set of masks at once the same
-    dict, two that fill one key at once store equal values, and two that
-    build one step at once each get a correct table.
+    `run` is the run's generators, or the shape (n, m) of a run that is one
+    Z spider with legs and r != 0; such a table is `bound`, and each step
+    that uses it binds its own r.  `moves` holds the (src, dst) pairs of
+    the permutation and `moved` its dst bits; `exchange` is the exchanged
+    bits after the permutation.  `cols` maps input bits c to [(output bits,
+    entry)] over the run's nonzero entries, its output bits placed at `lo`
+    and permuted, and `outs` is those output bits; `full` says every column
+    is nonzero.  A bound table's entries are `ONE` at |0..0><0..0| and None
+    at |1..1><1..1|, where the step's r goes.  `live` caches, for each set of
+    dead-pattern masks (None for none), the doubled branches of each (ket,
+    bra) input pattern that survive them, fully relabelled; a bound
+    branch's weight is 0, 1, 2 or 3 for 1, r, conj(r) or r conj(r).
+    `transfers` caches the dead-pattern pass through the step, (masks,
+    groups before) for each groups after it; it reads only the run's
+    support.  A table is shared by every evaluation, so nothing in it is
+    changed once built; `live`, each dict in it, and `transfers` only gain
+    keys.  Concurrent evaluations need no lock: `setdefault` gives two that
+    add one set of masks at once the same dict, two that fill one key at
+    once store equal values, and two that build one step at once each get
+    a correct table.
     """
 
-    __slots__ = ("run", "lo", "n", "m", "exchange", "moved", "moves", "cols", "outs", "full", "live", "transfers")
+    __slots__ = ("run", "lo", "n", "m", "bound", "exchange", "moved", "moves", "cols", "outs", "full", "live", "transfers")
 
-    def __init__(self, run: tuple[Generator, ...], lo: int, exchange: int, moves: tuple):
-        self.run, self.lo, self.n, self.m = run, lo, run[0].n_in, run[-1].n_out
+    def __init__(self, run: "tuple[Generator, ...] | tuple[int, int]", lo: int, exchange: int, moves: tuple):
+        self.run, self.lo, self.bound = run, lo, isinstance(run[0], int)
+        if self.bound:
+            self.n, self.m = run
+            entries = {(0, 0): ONE, ((1 << self.m) - 1, (1 << self.n) - 1): None}
+        else:
+            self.n, self.m = run[0].n_in, run[-1].n_out
+            entries = _run_matrix(run).entries
         self.moved = moved = sum(1 << dst for _, dst in moves)
         self.moves = moves
         self.exchange = _permute(exchange, moved, moves)
-        self.cols: dict[int, list[tuple[int, Scalar]]] = {}
-        for (row, col), v in _run_matrix(run).entries.items():
+        self.cols: dict[int, list[tuple[int, Scalar | None]]] = {}
+        for (row, col), v in entries.items():
             self.cols.setdefault(col, []).append((_permute(row << lo, moved, moves), v))
         self.outs = _permute(((1 << self.m) - 1) << lo, moved, moves)
         self.full = len(self.cols) == 1 << self.n
-        self.live: dict[tuple | None, dict[int, list[tuple[int, int, Scalar]]]] = {}
-        support = tuple(sorted((col, tuple(sorted(row for row, _ in rows))) for col, rows in self.cols.items()))
-        self.transfers: dict[tuple, tuple] = _transfers(lo, self.n, self.m, self.exchange, moves, support)
+        self.live: dict[tuple | None, dict[int, list[tuple[int, int, Scalar | int]]]] = {}
+        self.transfers: dict[tuple, tuple] = {}
 
-    def branches(self, cx: int, cy: int, dead: "tuple[int, int, int, int] | None") -> "list[tuple[int, int, Scalar]] | tuple[()]":
+    def branches(self, cx: int, cy: int, dead: "tuple[int, int, int, int] | None") -> "list[tuple[int, int, Scalar | int]] | tuple[()]":
         """Doubled branches of ket bits cx and bra bits cy: the run on x, its conjugate on y.
 
         A branch whose output bits carry a pattern that the masks `dead`
@@ -437,7 +450,7 @@ class _Table:
         if dead:
             d00, d01, d10, d11 = dead
             d00, differ = d00 & self.outs, d01 & d10
-        exchange = self.exchange
+        exchange, bound = self.exchange, self.bound
         out = []
         for rx, a in xs:
             for ry, b in ys:
@@ -445,8 +458,8 @@ class _Table:
                 r, s = rx ^ e, ry ^ e
                 if (r ^ s) & differ or r & s & d11 or ~(r | s) & d00:
                     continue
-                c = a * b.conj()
-                out.append((r, s, ONE if c == ONE else c))
+                c = (a is None) + 2 * (b is None) if bound else a * b.conj()
+                out.append((r, s, c if bound or c != ONE else ONE))
         return out
 
 
@@ -579,8 +592,24 @@ def _pull(table: _Table, groups: list, before) -> list:
     return [(wires, frozenset(found)) for wires, found in pulled]
 
 
-def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, int, int] | None") -> dict:
-    """Apply a step: on x alone, or doubled on the upper triangle.
+@lru_cache(maxsize=128)
+def _weights(r: Scalar) -> tuple:
+    """The doubled weights (1, r, conj(r), r conj(r)), any that equals 1 as the shared `ONE`.
+
+    Kept for the last 128 coefficients: a rule grid binds about 32 over and
+    over, while a normal form binds each of its own once.
+    """
+    rc = r.conj()
+    return tuple(ONE if w == ONE else w for w in (ONE, r, rc, r * rc))
+
+
+def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, int, int] | None", coefficient: "Scalar | None") -> dict:
+    """Apply a step that binds `coefficient` r, or None: on x alone, or doubled on the upper triangle.
+
+    On x alone, a bound table's entry None stands for r.  Doubled, a bound
+    branch's weight becomes 1, r, conj(r) or r conj(r) (`_weights`), put in
+    once for each input pattern the step meets; a weight equal to 1 is the
+    shared `ONE`, which is never multiplied.
 
     An output (r, s) joins an entry's own bits, those outside the run, to a
     branch's output bits.  Both the exchange and the bit permutation split
@@ -611,14 +640,20 @@ def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, 
     out: dict[tuple[int, int], Scalar] = {}
     clashes = []
     if doubled:
-        live = table.live.setdefault(dead, {})
+        live = own = table.live.setdefault(dead, {})
+        if coefficient is not None:  # `own` holds this step's branches, its weights put in
+            own, weights = {}, _weights(coefficient)
         for (x, y), v in ops.items():
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
             pattern = (cx << n) | cy
-            branches = live.get(pattern)
+            branches = own.get(pattern)
             if branches is None:
-                branches = live[pattern] = table.branches(cx, cy, dead)
+                branches = live.get(pattern)
+                if branches is None:
+                    branches = live[pattern] = table.branches(cx, cy, dead)
+                if branches and own is not live:
+                    branches = own[pattern] = [(rx, ry, weights[k]) for rx, ry, k in branches]
             if not branches:
                 continue
             bx = ((x >> hi) << new_hi) | (x & lomask)
@@ -658,7 +693,7 @@ def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, 
                 bx = _permute(bx, moved, moves)
             for rx, c in branches:
                 key = (bx | rx, y)
-                nv = v if c is ONE else v * c
+                nv = v if c is ONE else v * (c or coefficient)
                 if key in out:
                     nv = out[key] + nv
                     clashes.append(key)
@@ -675,16 +710,16 @@ def _evaluate(flat: list[tuple[Generator, int]], ops: dict, doubled: bool) -> di
     Doubled, `ops` is the upper triangle of a Hermitian operator, and so is
     the result, and each step drops the branches `_dead_patterns` finds dead.
     """
-    tables = _netlist(flat, doubled)
+    tables, coefficients = _netlist(flat, doubled)
     if not doubled:
-        for table in tables:
-            ops = _apply_step(ops, False, table, None)
+        for table, r in zip(tables, coefficients):
+            ops = _apply_step(ops, False, table, None, r)
         return ops
     dead = _dead_patterns(tables)
     if dead is None:
         return {}
-    for table, masks in zip(tables, dead):
-        ops = _apply_step(ops, True, table, masks)
+    for table, masks, r in zip(tables, dead, coefficients):
+        ops = _apply_step(ops, True, table, masks, r)
     return ops
 
 

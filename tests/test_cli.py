@@ -209,6 +209,20 @@ class TestFailureModes:
         assert main(["superop", d, "--rho", r]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("verb", ["interp", "nf"])
+    def test_digit_limit_is_named(self, tmp_path, capsys, verb):
+        # The product of four 1,500-digit parameters is computed exactly but
+        # has 6,000 digits to print; a 5,001-digit parameter is refused as read.
+        n = "7" * 1500
+        chain = write(tmp_path, "chain.zwt", f"(compose (z {n} 1 1) (compose (z {n} 1 1) (compose (z {n} 1 1) (z {n} 1 1))))")
+        wide = write(tmp_path, "wide.zwt", "(z " + "3" * 5001 + " 1 1)")
+        for f in (chain, wide):
+            assert main([verb, f]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert "more than 4300 decimal digits, the most zwtick reads or writes in one number" in captured.err
+            assert "set_int_max_str_digits" not in captured.err
+
     def test_unknown_verb_exits_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from zwtick import (
     format_scalar,
     parse_scalar,
 )
+
+from zwtick.scalar import MAX_DIGITS
 
 from _support import parse_scalar_reference
 
@@ -177,6 +180,26 @@ class TestTextFormat:
             parse_scalar("1/")
         with pytest.raises(ScalarParseError, match="zero denominator"):
             parse_scalar("1/0")
+
+    def test_digit_limit_is_named_in_zwticks_words(self):
+        # Numbers of up to MAX_DIGITS digits read and write; longer ones are
+        # refused both ways with zwtick's own limit, and the interpreter's
+        # int/str setting is left as it was.
+        setting = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        longest = "9" * MAX_DIGITS
+        for text in (longest, f"-{longest}/7+1/{longest}w^3", f"1/2-{longest}w"):
+            a = parse_scalar(text)
+            assert parse_scalar(format_scalar(a)) == a
+        for text in ("1" + "0" * MAX_DIGITS, "1/" + "3" * (MAX_DIGITS + 1), "w-" + "5" * 5001 + "w^3"):
+            with pytest.raises(ScalarParseError, match=f"more than {MAX_DIGITS} decimal digits, the most zwtick") as exc:
+                parse_scalar(text)
+            assert "set_int_max_str_digits" not in str(exc.value)
+        big = 10**MAX_DIGITS
+        for a in (Scalar(big), Scalar(0, Fraction(1, big)), Scalar(Fraction(1, 2), 0, 0, -big - 3)):
+            with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} decimal digits, the most zwtick") as exc:
+                format_scalar(a)
+            assert "set_int_max_str_digits" not in str(exc.value)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == setting
 
 
 class TestPredicates:

@@ -23,6 +23,8 @@ from zwtick import (
     Id,
     MINUS_ONE,
     Matrix,
+    NFTerm,
+    NormalForm,
     NormalFormError,
     OMEGA,
     ONE,
@@ -400,7 +402,7 @@ class TestNetlistEvaluator:
                 base = Tensor(base, ZSpider(random_scalar(rng), 0, 1))
             layers = _same_wire_run(rng, base.n_out, rng.randint(4, 12))
             d = compose_many([base] + layers)
-            steps, base_steps = _netlist(flatten(d), True), _netlist(flatten(base), True)
+            (steps, rs), (base_steps, base_rs) = _netlist(flatten(d), True), _netlist(flatten(base), True)
             assert len(steps) <= len(base_steps) + 1
             # The fused step holds the matrix of the generators it fused and
             # relabels nothing.
@@ -408,22 +410,22 @@ class TestNetlistEvaluator:
             run = interp_sparse(compose_many(gens))
             if len(steps) == len(base_steps):  # the run extended the base's last step
                 assert _relabelling(base_steps[-1]) == (0, 0, ())
-                run = run.matmul(_run_matrix(base_steps[-1].run))
-            assert _run_matrix(steps[-1].run) == run
+                run = run.matmul(_run_matrix(_run_of(base_steps[-1], base_rs[-1])))
+            assert _run_matrix(_run_of(steps[-1], rs[-1])) == run
             assert _relabelling(steps[-1]) == (0, 0, ())
             self._check_doubled(rng, d)
         # The pure evaluator keeps one step per generator.
         chain = flatten(compose_many([WSpider(1, 1), ZSpider(OMEGA, 1, 1)] * 3))
-        assert len(_netlist(chain, False)) == 6 and len(_netlist(chain, True)) == 1
+        assert len(_netlist(chain, False)[0]) == 6 and len(_netlist(chain, True)[0]) == 1
         # A step that relabels is never extended.
         ticked = flatten(compose_many([WSpider(1, 1), Tick, ZSpider(OMEGA, 1, 1)]))
-        assert [step.exchange for step in _netlist(ticked, True)] == [1, 0]
+        assert [step.exchange for step in _netlist(ticked, True)[0]] == [1, 0]
 
     def test_steps_match_the_reference_walk(self):
         # The steps built from `flatten`, which splices the kept lists of
         # shared networks, equal those built from a walk over every node.
         def steps(flat, doubled):
-            return [(t.lo, t.n, t.m, t.run, *_relabelling(t), t.cols) for t in _netlist(flat, doubled)]
+            return [(t.lo, t.n, t.m, t.run, r, *_relabelling(t), t.cols) for t, r in zip(*_netlist(flat, doubled))]
 
         rng = random.Random(33)
         terms = [random_term(rng, max_wires=4) for _ in range(100)]
@@ -456,7 +458,7 @@ class TestNetlistEvaluator:
                 base = Tensor(base, ZSpider(random_scalar(rng), 0, 1))
             run = _relabel_run(rng, base.n_out, kind)
             # Alone, the run relabels one step whose run is the empty unit.
-            steps = _netlist(flatten(compose_many(run)), True)
+            steps, _ = _netlist(flatten(compose_many(run)), True)
             assert len(steps) <= 1
             assert all((step.lo, step.n, step.m, step.run) == (0, 0, 0, (Empty,)) for step in steps)
             if kind == "tick":
@@ -466,8 +468,8 @@ class TestNetlistEvaluator:
             if kind == "swaps":
                 assert all(step.exchange == 0 for step in steps)
             # After the base, it rides on the base's last step: no step of its own.
-            base_steps = _netlist(flatten(base), True)
-            assert len(_netlist(flatten(compose_many([base] + run)), True)) <= max(len(base_steps), 1)
+            base_steps, _ = _netlist(flatten(base), True)
+            assert len(_netlist(flatten(compose_many([base] + run)), True)[0]) <= max(len(base_steps), 1)
             tail = random_term(rng, max_wires=3, max_gens=4, n_in=base.n_out)
             self._check_doubled(rng, compose_many([base] + run + [tail]))
 
@@ -479,10 +481,10 @@ class TestNetlistEvaluator:
         folded_on_diagonal = []
         apply_step = semantics._apply_step
 
-        def watched(ops, doubled, table, dead):
+        def watched(ops, doubled, table, dead, r):
             if doubled and (table.exchange or table.moved) and any(x == y for x, y in ops):
                 folded_on_diagonal.append(table)
-            return apply_step(ops, doubled, table, dead)
+            return apply_step(ops, doubled, table, dead, r)
 
         monkeypatch.setattr(semantics, "_apply_step", watched)
         rng = random.Random(f"fold:{case}")
@@ -491,11 +493,11 @@ class TestNetlistEvaluator:
             ticks = case == "untouched_tick" or k % 2 == 0
             head, d = _folded_relabel_term(rng, case, ticks)
             flat = flatten(head)
-            first = _netlist(flat, True)[0]
+            first = _netlist(flat, True)[0][0]
             n, m, exchange, moved = first.n, first.m, first.exchange, first.moved
             outputs = ((1 << m) - 1) << first.lo
             if case == "leading":
-                for step in (first, _netlist(flat, False)[0]) if not ticks else (first,):
+                for step in (first, _netlist(flat, False)[0][0]) if not ticks else (first,):
                     assert (step.lo, step.n, step.m, step.run) == (0, 0, 0, (Empty,))
                     assert step.exchange or step.moved
             elif case == "untouched_tick":
@@ -543,7 +545,7 @@ class TestNetlistEvaluator:
 
         def run(layers):
             chain = compose_many([Tick, z] * (layers // 2) + [Tick] * (layers % 2))
-            assert len(_netlist(flatten(chain), True)) == layers // 2 + 1
+            assert len(_netlist(flatten(chain), True)[0]) == layers // 2 + 1
             start = time.perf_counter()
             out = apply_superop(chain, rho), state_operator(Compose(chain, plus))
             return out, time.perf_counter() - start
@@ -570,9 +572,9 @@ class TestNetlistEvaluator:
         # would be 246; a relabelling pass per swap-and-tick run, 128.
         nf = random_nf(random.Random(68), 3, density=0.55)
         assert len(nf.terms) == 20
-        steps = _netlist(flatten(nf_to_diagram(nf)), True)
+        steps, rs = _netlist(flatten(nf_to_diagram(nf)), True)
         assert len(steps) <= 110
-        assert not any(_run_matrix(step.run) == _gen_matrix(Empty) for step in steps)
+        assert not any(_run_matrix(_run_of(step, r)) == _gen_matrix(Empty) for step, r in zip(steps, rs))
 
     @pytest.mark.parametrize(
         "qubits, seed, density, most_fed, most_live", [(3, 68, 0.55, 1673, 59), (4, 131, 1.0, 81_081, 407)]
@@ -587,8 +589,8 @@ class TestNetlistEvaluator:
         fed, live = [], []
         apply_step = semantics._apply_step
 
-        def counting(ops, doubled, table, dead):
-            out = apply_step(ops, doubled, table, dead)
+        def counting(ops, doubled, table, dead, r):
+            out = apply_step(ops, doubled, table, dead, r)
             fed.append(len(ops))
             live.append(len(out))
             return out
@@ -601,6 +603,11 @@ class TestNetlistEvaluator:
 
 def _relabelling(table) -> tuple:
     return table.exchange, table.moved, table.moves
+
+
+def _run_of(table, r) -> tuple:
+    """The generators of a step's run: its table's, or the one Z spider r of its bound shape."""
+    return table.run if r is None else (ZSpider(r, *table.run),)
 
 
 def _count_tables(monkeypatch) -> list:
@@ -639,7 +646,7 @@ class TestTableStore:
     def _tables(d) -> list:
         """The tables every evaluation in `_results` steps through."""
         flats = [(flatten(bend_inputs(d)), True), (flatten(d), True)]
-        return [t for flat, doubled in flats + ([] if has_tick(d) else [(flatten(d), False)]) for t in _netlist(flat, doubled)]
+        return [t for flat, doubled in flats + ([] if has_tick(d) else [(flatten(d), False)]) for t in _netlist(flat, doubled)[0]]
 
     def test_cold_and_warm_stores_agree(self, monkeypatch):
         cases = self._cases(71, 50)
@@ -686,9 +693,9 @@ class TestTableStore:
             assert apply_superop(spread, rho) == M([[ZERO, ZERO], [ZERO, ONE]])
 
         def own_tables():
-            tables = _netlist(flatten(cancel), False) + _netlist(flatten(cancel), True)
-            tables += _netlist(flatten(compose_many([cancel, not_gate, not_gate])), True)
-            return tables + _netlist(flatten(spread), True)
+            tables = _netlist(flatten(cancel), False)[0] + _netlist(flatten(cancel), True)[0]
+            tables += _netlist(flatten(compose_many([cancel, not_gate, not_gate])), True)[0]
+            return tables + _netlist(flatten(spread), True)[0]
 
         def snapshot(tables):
             return [
@@ -731,13 +738,13 @@ class TestTableStore:
         assert interp(flip_low) != interp(flip_high)
         assert interp(flip_low).entries == {(1, 0): ONE, (0, 1): ONE, (3, 2): ONE, (2, 3): ONE}
         assert interp(flip_high).entries == {(2, 0): ONE, (3, 1): ONE, (0, 2): ONE, (1, 3): ONE}
-        (low,), (high,) = _netlist(flatten(flip_low), False), _netlist(flatten(flip_high), False)
+        (low,), (high,) = _netlist(flatten(flip_low), False)[0], _netlist(flatten(flip_high), False)[0]
         assert low is not high
         assert (low.run, low.lo) == ((not_gate,), 0) and (high.run, high.lo) == ((not_gate,), 1)
         assert _table.cache_info().currsize == 2
         # A term parsed again from its text finds the same tables.
         for d, want in ((flip_low, low), (flip_high, high)):
-            (again,) = _netlist(flatten(parse_diagram(print_diagram(d))), False)
+            (again,), _ = _netlist(flatten(parse_diagram(print_diagram(d))), False)
             assert again is want
 
     def test_equal_runs_share_a_table(self):
@@ -745,8 +752,8 @@ class TestTableStore:
         pure = "(compose (tensor (z 1/2w^3 1 1) (w 1 2)) (compose swap (tensor (id 1) (z -w 1 1))))"
         ticked = f"(compose (tensor tick (id 2)) {pure})"
         for text, doubled in ((pure, False), (pure, True), (ticked, True)):
-            first, second = (_netlist(flatten(parse_diagram(text)), doubled) for _ in range(2))
-            assert first and all(a is b for a, b in zip(first, second, strict=True))
+            (first, r1), (second, r2) = (_netlist(flatten(parse_diagram(text)), doubled) for _ in range(2))
+            assert first and all(a is b for a, b in zip(first, second, strict=True)) and r1 == r2
 
     def test_store_never_exceeds_its_bound(self, monkeypatch):
         bound = semantics._STORE_SIZE
@@ -755,7 +762,8 @@ class TestTableStore:
         scales = [Scalar(k + 2) for k in range(bound + 50)]
 
         def check(r):
-            assert interp(ZSpider(r, 1, 1)) == M([[ONE, ZERO], [ZERO, r]])
+            # A 0 -> 0 Z spider weighs 1 + r, so its step keeps its value as key.
+            assert interp(ZSpider(r, 0, 0)) == M([[ONE + r]])
 
         for r in scales:
             check(r)
@@ -772,13 +780,31 @@ class TestTableStore:
         check(scales[51])
         assert built == [0, 0]
         assert _table.cache_info().currsize == bound
-        # One evaluation with more distinct steps than the store holds.
-        product = ONE
-        for r in scales:
-            product = product * r
-        chain = compose_many([ZSpider(r.inverse(), 1, 1) for r in scales] + [ZSpider(product, 1, 1)])
-        assert interp(chain) == M([[ONE, ZERO], [ZERO, ONE]])
+        # One evaluation with more distinct steps than the store holds: each
+        # 1 + r is cancelled by the 1 + s after it.
+        chain = [ZSpider(r, 0, 0) for r in scales] + [ZSpider((ONE + r).inverse() - ONE, 0, 0) for r in scales]
+        assert interp(tensor_many(chain)) == M([[ONE]])
         assert _table.cache_info().currsize == bound
+
+    def test_new_coefficients_add_no_miss(self):
+        # A normal form's Z nodes take the table of their shape, so a second
+        # form with the same positions and new coefficients builds no table,
+        # in the doubled sweep or in the pure sweep of its doubled term.
+        nf = random_nf(random.Random(77), 3, density=0.6)
+        again = NormalForm(nf.qubits, tuple(NFTerm(t.x, t.y, t.coeff * Scalar(-3)) for t in nf.terms))
+        _table.cache_clear()
+
+        def round_trips(form):
+            for unreduced in (False, True):
+                d = nf_to_diagram(form, unreduced=unreduced)
+                assert state_operator(d) == nf_to_matrix(form)
+            assert _unvec(interp(unzip(nf_to_diagram(form))), form.qubits) == nf_to_matrix(form)
+
+        round_trips(nf)
+        misses = _table.cache_info().misses
+        round_trips(again)
+        assert _table.cache_info().misses == misses
+        assert len(nf.terms) >= 15 and _table.cache_info().currsize == misses
 
     def test_concurrent_evaluations_agree(self):
         # Four threads evaluate the same terms, each in its own order, from
@@ -821,7 +847,7 @@ class TestTableStore:
         for _ in range(60):
             d = random_term(rng, max_wires=3, max_gens=8)
             for t in (d, bend_inputs(d)):
-                steps = _netlist(flatten(t), True)
+                steps, _ = _netlist(flatten(t), True)
                 for step, masks in zip(steps, semantics._dead_patterns(steps) or ()):
                     if not masks:
                         continue
@@ -834,7 +860,7 @@ class TestTableStore:
                             ]
                             assert list(step.branches(cx, cy, masks)) == want
                             dropped += len(every) - len(want)
-            for step in _netlist(flatten(d), True):
+            for step in _netlist(flatten(d), True)[0]:
                 if not (step.exchange or step.moves):
                     continue
                 plain = _table(step.run, step.lo, 0, ())
@@ -849,6 +875,57 @@ class TestTableStore:
                         assert list(step.branches(cx, cy, None)) == want
                         checked += 1
         assert checked >= 100 and dropped >= 40
+
+
+class TestBoundCoefficients:
+    """A step whose run is one Z spider with legs and r != 0 binds r when it is applied."""
+
+    # 1 and r conj(r) = 1 give the shared ONE; conj(i) = -i and conj(w) = -w^3
+    # differ from i and w; 1 + sqrt(2) is real with r conj(r) != 1.  On the
+    # diagonal 2 gives the reduced form's node 1, which carries half the entry.
+    DIAGONAL = (ONE, MINUS_ONE, TWO, ONE + SQRT2)
+    OFF_DIAGONAL = (ONE, MINUS_ONE, I, OMEGA, ONE + SQRT2)
+
+    @classmethod
+    def _recoefficient(cls, nf, rng, turn):
+        """nf's positions with other coefficients: the special ones by turn, and now and then seeded ones."""
+        terms = []
+        for j, t in enumerate(nf.terms):
+            pool = cls.DIAGONAL if t.x == t.y else cls.OFF_DIAGONAL
+            k = (turn + j) % (len(pool) + 1)
+            if k < len(pool):
+                c = pool[k]
+            else:
+                c = random_real_scalar(rng, nonzero=True) if t.x == t.y else random_scalar(rng, nonzero=True)
+            terms.append(NFTerm(t.x, t.y, c))
+        return NormalForm(nf.qubits, tuple(terms))
+
+    def test_fresh_coefficients_on_fixed_positions(self):
+        # Forms on the same positions run one after another, from a cold
+        # store, so each finds the tables the one before it filled.
+        _table.cache_clear()
+        rng = random.Random(91)
+        used = set()
+        for qubits in (1, 2, 3, 4):
+            for _ in range(3 if qubits < 4 else 1):
+                positions = random_nf(rng, qubits, density=rng.uniform(0.4, 0.8))
+                for turn in range(3):
+                    nf = self._recoefficient(positions, rng, turn)
+                    want = nf_to_matrix(nf)
+                    for unreduced in (False, True):
+                        assert state_operator(nf_to_diagram(nf, unreduced=unreduced)) == want
+                    used |= {t.coeff for t in nf.terms}
+        assert set(self.DIAGONAL + self.OFF_DIAGONAL) <= used
+        assert any(c.conj() != c for c in used - set(self.OFF_DIAGONAL))
+
+    @pytest.mark.parametrize("qubits, seed, density", [(3, 92, 1.0), (4, 93, 0.5)])
+    def test_doubled_sweep_matches_pure_sweep(self, qubits, seed, density):
+        # The pure sweep of the doubled term binds r and conj(r) on separate
+        # nodes and shares none of the doubled branches.
+        rng = random.Random(seed)
+        nf = self._recoefficient(random_nf(rng, qubits, density=density), rng, seed)
+        d = nf_to_diagram(nf)
+        assert state_operator(d) == _unvec(interp(unzip(d)), qubits) == nf_to_matrix(nf)
 
 
 def _effect_rich_term(rng, max_wires=3, layers=4, wide=False):
@@ -898,7 +975,7 @@ def _effect_rich_term(rng, max_wires=3, layers=4, wide=False):
 
 
 def _dead(d):
-    return semantics._dead_patterns(_netlist(flatten(d), True))
+    return semantics._dead_patterns(_netlist(flatten(d), True)[0])
 
 
 class TestDeadPatterns:
@@ -989,9 +1066,9 @@ class TestDeadPatterns:
             for rho in (random_hermitian(rng, d.n_in), random_matrix(rng, d.n_in, density=1.0)):
                 assert apply_superop(d, rho) == _unvec(doubled.matmul(_vec(rho)), d.n_out)
             for t in (s, d):
-                tables = _netlist(flatten(t), True)
+                tables, rs = _netlist(flatten(t), True)
                 wide += any(table.n > semantics._GROUP_WIRES and not table.full for table in tables)
-                seen |= {(type(g), g.n_in, g.n_out) for table in tables for g in table.run if g.n_in > semantics._GROUP_WIRES}
+                seen |= {(type(g), g.n_in, g.n_out) for table, r in zip(tables, rs) for g in _run_of(table, r) if g.n_in > semantics._GROUP_WIRES}
                 pruned += any(_dead(t) or ())
                 for table in tables:
                     for _, groups in table.transfers.values():
