@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .scalar import ONE, Scalar, ScalarParseError, format_scalar, parse_scalar
+from .scalar import MAX_DIGITS, ONE, Scalar, ScalarParseError, _too_long, format_scalar, parse_scalar
 
 
 class ArityError(ValueError):
@@ -617,6 +617,8 @@ def parse_diagram(text: str) -> Diagram:
         tok = take()
         if not (tok.isascii() and tok.isdigit()):
             raise DiagramParseError(f"expected a natural number, found {tok!r}")
+        if len(tok) > MAX_DIGITS:
+            raise DiagramParseError(_too_long("a natural number"))
         return int(tok)
 
     def close() -> None:

@@ -38,7 +38,7 @@ from .diagram import (
     tensor_many,
     wires,
 )
-from .scalar import HALF, ONE, Scalar, ScalarParseError, ZERO, format_scalar, parse_scalar
+from .scalar import HALF, MAX_DIGITS, ONE, Scalar, ScalarParseError, ZERO, _too_long, format_scalar, parse_scalar
 from .semantics import (
     Matrix,
     _format_complex,
@@ -290,6 +290,8 @@ def parse_nf(text: str) -> NormalForm:
     count = lines[0][2:].strip()
     if not (count.isascii() and count.isdigit()):
         raise NormalFormError(f"bad qubit count in {lines[0]!r}")
+    if len(count) > MAX_DIGITS:
+        raise NormalFormError(_too_long("the qubit count"))
     n = int(count)
     terms = []
     for ln in lines[1:]:

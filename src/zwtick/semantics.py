@@ -59,7 +59,7 @@ from .diagram import (
     tensor_many,
     wires,
 )
-from .scalar import HALF, I, MINUS_ONE, ONE, ZERO, Scalar, ScalarParseError, format_scalar, parse_scalar
+from .scalar import HALF, I, MAX_DIGITS, MINUS_ONE, ONE, ZERO, Scalar, ScalarParseError, _too_long, format_scalar, parse_scalar
 
 class SemanticsError(ValueError):
     pass
@@ -296,6 +296,17 @@ def interp_sparse(d: Diagram) -> Matrix:
 # A step's transfer is kept per constraint in its table, so the steps of
 # one shape share it whatever coefficient they bind.  When some constraint
 # allows no pattern at all, the result is 0 and no step runs.
+#
+# Doubled, a bound state (a Z spider 0 -> k, r != 0, as a normal form spends
+# one per entry) and the steps after it up to the next bound step make a
+# segment, `_Segment`, when the live operator at its start spans at most
+# `_SEGMENT_WIRES` wires.  A segment maps a whole (x, y) entry to the
+# branches the steps give it one after the other, so it is one pass over
+# the live operator instead of one per step; it is applied as a bound step
+# with `lo` 0.  It is kept in its own store, `_segment`, under its start
+# width, its tables and their masks, and is used only from the second time
+# its key is met: the first time, its steps run one by one, so a term met
+# once costs only its key.
 
 #: Most wires a constraint group of the dead-pattern pass spans.
 _GROUP_WIRES = 3
@@ -304,6 +315,15 @@ _GROUP_WIRES = 3
 #: about 170 distinct keys, and 20 cycles of the benchmark's normal-form
 #: round trips about 160, since their Z nodes share a table per shape.
 _STORE_SIZE = 2048
+
+#: Most wires the live operator spans where a segment starts.  A segment
+#: keeps the branches of each (x, y) it meets, up to 4^w patterns at width
+#: w: a 4-qubit normal form's n + 1 = 5 accumulator wires are the widest.
+_SEGMENT_WIRES = 5
+
+#: Most segments (and keys met once) the segment store holds: a dense
+#: 4-qubit normal form has 136 entries, twice that unreduced.
+_SEGMENT_STORE = 512
 
 
 def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> "tuple[list[_Table], list[Scalar | None]]":
@@ -462,6 +482,82 @@ class _Table:
                 out.append((r, s, c if bound or c != ONE else ONE))
         return out
 
+    @staticmethod
+    def bind(branches: list, weights: tuple) -> list:
+        """A bound table's `branches` with the weights of the step's r put in."""
+        return [(rx, ry, weights[k]) for rx, ry, k in branches]
+
+
+@lru_cache(maxsize=_SEGMENT_STORE)
+def _segment(width: int, tables: "tuple[_Table, ...]", masks: tuple) -> _Segment:
+    """The shared segment of a bound state step and the steps after it; evicts the least recently used."""
+    return _Segment(width, tables, masks)
+
+
+class _Segment:
+    """Steps applied as one: a bound state step and the unbound steps after it.
+
+    `steps` pairs each step's table with its dead-pattern masks; the live
+    operator spans `n` wires before them and `m` after.  A segment reads as
+    a bound table with `lo` 0 and no relabelling, so `_apply_step` applies
+    it: an entry's bits are all its pattern.  `live[None]` caches the
+    branches of each (x, y) it meets, (r, s, weight index, constant), built
+    from the tables' own cached branches (`_Table.live`): the weight index
+    is the first step's, 0-3 for 1, r, conj(r), r conj(r), and the constant
+    the product of the later steps' entries, summed over the paths to (r,
+    s).  `met` says the key has been met before: until then the steps run
+    one by one.  As with a table, nothing stored is changed once built.
+    """
+
+    __slots__ = ("steps", "n", "m", "live", "met")
+    lo = exchange = moved = 0
+    moves = ()
+    bound = True
+
+    def __init__(self, width: int, tables: "tuple[_Table, ...]", masks: tuple):
+        self.steps = tuple(zip(tables, masks))
+        self.n, self.m = width, width + sum(t.m - t.n for t in tables)
+        self.live: dict[None, dict[int, list]] = {}
+        self.met = False
+
+    def branches(self, x: int, y: int, dead: None) -> "list[tuple[int, int, int, Scalar]]":
+        """The doubled branches of the entry at (x, y): each step's branches, one step after another.
+
+        `dead` is None: each step drops the branches its own masks mark.
+        """
+        paths = {(x, y, 0): ONE}  # (ket bits, bra bits, weight index) -> constant
+        for table, masks in self.steps:
+            lo, n, exchange, moved, moves = table.lo, table.n, table.exchange, table.moved, table.moves
+            nmask, lomask, hi, new_hi = (1 << n) - 1, (1 << lo) - 1, lo + n, lo + table.m
+            live = table.live.setdefault(masks, {})
+            after: dict = {}
+            for (ket, bra, k), c in paths.items():
+                cx, cy = (ket >> lo) & nmask, (bra >> lo) & nmask
+                pattern = (cx << n) | cy
+                branches = live.get(pattern)
+                if branches is None:
+                    branches = live[pattern] = table.branches(cx, cy, masks)
+                # The entry's own bits, relabelled as `_apply_step` does.
+                bx = ((ket >> hi) << new_hi) | (ket & lomask)
+                by = ((bra >> hi) << new_hi) | (bra & lomask)
+                if moved:
+                    bx, by = _permute(bx, moved, moves), _permute(by, moved, moves)
+                e = (bx ^ by) & exchange
+                bx, by = bx ^ e, by ^ e
+                for rx, ry, w in branches:
+                    if table.bound:
+                        key, v = (bx | rx, by | ry, w), c
+                    else:
+                        key, v = (bx | rx, by | ry, k), c if w is ONE else c * w
+                    after[key] = after[key] + v if key in after else v
+            paths = {key: v for key, v in after.items() if not v.is_zero()}
+        return [(r, s, k, c) for (r, s, k), c in paths.items()]
+
+    @staticmethod
+    def bind(branches: list, weights: tuple) -> list:
+        """`branches` with the weights of the first step's r put in, times their constants."""
+        return [(rx, ry, weights[k] if c is ONE else weights[k] * c) for rx, ry, k, c in branches]
+
 
 def _dead_patterns(tables: list[_Table]) -> "list[tuple[int, int, int, int] | None] | None":
     """The dead-pattern masks after each doubled step, or None when the result is 0.
@@ -603,13 +699,15 @@ def _weights(r: Scalar) -> tuple:
     return tuple(ONE if w == ONE else w for w in (ONE, r, rc, r * rc))
 
 
-def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, int, int] | None", coefficient: "Scalar | None") -> dict:
+def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tuple[int, int, int, int] | None", coefficient: "Scalar | None") -> dict:
     """Apply a step that binds `coefficient` r, or None: on x alone, or doubled on the upper triangle.
 
     On x alone, a bound table's entry None stands for r.  Doubled, a bound
-    branch's weight becomes 1, r, conj(r) or r conj(r) (`_weights`), put in
-    once for each input pattern the step meets; a weight equal to 1 is the
-    shared `ONE`, which is never multiplied.
+    branch's weight becomes 1, r, conj(r) or r conj(r) (`_weights`), times
+    a segment's constant, put in once for each input pattern the step meets
+    (`bind`); a weight equal to 1 is the shared `ONE`, which is never
+    multiplied.  A segment is applied with `dead` None: its masks are its
+    steps'.
 
     An output (r, s) joins an entry's own bits, those outside the run, to a
     branch's output bits.  Both the exchange and the bit permutation split
@@ -642,7 +740,7 @@ def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, 
     if doubled:
         live = own = table.live.setdefault(dead, {})
         if coefficient is not None:  # `own` holds this step's branches, its weights put in
-            own, weights = {}, _weights(coefficient)
+            own, weights, bind = {}, _weights(coefficient), table.bind
         for (x, y), v in ops.items():
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
@@ -653,7 +751,7 @@ def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, 
                 if branches is None:
                     branches = live[pattern] = table.branches(cx, cy, dead)
                 if branches and own is not live:
-                    branches = own[pattern] = [(rx, ry, weights[k]) for rx, ry, k in branches]
+                    branches = own[pattern] = bind(branches, weights)
             if not branches:
                 continue
             bx = ((x >> hi) << new_hi) | (x & lomask)
@@ -704,11 +802,14 @@ def _apply_step(ops: dict, doubled: bool, table: _Table, dead: "tuple[int, int, 
     return out
 
 
-def _evaluate(flat: list[tuple[Generator, int]], ops: dict, doubled: bool) -> dict:
-    """Run the steps of a flattened term over the sparse operator `ops` on its input wires.
+def _evaluate(flat: list[tuple[Generator, int]], ops: dict, doubled: bool, width: int) -> dict:
+    """Run the steps of a flattened term over the sparse operator `ops` on its `width` input wires.
 
     Doubled, `ops` is the upper triangle of a Hermitian operator, and so is
     the result, and each step drops the branches `_dead_patterns` finds dead.
+    A bound state step at width at most `_SEGMENT_WIRES` starts a segment:
+    the steps from it up to the next bound step run as one (`_Segment`)
+    once their key has been met before, and one by one the first time.
     """
     tables, coefficients = _netlist(flat, doubled)
     if not doubled:
@@ -718,8 +819,21 @@ def _evaluate(flat: list[tuple[Generator, int]], ops: dict, doubled: bool) -> di
     dead = _dead_patterns(tables)
     if dead is None:
         return {}
-    for table, masks, r in zip(tables, dead, coefficients):
-        ops = _apply_step(ops, True, table, masks, r)
+    i, count = 0, len(tables)
+    while i < count:
+        table, r = tables[i], coefficients[i]
+        if table.bound and not table.n and width <= _SEGMENT_WIRES:
+            j = i + 1
+            while j < count and not tables[j].bound:
+                j += 1
+            segment = _segment(width, tuple(tables[i:j]), tuple(dead[i:j]))
+            if segment.met:
+                ops, width, i = _apply_step(ops, True, segment, None, r), segment.m, j
+                continue
+            segment.met = True
+        ops = _apply_step(ops, True, table, dead[i], r)
+        width += table.m - table.n
+        i += 1
     return ops
 
 
@@ -732,7 +846,7 @@ def _interp_flat(d: Diagram, flat: list[tuple[Generator, int]]) -> Matrix:
     """`interp` of d from `flat`, its `flatten` list."""
     _check_dense(d.n_out, d.n_in)
     cols = 1 << d.n_in
-    out = _evaluate(flat, {(c, c): ONE for c in range(cols)}, doubled=False)
+    out = _evaluate(flat, {(c, c): ONE for c in range(cols)}, False, d.n_in)
     return Matrix.from_entries(1 << d.n_out, cols, out)
 
 
@@ -797,10 +911,10 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
             if not v.is_zero():
                 part[x, y] = v
     flat = flatten(d)
-    out = _mirrored(dim, _evaluate(flat, h, doubled=True))
+    out = _mirrored(dim, _evaluate(flat, h, True, n))
     if k:
         entries = out.entries
-        for key, v in _mirrored(dim, _evaluate(flat, k, doubled=True)).entries.items():
+        for key, v in _mirrored(dim, _evaluate(flat, k, True, n)).entries.items():
             v = entries.get(key, ZERO) + I * v
             if v.is_zero():
                 entries.pop(key, None)
@@ -815,7 +929,7 @@ def state_operator(d: Diagram) -> Matrix:
         raise SemanticsError(f"state_operator needs a state, got {d.n_in} inputs")
     _check_dense(d.n_out, d.n_out)
     dim = 1 << d.n_out
-    return _mirrored(dim, _evaluate(flatten(d), {(0, 0): ONE}, doubled=True))
+    return _mirrored(dim, _evaluate(flatten(d), {(0, 0): ONE}, True, 0))
 
 
 def _mirrored(dim: int, upper: dict) -> Matrix:
@@ -1054,6 +1168,8 @@ def parse_matrix(text: str) -> Matrix:
     head = lines[0].split()
     if len(head) != 2 or not all(tok.isascii() and tok.isdigit() for tok in head):
         raise SemanticsError(f"bad matrix header {lines[0]!r}")
+    if any(len(tok) > MAX_DIGITS for tok in head):
+        raise SemanticsError(_too_long("a matrix dimension"))
     rows, cols = int(head[0]), int(head[1])
     if len(lines) - 1 != rows:
         raise SemanticsError(f"expected {rows} rows, found {len(lines) - 1}")

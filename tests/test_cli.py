@@ -223,6 +223,13 @@ class TestFailureModes:
             assert "more than 4300 decimal digits, the most zwtick reads or writes in one number" in captured.err
             assert "set_int_max_str_digits" not in captured.err
 
+    def test_long_arity_is_refused(self, tmp_path, capsys):
+        f = write(tmp_path, "arity.zwt", "(z 1 " + "2" * 5000 + " 1)")
+        assert main(["interp", f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a natural number has more than 4300 decimal digits, the most zwtick reads or writes in one number\n"
+
     def test_unknown_verb_exits_with_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

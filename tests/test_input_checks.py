@@ -32,6 +32,7 @@ from zwtick import (
     spin_flip,
     subterm_at,
 )
+from zwtick.scalar import MAX_DIGITS
 from zwtick.semantics import LinZW, psi
 
 NOT_HERMITIAN = Matrix([[ONE, ONE], [ZERO, ONE]])
@@ -109,3 +110,28 @@ def test_bad_input_raises(call, error, message):
         call()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+LONG = "1" * (MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "read, text, error, what",
+    [
+        (parse_diagram, f"(z 1 {LONG} 1)", DiagramParseError, "a natural number"),
+        (parse_diagram, f"(id {LONG})", DiagramParseError, "a natural number"),
+        (parse_nf, f"n {LONG}\n", NormalFormError, "the qubit count"),
+        (parse_matrix, f"{LONG} 1\n1\n", SemanticsError, "a matrix dimension"),
+        (parse_matrix, f"1 {LONG}\n1\n", SemanticsError, "a matrix dimension"),
+    ],
+    ids=["arity", "wire-count", "qubit-count", "matrix-rows", "matrix-cols"],
+)
+def test_long_numbers_are_refused_in_own_words(read, text, error, what):
+    # A number token longer than MAX_DIGITS is refused by the reader's own
+    # error, not by the interpreter's limit on int/str conversion.
+    with pytest.raises(error) as exc:
+        read(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{what} has more than {MAX_DIGITS} decimal digits, the most zwtick reads or writes in one number"
+    # MAX_DIGITS digits still read.
+    assert read(text.replace(LONG, "0" * (MAX_DIGITS - 1) + "1")) == read(text.replace(LONG, "1"))

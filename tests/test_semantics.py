@@ -584,21 +584,47 @@ class TestNetlistEvaluator:
         # from 4,599 to 1,673 on the 3-qubit normal form above (peak live
         # entries 146 to 59), and from 266,523 to 81,081 on a full 4-qubit
         # one of 136 terms (peak 407).  The limits are those counts, so any
-        # pruning lost on a normal form fails here.
+        # pruning lost on a normal form fails here.  A segment counts the
+        # entries fed to it: the first run meets each segment's key for the
+        # first time and runs step by step, and a second run feeds each term
+        # to one segment, 274 entries (peak 20) and 9,729 (peak 136).
         nf = random_nf(random.Random(seed), qubits, density=density)
-        fed, live = [], []
-        apply_step = semantics._apply_step
+        semantics._segment.cache_clear()
+        applied = _record_steps(monkeypatch)
+        warm = {3: (274, 20), 4: (9729, 136)}[qubits]
+        for most_fed, most_live in ((most_fed, most_live), warm):
+            applied.clear()
+            assert state_operator(nf_to_diagram(nf)) == nf_to_matrix(nf)
+            assert sum(fed for _, fed, _ in applied) <= most_fed
+            assert max(max(fed, out) for _, fed, out in applied) <= most_live
 
-        def counting(ops, doubled, table, dead, r):
-            out = apply_step(ops, doubled, table, dead, r)
-            fed.append(len(ops))
-            live.append(len(out))
-            return out
+    def test_dense_round_trip_passes(self, monkeypatch):
+        # A warm round trip of the full 4-qubit normal form above, of 136
+        # terms, makes one pass per term and one per accumulator it starts
+        # from: 144 passes, against 824 step by step.
+        nf = random_nf(random.Random(131), 4, density=1.0)
+        semantics._segment.cache_clear()
+        applied = _record_steps(monkeypatch)
+        d = nf_to_diagram(nf)
+        assert state_operator(d) == nf_to_matrix(nf)
+        assert len(applied) > 300
+        applied.clear()
+        assert state_operator(d) == nf_to_matrix(nf)
+        assert len(applied) <= 300
 
-        monkeypatch.setattr(semantics, "_apply_step", counting)
-        assert state_operator(nf_to_diagram(nf)) == nf_to_matrix(nf)
-        assert sum(fed) <= most_fed
-        assert max(fed + live) <= most_live
+
+def _record_steps(monkeypatch) -> list:
+    """Make every step or segment applied from now on append (its table, entries in, entries out)."""
+    applied = []
+    apply_step = semantics._apply_step
+
+    def recording(ops, doubled, table, dead, r):
+        out = apply_step(ops, doubled, table, dead, r)
+        applied.append((table, len(ops), len(out)))
+        return out
+
+    monkeypatch.setattr(semantics, "_apply_step", recording)
+    return applied
 
 
 def _relabelling(table) -> tuple:
@@ -806,22 +832,34 @@ class TestTableStore:
         assert _table.cache_info().misses == misses
         assert len(nf.terms) >= 15 and _table.cache_info().currsize == misses
 
-    def test_concurrent_evaluations_agree(self):
+    def test_concurrent_evaluations_agree(self, monkeypatch):
         # Four threads evaluate the same terms, each in its own order, from
-        # a cold store, so they build and fill the same tables at once.
+        # a cold store, so they build and fill the same tables at once.  They
+        # also round-trip normal forms, three on each set of positions, twice
+        # each, from an empty segment store, so they meet the same segment
+        # keys, and build and fill the same segments, at once.
         cases = self._cases(74, 30)
         want = [self._results(d, h, k) for d, h, k in cases]
         uses = Counter(id(t) for d, _, _ in cases for t in {id(t): t for t in self._tables(d)}.values())
         assert sum(count > 1 for count in uses.values()) >= 10  # steps shared between terms
+        rng = random.Random(79)
+        forms = []
+        for qubits in (2, 3, 3):
+            positions = random_nf(rng, qubits, density=0.7)
+            forms += [TestBoundCoefficients._recoefficient(positions, rng, turn) for turn in range(3)]
+        states = [nf_to_diagram(nf) for nf in forms] * 2
         orders = [random.Random(75 + i).sample(range(len(cases)), len(cases)) for i in range(4)]
+        state_orders = [random.Random(80 + i).sample(range(len(states)), len(states)) for i in range(4)]
         got: list = [None] * 4
         start = threading.Barrier(4)
+        applied = _record_steps(monkeypatch)
 
         def work(i):
             start.wait(timeout=60)
-            got[i] = {j: self._results(*cases[j]) for j in orders[i]}
+            got[i] = {j: self._results(*cases[j]) for j in orders[i]}, {j: state_operator(states[j]) for j in state_orders[i]}
 
         _table.cache_clear()
+        semantics._segment.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -834,7 +872,9 @@ class TestTableStore:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for results in got:
-            assert results is not None and [results[j] for j in range(len(cases))] == want
+            assert results is not None and [results[0][j] for j in range(len(cases))] == want
+            assert [results[1][j] for j in range(len(states))] == [nf_to_matrix(nf) for nf in forms] * 2
+        assert len(_segment_widths(applied)) >= 100
 
     def test_stored_branches_are_relabelled(self):
         # A table keeps its branches relabelled: they are the branches of
@@ -926,6 +966,80 @@ class TestBoundCoefficients:
         nf = self._recoefficient(random_nf(rng, qubits, density=density), rng, seed)
         d = nf_to_diagram(nf)
         assert state_operator(d) == _unvec(interp(unzip(d)), qubits) == nf_to_matrix(nf)
+
+
+def _segment_widths(applied) -> list:
+    """The start width of each segment among the steps `_record_steps` recorded."""
+    return [table.n for table, _, _ in applied if isinstance(table, semantics._Segment)]
+
+
+class TestSegments:
+    """A bound state step and the steps after it run as one segment from the second time their key is met."""
+
+    def test_fresh_coefficients_run_through_segments(self, monkeypatch):
+        # Three forms on the same positions: the first runs step by step,
+        # the next two apply one segment per Z node, built by the second
+        # from the tables the first filled.
+        applied = _record_steps(monkeypatch)
+        rng = random.Random(94)
+        for qubits in (1, 2, 3, 4):
+            for _ in range(3 if qubits < 4 else 1):
+                positions = random_nf(rng, qubits, density=rng.uniform(0.4, 0.8))
+                semantics._segment.cache_clear()
+                for turn in range(3):
+                    nf = TestBoundCoefficients._recoefficient(positions, rng, turn)
+                    want = nf_to_matrix(nf)
+                    for unreduced in (False, True):
+                        applied.clear()
+                        assert state_operator(nf_to_diagram(nf, unreduced=unreduced)) == want
+                        segments = _segment_widths(applied)
+                        if turn == 0 and not unreduced:
+                            assert segments == []
+                        elif turn > 0:
+                            assert segments == [qubits + 1] * (len(nf.terms) * (1 + unreduced))
+
+    @pytest.mark.parametrize("qubits, seed", [(1, 95), (2, 96), (3, 97)])
+    def test_superop_through_a_held_normal_form(self, monkeypatch, qubits, seed):
+        # A normal form beside an input wire: its segments start one wire
+        # wider than the form's accumulators, on Hermitian and other inputs.
+        applied = _record_steps(monkeypatch)
+        rng = random.Random(seed)
+        positions = random_nf(rng, qubits, density=0.7)
+        semantics._segment.cache_clear()
+        for turn in range(3):
+            nf = TestBoundCoefficients._recoefficient(positions, rng, turn)
+            s, form = nf_to_diagram(nf), nf_to_matrix(nf)
+            for rho in (random_hermitian(rng, 1, density=1.0), random_matrix(rng, 1, density=1.0)):
+                applied.clear()
+                assert apply_superop(Tensor(Id, s), rho) == rho.kron(form)
+                assert apply_superop(Tensor(s, Id), rho) == form.kron(rho)
+                # Two terms, each evaluated once for a Hermitian rho and twice otherwise.
+                per_entry = 2 if rho.is_hermitian() else 4
+                if turn > 0:
+                    assert _segment_widths(applied) == [qubits + 2] * (per_entry * len(nf.terms))
+
+    def test_segments_are_keyed_by_their_masks(self, monkeypatch):
+        # An effect <1| on the form's first output marks patterns of the
+        # steps before it dead, so the same steps meet other masks with it
+        # than without; a segment built under one set must not serve the other.
+        applied = _record_steps(monkeypatch)
+        rng = random.Random(98)
+        for k in range(4):
+            qubits = 1 + k % 3
+            nf = random_nf(rng, qubits, density=0.8)
+            s, form = nf_to_diagram(nf), nf_to_matrix(nf)
+            half = 1 << (qubits - 1)
+            cut = {(x - half, y - half): v for (x, y), v in form.entries.items() if x >= half and y >= half}
+            picked = Compose(Tensor(WSpider(1, 0), id_n(qubits - 1)), s)
+            runs = [(picked, Matrix.from_entries(half, half, cut)), (s, form)]
+            semantics._segment.cache_clear()
+            applied.clear()
+            # Each term twice in a row, so the second builds its segments,
+            # and the term with the effect first on every other form.
+            for d, want in (runs if k % 2 else runs[::-1]) * 2:
+                assert state_operator(d) == want
+                assert state_operator(d) == want
+            assert _segment_widths(applied)
 
 
 def _effect_rich_term(rng, max_wires=3, layers=4, wide=False):
