@@ -38,15 +38,16 @@ class Diagram:
     dataclasses that compare and hash by their fields.  On `Compose` and
     `Tensor`, `==`, `hash` and `repr` walk the term on an explicit stack, so
     any depth is safe, and a term's hash is computed once and kept on each
-    of its composite nodes.  A composite node made by a shared builder also
-    keeps its `flatten` list.
+    of its composite nodes.  A composite node made by a shared builder, and
+    the diagram `normalform.nf_to_diagram` returns, also keep their
+    `flatten` list.
     """
 
     n_in: int = field(init=False, default=0, compare=False)
     n_out: int = field(init=False, default=0, compare=False)
 
     _hash = None  # set on a composite node by its first hash
-    _flat = None  # set on a shared builder's composite output, by `_shared`
+    _flat = None  # set by `_shared` on a composite output, and by `nf_to_diagram`
 
     def __hash__(self) -> int:
         # Generators hash by their fields; a composite keeps its hash on the node.
@@ -285,7 +286,8 @@ def flatten(d: Diagram) -> list[tuple[Generator, int]]:
     Each comes with `lo`, the number of live wires below its inputs when it
     is applied (wire k of w live wires is bit w-1-k of a basis index).  The
     walk keeps an explicit stack, so any depth is safe.  A node that keeps
-    its own list (`_flat`, set by `_shared`) is spliced in, shifted by the
+    its own list (`_flat`, set by `_shared` on a builder's output and by
+    `normalform.nf_to_diagram` on its result) is spliced in, shifted by the
     live wires below it, and not walked again.
     """
     out: list[tuple[Generator, int]] = []

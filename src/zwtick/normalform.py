@@ -15,7 +15,10 @@ through ticks on the bra side, into per-output gathers; a final plug keeps
 exactly the branches where a single node fires on a single side, which is
 what produces c|x><y| + conj(c)|y><x| and nothing else.  The gathers are
 assembled as chains of binary merges so that evaluating the diagram stays
-polynomial in the number of terms.
+polynomial in the number of terms.  The wiring after a node depends only on
+its entry's position, so it is built once per position (`_term_wiring`, a
+shared builder) with its `flatten` list, and the rebuilt diagram keeps the
+`flatten` list it is assembled with, as a shared builder's output does.
 """
 
 from __future__ import annotations
@@ -161,32 +164,52 @@ def _node_rows(nf: NormalForm, unreduced: bool) -> list[tuple[Scalar, int, int]]
     return rows
 
 
+@_shared
+def _term_wiring(n: int, x: int, y: int) -> tuple[int, Diagram, Diagram, Diagram, list]:
+    """What follows the Z node of the entry (x, y) on n qubits.
+
+    The node's leg count; its tick layer, route and merge layer; and the
+    `flatten` list of those three layers, which start on all live wires.
+    """
+    plain = [("x", k) for k in range(n) if (x >> (n - 1 - k)) & 1]
+    ticked = [("y", k) for k in range(n) if (y >> (n - 1 - k)) & 1]
+    # Tick the bra-side legs of the node.
+    ticks = _tick_layer(n + 1 + 1 + len(plain), len(ticked))
+    # Route each leg next to its accumulator, then merge groups at once:
+    # accumulator 0 gathers the top leg, accumulator k + 1 qubit k's legs.
+    accs, top = wires("acc", n + 1), [("top", 0)]
+    groups = [top] + [[leg for leg in plain + ticked if leg[1] == k] for k in range(n)]
+    gathered = [w for acc, group in zip(accs, groups) for w in (acc, *group)]
+    routing = route(accs + top + plain + ticked, gathered)
+    merges = _merge_layer(tuple(len(group) for group in groups))
+    legs = 1 + len(plain) + len(ticked)
+    return legs, ticks, routing, merges, flatten(Compose(merges, Compose(routing, ticks)))
+
+
 def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
     """Rebuild a 0 -> n state diagram denoting exactly the encoded operator.
 
     The reduced variant spends one Z node per term; the unreduced variant
-    spells out the conjugate node of every term as well.
+    spells out the conjugate node of every term as well.  The result keeps
+    its `flatten` list, built alongside it from each position's wiring list.
     """
     n = nf.qubits
     ket0 = ZSpider(Scalar(0), 0, 1)
     # Accumulator wires: (top-sum, out-sum_1, ..., out-sum_n), all seeded |0>.
     d: Diagram = tensor_many([ket0] * (n + 1))
-    accs, top = wires("acc", n + 1), [("top", 0)]
+    flat = flatten(d)
     for coeff, x, y in _node_rows(nf, unreduced):
-        plain = [("x", k) for k in range(n) if (x >> (n - 1 - k)) & 1]
-        ticked = [("y", k) for k in range(n) if (y >> (n - 1 - k)) & 1]
-        node = ZSpider(coeff, 0, 1 + len(plain) + len(ticked))
-        d = Compose(Tensor(id_n(n + 1), node), d)
-        # Tick the bra-side legs of the node.
-        d = Compose(_tick_layer(n + 1 + 1 + len(plain), len(ticked)), d)
-        # Route each leg next to its accumulator, then merge groups at once:
-        # accumulator 0 gathers the top leg, accumulator k + 1 qubit k's legs.
-        groups = [top] + [[leg for leg in plain + ticked if leg[1] == k] for k in range(n)]
-        gathered = [w for acc, group in zip(accs, groups) for w in (acc, *group)]
-        d = Compose(route(accs + top + plain + ticked, gathered), d)
-        d = Compose(_merge_layer(tuple(len(group) for group in groups)), d)
+        legs, ticks, routing, merges, wiring = _term_wiring(n, x, y)
+        node = ZSpider(coeff, 0, legs)
+        d = Compose(merges, Compose(routing, Compose(ticks, Compose(Tensor(id_n(n + 1), node), d))))
+        # The node opens its legs below every live wire, and its wiring spans them all.
+        flat.append((node, 0))
+        flat += wiring
     # Consume the top accumulator with the plug; outputs remain in order.
-    d = Compose(Tensor(_PLUG, id_n(n)), d)
+    plug = Tensor(_PLUG, id_n(n))
+    d = Compose(plug, d)
+    flat += flatten(plug)
+    object.__setattr__(d, "_flat", flat)
     return d
 
 

@@ -16,9 +16,12 @@ from zwtick import (
     Fswap,
     HALF,
     Id,
+    NFTerm,
+    NormalForm,
     NormalFormError,
     OMEGA,
     ONE,
+    Scalar,
     ScalarParseError,
     SemanticsError,
     Swap,
@@ -60,6 +63,7 @@ from zwtick import (
     unzip,
 )
 from zwtick.diagram import _SUGAR, flatten, interleave, route, wires
+from zwtick.normalform import _term_wiring
 from zwtick.semantics import _int_compose, interp_sparse
 
 from _support import flatten_reference, parse_diagram_reference, random_nf, random_term
@@ -293,15 +297,29 @@ class TestSharedBuilders:
             assert merge is lb[1 + 4 * i] and routing is lb[2 + 4 * i] and ticks is lb[3 + 4 * i]
             assert node is not lb[4 + 4 * i] and node.left is lb[4 + 4 * i].left
 
+    def test_new_coefficients_reuse_the_wiring(self):
+        # A term's wiring depends on its entry's position only, so a second
+        # form with the same positions and new coefficients builds none.
+        nf = random_nf(random.Random(78), 3, density=0.6)
+        again = NormalForm(nf.qubits, tuple(NFTerm(t.x, t.y, t.coeff * Scalar(-3)) for t in nf.terms))
+        for unreduced in (False, True):
+            nf_to_diagram(nf, unreduced=unreduced)
+        misses = _term_wiring.cache_info().misses
+        for unreduced in (False, True):
+            d = nf_to_diagram(again, unreduced=unreduced)
+            assert flatten(d) == flatten_reference(d)
+        assert _term_wiring.cache_info().misses == misses
+        assert len(nf.terms) >= 15
+
     def test_kept_lists_stay_on_composite_nodes(self):
         # Fill the caches first: a kept list set on a generator would show below.
-        nf_to_diagram(random_nf(random.Random(6), 2))
+        rebuilt = nf_to_diagram(random_nf(random.Random(6), 2))
         for g in (Id, Empty, Swap, Fswap, Tick, Cup, Cap):
             assert "_flat" not in vars(g)
         net = permutation_diagram([2, 0, 1])
-        assert "_flat" in vars(net) and "_flat" in vars(id_n(5))
+        assert "_flat" in vars(net) and "_flat" in vars(id_n(5)) and "_flat" in vars(rebuilt)
         for copy_ in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
-            for d in (net, id_n(5), Tensor(net, id_n(5))):
+            for d in (net, id_n(5), Tensor(net, id_n(5)), rebuilt):
                 copied = copy_(d)
                 assert copied == d and copied is not d and "_flat" not in vars(copied)
                 assert flatten(copied) == flatten(d)
@@ -322,6 +340,10 @@ class TestFlatten:
             nf = random_nf(rng, rng.randint(0, 4), density=rng.random())
             for d in (nf_to_diagram(nf), nf_to_diagram(nf, unreduced=True)):
                 assert flatten(d) == flatten_reference(d)
+                # Its kept list spliced in below and beside other wires.
+                under = Compose(random_term(rng, max_wires=4, n_in=d.n_out), d)
+                for t in (Tensor(Id, d), Tensor(d, id_n(2)), under):
+                    assert flatten(t) == flatten_reference(t)
 
     def test_shared_networks_at_offsets(self):
         net = route(["a", "b", "c"], ["c", "b", "a"])
