@@ -40,7 +40,7 @@ class Diagram:
     any depth is safe, and a term's hash is computed once and kept on each
     of its composite nodes.  A composite node made by a shared builder, and
     the diagram `normalform.nf_to_diagram` returns, also keep their
-    `flatten` list.
+    `flatten` list; the latter keeps its evaluator steps too.
     """
 
     n_in: int = field(init=False, default=0, compare=False)
@@ -48,6 +48,7 @@ class Diagram:
 
     _hash = None  # set on a composite node by its first hash
     _flat = None  # set by `_shared` on a composite output, and by `nf_to_diagram`
+    _steps = None  # set by `nf_to_diagram`: the steps `semantics._netlist` gives its `_flat`
 
     def __hash__(self) -> int:
         # Generators hash by their fields; a composite keeps its hash on the node.
@@ -237,8 +238,8 @@ def _children(d: Diagram) -> tuple[Diagram, Diagram]:
 #
 # A composite term is copied and pickled as a table of its distinct nodes in
 # post-order, and rebuilt from it with a loop, so any depth is safe and a
-# shared subterm is written and rebuilt once.  The kept hash and flattened
-# list are not carried: string hashes differ between processes.
+# shared subterm is written and rebuilt once.  The kept hash, flattened
+# list and steps are not carried: string hashes differ between processes.
 
 
 def _node_table(d: Diagram) -> list:

@@ -17,8 +17,12 @@ what produces c|x><y| + conj(c)|y><x| and nothing else.  The gathers are
 assembled as chains of binary merges so that evaluating the diagram stays
 polynomial in the number of terms.  The wiring after a node depends only on
 its entry's position, so it is built once per position (`_term_wiring`, a
-shared builder) with its `flatten` list, and the rebuilt diagram keeps the
-`flatten` list it is assembled with, as a shared builder's output does.
+shared builder) with its `flatten` list and its evaluator steps, and the
+rebuilt diagram keeps the `flatten` list it is assembled with, as a shared
+builder's output does, and the steps, so `state_operator` runs them without
+reading that list again.  Every 0-qubit form, and a form whose last node
+sits at (0, 0), keeps no steps: there the plug's first generator joins the
+top accumulator's last step, which no position's steps hold.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .semantics import (
     _format_complex,
     _interp_flat,
     _mirrored,
+    _netlist,
     bend_inputs,
     state_operator,
 )
@@ -165,11 +170,14 @@ def _node_rows(nf: NormalForm, unreduced: bool) -> list[tuple[Scalar, int, int]]
 
 
 @_shared
-def _term_wiring(n: int, x: int, y: int) -> tuple[int, Diagram, Diagram, Diagram, list]:
+def _term_wiring(n: int, x: int, y: int) -> tuple[int, Diagram, Diagram, Diagram, list, list, list]:
     """What follows the Z node of the entry (x, y) on n qubits.
 
-    The node's leg count; its tick layer, route and merge layer; and the
-    `flatten` list of those three layers, which start on all live wires.
+    The node's leg count; its tick layer, route and merge layer; the
+    `flatten` list of those three layers, which start on all live wires;
+    and the tables of the node's step and the steps after it, and the
+    coefficients of the latter.  The node's step binds the entry's
+    coefficient, and no other step binds one.
     """
     plain = [("x", k) for k in range(n) if (x >> (n - 1 - k)) & 1]
     ticked = [("y", k) for k in range(n) if (y >> (n - 1 - k)) & 1]
@@ -183,7 +191,25 @@ def _term_wiring(n: int, x: int, y: int) -> tuple[int, Diagram, Diagram, Diagram
     routing = route(accs + top + plain + ticked, gathered)
     merges = _merge_layer(tuple(len(group) for group in groups))
     legs = 1 + len(plain) + len(ticked)
-    return legs, ticks, routing, merges, flatten(Compose(merges, Compose(routing, ticks)))
+    wiring = flatten(Compose(merges, Compose(routing, ticks)))
+    tables, coefficients = _netlist([(ZSpider(ONE, 0, legs), 0)] + wiring, True)
+    return legs, ticks, routing, merges, wiring, tables, coefficients[1:]
+
+
+@_shared
+def _layer_steps(n: int) -> tuple[tuple[list, list], tuple[list, list]]:
+    """The steps of the ket layer and of the plug layer on n qubits, each with its coefficients."""
+    return _netlist(flatten(_kets(n)), True), _netlist(flatten(_plug(n)), True)
+
+
+def _kets(n: int) -> Diagram:
+    """The n + 1 accumulator wires (top-sum, out-sum_1, ..., out-sum_n), all seeded |0>."""
+    return tensor_many([ZSpider(Scalar(0), 0, 1)] * (n + 1))
+
+
+def _plug(n: int) -> Diagram:
+    """The plug on the top accumulator; the n outputs pass."""
+    return Tensor(_PLUG, id_n(n))
 
 
 def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
@@ -191,25 +217,38 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
 
     The reduced variant spends one Z node per term; the unreduced variant
     spells out the conjugate node of every term as well.  The result keeps
-    its `flatten` list, built alongside it from each position's wiring list.
+    its `flatten` list, built alongside it from each position's wiring list,
+    and its steps, joined from each position's steps and the ket and plug
+    layers'.  Those are `_netlist`'s steps for the `flatten` list unless the
+    plug's first step extends the step before it, which happens when that
+    step ends on the top accumulator alone: at 0 qubits, and when the last
+    node sits at (0, 0).  Then the result keeps no steps.
     """
     n = nf.qubits
-    ket0 = ZSpider(Scalar(0), 0, 1)
-    # Accumulator wires: (top-sum, out-sum_1, ..., out-sum_n), all seeded |0>.
-    d: Diagram = tensor_many([ket0] * (n + 1))
+    d: Diagram = _kets(n)
     flat = flatten(d)
+    (tables, coefficients), (plug_tables, plug_coefficients) = _layer_steps(n)
+    tables, coefficients = list(tables), list(coefficients)
     for coeff, x, y in _node_rows(nf, unreduced):
-        legs, ticks, routing, merges, wiring = _term_wiring(n, x, y)
+        legs, ticks, routing, merges, wiring, block, rest = _term_wiring(n, x, y)
         node = ZSpider(coeff, 0, legs)
         d = Compose(merges, Compose(routing, Compose(ticks, Compose(Tensor(id_n(n + 1), node), d))))
         # The node opens its legs below every live wire, and its wiring spans them all.
         flat.append((node, 0))
         flat += wiring
+        tables += block
+        coefficients.append(coeff)
+        coefficients += rest
     # Consume the top accumulator with the plug; outputs remain in order.
-    plug = Tensor(_PLUG, id_n(n))
+    plug = _plug(n)
     d = Compose(plug, d)
     flat += flatten(plug)
     object.__setattr__(d, "_flat", flat)
+    last, first = tables[-1], plug_tables[0]
+    if not (last.lo == first.lo and last.m == first.n and not (last.exchange or last.moved)):
+        tables += plug_tables
+        coefficients += plug_coefficients
+        object.__setattr__(d, "_steps", (tables, coefficients))
     return d
 
 

@@ -307,6 +307,16 @@ def interp_sparse(d: Diagram) -> Matrix:
 # width, its tables and their masks, and is used only from the second time
 # its key is met: the first time, its steps run one by one, so a term met
 # once costs only its key.
+#
+# A diagram `normalform.nf_to_diagram` returns keeps its steps as well
+# (`_steps`: the tables and the coefficients `_netlist` gives its `flatten`
+# list), so `state_operator` runs them and `_netlist` does not run on it.
+# Each term's steps follow from its entry's position and are compiled once
+# per position; the steps of the ket and plug layers once per qubit count.
+# Their concatenation is `_netlist`'s list because no step of one layer
+# extends a step of another, except where the plug's (z 1 1 2) extends the
+# top accumulator's last step: at 0 qubits, always, and otherwise when the
+# last Z node sits at (0, 0).  Such a form keeps no steps and is flattened.
 
 #: Most wires a constraint group of the dead-pattern pass spans.
 _GROUP_WIRES = 3
@@ -802,8 +812,10 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
     return out
 
 
-def _evaluate(flat: list[tuple[Generator, int]], ops: dict, doubled: bool, width: int) -> dict:
-    """Run the steps of a flattened term over the sparse operator `ops` on its `width` input wires.
+def _evaluate(steps: "tuple[list[_Table], list[Scalar | None]]", ops: dict, doubled: bool, width: int) -> dict:
+    """Run a term's `steps` over the sparse operator `ops` on its `width` input wires.
+
+    `steps` is what `_netlist` gives, or what a rebuilt normal form keeps.
 
     Doubled, `ops` is the upper triangle of a Hermitian operator, and so is
     the result, and each step drops the branches `_dead_patterns` finds dead.
@@ -811,7 +823,7 @@ def _evaluate(flat: list[tuple[Generator, int]], ops: dict, doubled: bool, width
     the steps from it up to the next bound step run as one (`_Segment`)
     once their key has been met before, and one by one the first time.
     """
-    tables, coefficients = _netlist(flat, doubled)
+    tables, coefficients = steps
     if not doubled:
         for table, r in zip(tables, coefficients):
             ops = _apply_step(ops, False, table, None, r)
@@ -846,7 +858,7 @@ def _interp_flat(d: Diagram, flat: list[tuple[Generator, int]]) -> Matrix:
     """`interp` of d from `flat`, its `flatten` list."""
     _check_dense(d.n_out, d.n_in)
     cols = 1 << d.n_in
-    out = _evaluate(flat, {(c, c): ONE for c in range(cols)}, False, d.n_in)
+    out = _evaluate(_netlist(flat, False), {(c, c): ONE for c in range(cols)}, False, d.n_in)
     return Matrix.from_entries(1 << d.n_out, cols, out)
 
 
@@ -910,11 +922,11 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
         for part, v in ((h, (a + b) * HALF), (k, (a - b) * _HALF_OVER_I)):
             if not v.is_zero():
                 part[x, y] = v
-    flat = flatten(d)
-    out = _mirrored(dim, _evaluate(flat, h, True, n))
+    steps = _netlist(flatten(d), True)
+    out = _mirrored(dim, _evaluate(steps, h, True, n))
     if k:
         entries = out.entries
-        for key, v in _mirrored(dim, _evaluate(flat, k, True, n)).entries.items():
+        for key, v in _mirrored(dim, _evaluate(steps, k, True, n)).entries.items():
             v = entries.get(key, ZERO) + I * v
             if v.is_zero():
                 entries.pop(key, None)
@@ -924,12 +936,19 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
 
 
 def state_operator(d: Diagram) -> Matrix:
-    """The Hermitian operator denoted by a 0 -> m diagram."""
+    """The Hermitian operator denoted by a 0 -> m diagram.
+
+    A diagram that keeps its steps (`_steps`, set by
+    `normalform.nf_to_diagram`) runs them; any other is flattened first.
+    """
     if d.n_in != 0:
         raise SemanticsError(f"state_operator needs a state, got {d.n_in} inputs")
     _check_dense(d.n_out, d.n_out)
     dim = 1 << d.n_out
-    return _mirrored(dim, _evaluate(flatten(d), {(0, 0): ONE}, True, 0))
+    steps = d._steps
+    if steps is None:
+        steps = _netlist(flatten(d), True)
+    return _mirrored(dim, _evaluate(steps, {(0, 0): ONE}, True, 0))
 
 
 def _mirrored(dim: int, upper: dict) -> Matrix:

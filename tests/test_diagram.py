@@ -315,13 +315,15 @@ class TestSharedBuilders:
         # Fill the caches first: a kept list set on a generator would show below.
         rebuilt = nf_to_diagram(random_nf(random.Random(6), 2))
         for g in (Id, Empty, Swap, Fswap, Tick, Cup, Cap):
-            assert "_flat" not in vars(g)
+            assert "_flat" not in vars(g) and "_steps" not in vars(g)
         net = permutation_diagram([2, 0, 1])
         assert "_flat" in vars(net) and "_flat" in vars(id_n(5)) and "_flat" in vars(rebuilt)
+        assert "_steps" in vars(rebuilt) and "_steps" not in vars(net) and "_steps" not in vars(id_n(5))
         for copy_ in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
             for d in (net, id_n(5), Tensor(net, id_n(5)), rebuilt):
                 copied = copy_(d)
                 assert copied == d and copied is not d and "_flat" not in vars(copied)
+                assert "_steps" not in vars(copied)
                 assert flatten(copied) == flatten(d)
 
 

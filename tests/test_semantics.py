@@ -1,6 +1,7 @@
 """Pure interpretation, wire doubling, superoperators, and Choi tests."""
 
 import hashlib
+import pickle
 import random
 import sys
 import threading
@@ -74,6 +75,7 @@ from zwtick import (
 )
 from zwtick import semantics
 from zwtick.diagram import flatten, route, wires
+from zwtick.normalform import _layer_steps, _term_wiring
 from zwtick.semantics import MAX_DENSE_LOG2, _gen_matrix, _netlist, _permute, _run_matrix, _table, interp_sparse
 
 from _support import (
@@ -636,6 +638,13 @@ def _run_of(table, r) -> tuple:
     return table.run if r is None else (ZSpider(r, *table.run),)
 
 
+def _cold_tables() -> None:
+    """Empty the table store and the normal-form builders, whose kept steps hold tables outside it."""
+    _table.cache_clear()
+    _term_wiring.cache_clear()
+    _layer_steps.cache_clear()
+
+
 def _count_tables(monkeypatch) -> list:
     """Make every `_Table` built from now on append its `lo` to the returned list."""
     built = []
@@ -818,7 +827,7 @@ class TestTableStore:
         # in the doubled sweep or in the pure sweep of its doubled term.
         nf = random_nf(random.Random(77), 3, density=0.6)
         again = NormalForm(nf.qubits, tuple(NFTerm(t.x, t.y, t.coeff * Scalar(-3)) for t in nf.terms))
-        _table.cache_clear()
+        _cold_tables()
 
         def round_trips(form):
             for unreduced in (False, True):
@@ -847,6 +856,7 @@ class TestTableStore:
         for qubits in (2, 3, 3):
             positions = random_nf(rng, qubits, density=0.7)
             forms += [TestBoundCoefficients._recoefficient(positions, rng, turn) for turn in range(3)]
+        _cold_tables()  # the forms' kept steps hold tables no evaluation has filled
         states = [nf_to_diagram(nf) for nf in forms] * 2
         orders = [random.Random(75 + i).sample(range(len(cases)), len(cases)) for i in range(4)]
         state_orders = [random.Random(80 + i).sample(range(len(states)), len(states)) for i in range(4)]
@@ -943,7 +953,7 @@ class TestBoundCoefficients:
     def test_fresh_coefficients_on_fixed_positions(self):
         # Forms on the same positions run one after another, from a cold
         # store, so each finds the tables the one before it filled.
-        _table.cache_clear()
+        _cold_tables()
         rng = random.Random(91)
         used = set()
         for qubits in (1, 2, 3, 4):
@@ -1040,6 +1050,120 @@ class TestSegments:
                 assert state_operator(d) == want
                 assert state_operator(d) == want
             assert _segment_widths(applied)
+
+
+class TestKeptSteps:
+    """A rebuilt normal form keeps the steps `_netlist` gives its `flatten` list, and `state_operator` runs them."""
+
+    @staticmethod
+    def _forms() -> list:
+        rng = random.Random(141)
+        forms = [random_nf(rng, qubits, density=rng.uniform(0.2, 0.9)) for qubits in (1, 2, 3) for _ in range(5)]
+        forms += [random_nf(rng, 4, density=rng.uniform(0.1, 0.4)) for _ in range(2)]
+        # Every position on 4 qubits, 136 terms.
+        return forms + [random_nf(random.Random(131), 4, density=1.0)]
+
+    @staticmethod
+    def _keeps_steps(nf) -> bool:
+        """Whether a form's last step is not the top accumulator's: at 0 qubits it always is, and
+        otherwise when the last node sits at (0, 0)."""
+        return nf.qubits > 0 and not (nf.terms and (nf.terms[-1].x, nf.terms[-1].y) == (0, 0))
+
+    def test_kept_steps_are_the_netlist_steps(self):
+        forms = self._forms()
+        assert sum(map(self._keeps_steps, forms)) == len(forms) - 1
+        for nf in forms:
+            # Each form from a cold store, so no table its steps hold has been evicted since.
+            _cold_tables()
+            want = nf_to_matrix(nf)
+            for unreduced in (False, True):
+                d = nf_to_diagram(nf, unreduced=unreduced)
+                # The kept steps, and the walk of a copy that keeps none.
+                copied = pickle.loads(pickle.dumps(d))
+                assert copied._steps is None
+                assert state_operator(d) == state_operator(copied) == want
+                if not self._keeps_steps(nf):
+                    assert d._steps is None
+                    continue
+                (tables, rs), (flat_tables, flat_rs) = d._steps, _netlist(flatten(d), True)
+                assert len(tables) == len(flat_tables) and all(a is b for a, b in zip(tables, flat_tables))
+                assert rs == flat_rs
+
+    def test_round_trip_skips_netlist(self, monkeypatch):
+        calls = []
+        netlist = semantics._netlist
+
+        def counted(flat, doubled):
+            calls.append(doubled)
+            return netlist(flat, doubled)
+
+        monkeypatch.setattr(semantics, "_netlist", counted)
+        for nf in self._forms()[:-1]:
+            for unreduced in (False, True):
+                calls.clear()
+                assert state_operator(nf_to_diagram(nf, unreduced=unreduced)) == nf_to_matrix(nf)
+                assert calls == ([] if self._keeps_steps(nf) else [True])
+        # A copy keeps no steps, and its walk is seen.
+        d = nf_to_diagram(self._forms()[0])
+        calls.clear()
+        assert state_operator(pickle.loads(pickle.dumps(d))) == state_operator(d)
+        assert calls == [True]
+
+    def test_forms_that_end_on_the_top_accumulator_keep_no_steps(self):
+        # There `_netlist` composes the plug's (z 1 1 2) into the top
+        # accumulator's last merge, or at 0 qubits with no term, into the
+        # top ket: a step no layer holds.  Such a form is flattened.
+        rng = random.Random(143)
+        forms = [random_nf(rng, 0, density=0.5) for _ in range(6)]
+        forms += [NormalForm(0, ()), NormalForm(0, (NFTerm(0, 0, MINUS_ONE),))]
+        forms += [NormalForm(qubits, (NFTerm(0, 0, Scalar(3)),)) for qubits in (1, 2, 3)]
+        for nf in forms:
+            assert not self._keeps_steps(nf)
+            for unreduced in (False, True):
+                d = nf_to_diagram(nf, unreduced=unreduced)
+                assert d._steps is None
+                assert state_operator(d) == nf_to_matrix(nf)
+        # A node after the one at (0, 0) ends elsewhere, and with no term the
+        # top ket is not the last step.
+        for nf in (NormalForm(2, (NFTerm(0, 0, Scalar(3)), NFTerm(0, 2, I))), NormalForm(2, ())):
+            assert self._keeps_steps(nf)
+            d = nf_to_diagram(nf)
+            assert d._steps is not None and state_operator(d) == nf_to_matrix(nf)
+
+
+class TestCompositionLaws:
+    """Laws that set one evaluation route against another, with no oracle:
+    a rebuilt normal form's kept steps against the spliced `flatten` list of
+    a term that holds it, and one superoperator run against two."""
+
+    @staticmethod
+    def _term(rng, wires, n_in):
+        """A seeded term on `n_in` inputs with at least two outputs, as most are."""
+        while True:
+            d = random_term(rng, max_wires=wires, n_in=n_in)
+            if d.n_out >= 2:
+                return d
+
+    @pytest.mark.parametrize("qubits, seed, count", [(3, 151, 6), (4, 152, 3)])
+    def test_map_after_a_rebuilt_state(self, qubits, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            s = nf_to_diagram(random_nf(rng, qubits, density=rng.uniform(0.3, 0.7)), unreduced=rng.random() < 0.5)
+            a = self._term(rng, qubits, s.n_out)
+            assert s._steps is not None
+            assert state_operator(Compose(a, s)) == apply_superop(a, state_operator(s))
+
+    @pytest.mark.parametrize("wires, seed, count", [(3, 153, 10), (4, 154, 4)])
+    def test_superop_of_a_composite(self, wires, seed, count):
+        rng = random.Random(seed)
+        skew = 0
+        for _ in range(count):
+            b = self._term(rng, wires, wires)
+            a = self._term(rng, wires, b.n_out)
+            for rho in (random_hermitian(rng, wires, density=0.5), random_matrix(rng, wires, density=0.5)):
+                skew += not rho.is_hermitian()
+                assert apply_superop(Compose(a, b), rho) == apply_superop(a, apply_superop(b, rho))
+        assert skew == count
 
 
 def _effect_rich_term(rng, max_wires=3, layers=4, wide=False):
