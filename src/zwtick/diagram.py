@@ -40,7 +40,9 @@ class Diagram:
     any depth is safe, and a term's hash is computed once and kept on each
     of its composite nodes.  A composite node made by a shared builder, and
     the diagram `normalform.nf_to_diagram` returns, also keep their
-    `flatten` list; the latter keeps its evaluator steps too.
+    `flatten` list; the latter keeps its evaluator steps too, and is a
+    deferred `Compose` whose children are built the first time they are
+    read, so a round trip through its steps never builds them.
     """
 
     n_in: int = field(init=False, default=0, compare=False)
@@ -68,6 +70,7 @@ class Diagram:
                 h = hash((type(node), hash(a), hash(b)))
                 object.__setattr__(node, "_hash", h)
                 todo.pop()
+            h = self._hash  # the last node hashed is self, unless another thread hashed it first
         return h
 
     def __eq__(self, other: object) -> bool:
@@ -193,7 +196,11 @@ def _repr_heads(t: Diagram) -> tuple[str, str]:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Compose(Diagram):
-    """`after . before`: feed the outputs of `before` into `after`."""
+    """`after . before`: feed the outputs of `before` into `after`.
+
+    A node made by `_deferred` has its arity but not its children: the
+    first read of `after` or `before` builds both, and drops the builder.
+    """
 
     after: Diagram
     before: Diagram
@@ -205,6 +212,23 @@ class Compose(Diagram):
                 f"but after consumes {self.after.n_in}"
             )
         _set_arity(self, self.before.n_in, self.after.n_out)
+
+    @classmethod
+    def _deferred(cls, n_in: int, n_out: int, build: Callable[[], tuple[Diagram, Diagram]]) -> Compose:
+        """A node n_in -> n_out whose children `build()` gives, as (after, before), when first read."""
+        node = object.__new__(cls)
+        vars(node).update(n_in=n_in, n_out=n_out, _build=build)
+        return node
+
+    def __getattr__(self, name: str):
+        # Only a missing attribute gets here: a deferred node's children
+        # before their first read.  Two threads that read them at once may
+        # each build them, as equal terms.  The builder is dropped after
+        # both children are set, so a thread that finds it gone finds them.
+        build = vars(self).get("_build")
+        if build is not None and name in ("after", "before"):
+            vars(self).update(zip(("after", "before"), build()), _build=None)
+        return object.__getattribute__(self, name)
 
     def __reduce__(self) -> tuple:
         return _from_table, (_node_table(self),)

@@ -18,11 +18,13 @@ assembled as chains of binary merges so that evaluating the diagram stays
 polynomial in the number of terms.  The wiring after a node depends only on
 its entry's position, so it is built once per position (`_term_wiring`, a
 shared builder) with its `flatten` list and its evaluator steps, and the
-rebuilt diagram keeps the `flatten` list it is assembled with, as a shared
+rebuilt diagram keeps the `flatten` list joined from those, as a shared
 builder's output does, and the steps, so `state_operator` runs them without
 reading that list again.  Every 0-qubit form, and a form whose last node
 sits at (0, 0), keeps no steps: there the plug's first generator joins the
-top accumulator's last step, which no position's steps hold.
+top accumulator's last step, which no position's steps hold.  A term costs
+its Z node and its coefficient: the tree of layers around the nodes is
+built only when something reads it.
 """
 
 from __future__ import annotations
@@ -197,9 +199,10 @@ def _term_wiring(n: int, x: int, y: int) -> tuple[int, Diagram, Diagram, Diagram
 
 
 @_shared
-def _layer_steps(n: int) -> tuple[tuple[list, list], tuple[list, list]]:
-    """The steps of the ket layer and of the plug layer on n qubits, each with its coefficients."""
-    return _netlist(flatten(_kets(n)), True), _netlist(flatten(_plug(n)), True)
+def _layer_steps(n: int) -> tuple[list, tuple[list, list], list, tuple[list, list]]:
+    """The `flatten` list and the steps, with their coefficients, of the ket layer and of the plug layer on n qubits."""
+    kets, plug = flatten(_kets(n)), flatten(_plug(n))
+    return kets, _netlist(kets, True), plug, _netlist(plug, True)
 
 
 def _kets(n: int) -> Diagram:
@@ -217,32 +220,41 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
 
     The reduced variant spends one Z node per term; the unreduced variant
     spells out the conjugate node of every term as well.  The result keeps
-    its `flatten` list, built alongside it from each position's wiring list,
-    and its steps, joined from each position's steps and the ket and plug
-    layers'.  Those are `_netlist`'s steps for the `flatten` list unless the
-    plug's first step extends the step before it, which happens when that
-    step ends on the top accumulator alone: at 0 qubits, and when the last
-    node sits at (0, 0).  Then the result keeps no steps.
+    its `flatten` list, joined from each position's wiring list and the ket
+    and plug layers', and its steps, joined from their steps.  Those are
+    `_netlist`'s steps for the `flatten` list unless the plug's first step
+    extends the step before it, which happens when that step ends on the
+    top accumulator alone: at 0 qubits, and when the last node sits at
+    (0, 0).  Then the result keeps no steps.
+
+    The Z nodes are built here, but the term around them is built only when
+    something reads it (`Compose._deferred`), from each node's kept layers:
+    `state_operator` reads the steps or the `flatten` list alone.
     """
     n = nf.qubits
-    d: Diagram = _kets(n)
-    flat = flatten(d)
-    (tables, coefficients), (plug_tables, plug_coefficients) = _layer_steps(n)
-    tables, coefficients = list(tables), list(coefficients)
+    flat, (tables, coefficients), plug, (plug_tables, plug_coefficients) = _layer_steps(n)
+    flat, tables, coefficients = list(flat), list(tables), list(coefficients)
+    terms = []
     for coeff, x, y in _node_rows(nf, unreduced):
         legs, ticks, routing, merges, wiring, block, rest = _term_wiring(n, x, y)
         node = ZSpider(coeff, 0, legs)
-        d = Compose(merges, Compose(routing, Compose(ticks, Compose(Tensor(id_n(n + 1), node), d))))
+        terms.append((node, ticks, routing, merges))
         # The node opens its legs below every live wire, and its wiring spans them all.
         flat.append((node, 0))
         flat += wiring
         tables += block
         coefficients.append(coeff)
         coefficients += rest
-    # Consume the top accumulator with the plug; outputs remain in order.
-    plug = _plug(n)
-    d = Compose(plug, d)
-    flat += flatten(plug)
+
+    def build() -> tuple[Diagram, Diagram]:
+        d = _kets(n)
+        for node, ticks, routing, merges in terms:
+            d = Compose(merges, Compose(routing, Compose(ticks, Compose(Tensor(id_n(n + 1), node), d))))
+        # Consume the top accumulator with the plug; outputs remain in order.
+        return _plug(n), d
+
+    d = Compose._deferred(0, n, build)
+    flat += plug
     object.__setattr__(d, "_flat", flat)
     last, first = tables[-1], plug_tables[0]
     if not (last.lo == first.lo and last.m == first.n and not (last.exchange or last.moved)):

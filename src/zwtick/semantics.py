@@ -269,8 +269,10 @@ def interp_sparse(d: Diagram) -> Matrix:
 # A step is its `_Table`, kept in the table store `_table` under the step's
 # placement, its relabelling, and its run.  A run that is one Z spider with
 # legs and r != 0 enters the key by its shape (n, m) alone: its support is
-# the same for every such r, and the step binds r when it is applied.  Any
-# other run enters by its generators, compared by value.  A bit permutation
+# the same for every such r, and the step binds r when it is applied: each
+# doubled branch names which of 1, r, conj(r) and r conj(r) it carries, and
+# each entry is multiplied by each one its branches name, once.  Any other
+# run enters by its generators, compared by value.  A bit permutation
 # P commutes with the exchange, P(r ^ ((r ^ s) & E)) = P(r) ^ ((P(r) ^ P(s))
 # & P(E)), so a table keeps its output bits, and the doubled branches of
 # each input pattern, already relabelled, and every later evaluation of a
@@ -316,7 +318,9 @@ def interp_sparse(d: Diagram) -> Matrix:
 # Their concatenation is `_netlist`'s list because no step of one layer
 # extends a step of another, except where the plug's (z 1 1 2) extends the
 # top accumulator's last step: at 0 qubits, always, and otherwise when the
-# last Z node sits at (0, 0).  Such a form keeps no steps and is flattened.
+# last Z node sits at (0, 0).  Such a form keeps no steps and is flattened,
+# which splices its kept `flatten` list: the round trip never reads the
+# term tree, which is built only when something else does.
 
 #: Most wires a constraint group of the dead-pattern pass spans.
 _GROUP_WIRES = 3
@@ -434,8 +438,12 @@ class _Table:
     is nonzero.  A bound table's entries are `ONE` at |0..0><0..0| and None
     at |1..1><1..1|, where the step's r goes.  `live` caches, for each set of
     dead-pattern masks (None for none), the doubled branches of each (ket,
-    bra) input pattern that survive them, fully relabelled; a bound
-    branch's weight is 0, 1, 2 or 3 for 1, r, conj(r) or r conj(r).
+    bra) input pattern that survive them, fully relabelled, as (r, s,
+    weight index, constant).  The weight index is 0, 1, 2 or 3 for 1, r,
+    conj(r) or r conj(r): a bound branch's says which sides carry the
+    step's r, and its constant is 1; an unbound branch's is 0, and its
+    constant is its ket-side entry times the conjugate of its bra-side
+    one.  A constant equal to 1 is the shared `ONE`.
     `transfers` caches the dead-pattern pass through the step, (masks,
     groups before) for each groups after it; it reads only the run's
     support.  A table is shared by every evaluation, so nothing in it is
@@ -488,14 +496,12 @@ class _Table:
                 r, s = rx ^ e, ry ^ e
                 if (r ^ s) & differ or r & s & d11 or ~(r | s) & d00:
                     continue
-                c = (a is None) + 2 * (b is None) if bound else a * b.conj()
-                out.append((r, s, c if bound or c != ONE else ONE))
+                if bound:  # which sides carry the step's r, and the constant 1
+                    out.append((r, s, (a is None) + 2 * (b is None), ONE))
+                else:
+                    c = a * b.conj()
+                    out.append((r, s, 0, ONE if c == ONE else c))
         return out
-
-    @staticmethod
-    def bind(branches: list, weights: tuple) -> list:
-        """A bound table's `branches` with the weights of the step's r put in."""
-        return [(rx, ry, weights[k]) for rx, ry, k in branches]
 
 
 @lru_cache(maxsize=_SEGMENT_STORE)
@@ -511,12 +517,12 @@ class _Segment:
     operator spans `n` wires before them and `m` after.  A segment reads as
     a bound table with `lo` 0 and no relabelling, so `_apply_step` applies
     it: an entry's bits are all its pattern.  `live[None]` caches the
-    branches of each (x, y) it meets, (r, s, weight index, constant), built
-    from the tables' own cached branches (`_Table.live`): the weight index
-    is the first step's, 0-3 for 1, r, conj(r), r conj(r), and the constant
-    the product of the later steps' entries, summed over the paths to (r,
-    s).  `met` says the key has been met before: until then the steps run
-    one by one.  As with a table, nothing stored is changed once built.
+    branches of each (x, y) it meets, (r, s, weight index, constant) as a
+    table's, built from the tables' own cached branches (`_Table.live`):
+    the weight index is the first step's, and the constant the product of
+    the later steps' entries, summed over the paths to (r, s).  `met` says
+    the key has been met before: until then the steps run one by one.  As
+    with a table, nothing stored is changed once built.
     """
 
     __slots__ = ("steps", "n", "m", "live", "met")
@@ -554,19 +560,12 @@ class _Segment:
                     bx, by = _permute(bx, moved, moves), _permute(by, moved, moves)
                 e = (bx ^ by) & exchange
                 bx, by = bx ^ e, by ^ e
-                for rx, ry, w in branches:
-                    if table.bound:
-                        key, v = (bx | rx, by | ry, w), c
-                    else:
-                        key, v = (bx | rx, by | ry, k), c if w is ONE else c * w
+                # Only the first step is bound: a path's weight index is its branch's there, and 0 after.
+                for rx, ry, w, b in branches:
+                    key, v = (bx | rx, by | ry, k + w), c if b is ONE else c * b
                     after[key] = after[key] + v if key in after else v
             paths = {key: v for key, v in after.items() if not v.is_zero()}
-        return [(r, s, k, c) for (r, s, k), c in paths.items()]
-
-    @staticmethod
-    def bind(branches: list, weights: tuple) -> list:
-        """`branches` with the weights of the first step's r put in, times their constants."""
-        return [(rx, ry, weights[k] if c is ONE else weights[k] * c) for rx, ry, k, c in branches]
+        return [(r, s, k, ONE if c == ONE else c) for (r, s, k), c in paths.items()]
 
 
 def _dead_patterns(tables: list[_Table]) -> "list[tuple[int, int, int, int] | None] | None":
@@ -702,8 +701,10 @@ def _pull(table: _Table, groups: list, before) -> list:
 def _weights(r: Scalar) -> tuple:
     """The doubled weights (1, r, conj(r), r conj(r)), any that equals 1 as the shared `ONE`.
 
-    Kept for the last 128 coefficients: a rule grid binds about 32 over and
-    over, while a normal form binds each of its own once.
+    A branch's weight index picks one; `_apply_step` multiplies an entry by
+    each weight its branches pick, once per entry.  Kept for the last 128
+    coefficients: a rule grid binds about 32 over and over, while a normal
+    form binds each of its own once.
     """
     rc = r.conj()
     return tuple(ONE if w == ONE else w for w in (ONE, r, rc, r * rc))
@@ -712,12 +713,14 @@ def _weights(r: Scalar) -> tuple:
 def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tuple[int, int, int, int] | None", coefficient: "Scalar | None") -> dict:
     """Apply a step that binds `coefficient` r, or None: on x alone, or doubled on the upper triangle.
 
-    On x alone, a bound table's entry None stands for r.  Doubled, a bound
-    branch's weight becomes 1, r, conj(r) or r conj(r) (`_weights`), times
-    a segment's constant, put in once for each input pattern the step meets
-    (`bind`); a weight equal to 1 is the shared `ONE`, which is never
-    multiplied.  A segment is applied with `dead` None: its masks are its
-    steps'.
+    On x alone, a bound table's entry None stands for r.  Doubled, a
+    branch (r, s, k, c) adds the entry v times weight k of 1, r, conj(r)
+    and r conj(r) (`_weights`), times its constant c.  Each v times weight
+    k is computed once per entry, when the first of its branches that picks
+    k needs it, and shared by the rest; a weight or constant equal to 1 is
+    the shared `ONE`, which is never multiplied.  An unbound step's
+    branches all pick k = 0, the weight 1.  A segment is applied with
+    `dead` None: its masks are its steps'.
 
     An output (r, s) joins an entry's own bits, those outside the run, to a
     branch's output bits.  Both the exchange and the bit permutation split
@@ -748,20 +751,15 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
     out: dict[tuple[int, int], Scalar] = {}
     clashes = []
     if doubled:
-        live = own = table.live.setdefault(dead, {})
-        if coefficient is not None:  # `own` holds this step's branches, its weights put in
-            own, weights, bind = {}, _weights(coefficient), table.bind
+        live = table.live.setdefault(dead, {})
+        weights = None if coefficient is None else _weights(coefficient)
         for (x, y), v in ops.items():
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
             pattern = (cx << n) | cy
-            branches = own.get(pattern)
+            branches = live.get(pattern)
             if branches is None:
-                branches = live.get(pattern)
-                if branches is None:
-                    branches = live[pattern] = table.branches(cx, cy, dead)
-                if branches and own is not live:
-                    branches = own[pattern] = bind(branches, weights)
+                branches = live[pattern] = table.branches(cx, cy, dead)
             if not branches:
                 continue
             bx = ((x >> hi) << new_hi) | (x & lomask)
@@ -772,17 +770,22 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
                 e = (bx ^ by) & exchange
                 bx, by = bx ^ e, by ^ e
             diagonal = x == y
-            for rx, ry, c in branches:
+            weighted = [v, None, None, None]  # v times each weight, once a branch needs it
+            for rx, ry, k, c in branches:
                 r, s = bx | rx, by | ry
-                if r < s:
-                    key, nv = (r, s), v if c is ONE else v * c
-                elif r > s:
-                    if diagonal:
-                        continue
-                    key, nv = (s, r), (v if c is ONE else v * c).conj()
+                if r > s and diagonal:
+                    continue
+                nv = weighted[k]
+                if nv is None:
+                    w = weights[k]
+                    nv = weighted[k] = v if w is ONE else v * w
+                if c is not ONE:
+                    nv = nv * c
+                if r > s:
+                    key, nv = (s, r), nv.conj()
                 else:
-                    key, nv = (r, s), v if c is ONE else v * c
-                    if not diagonal:
+                    key = (r, s)
+                    if r == s and not diagonal:
                         nv = nv + nv.conj()
                         if nv.is_zero():
                             continue

@@ -32,6 +32,7 @@ from zwtick import (
     tensor_many,
 )
 from zwtick.diagram import _SUGAR, Generator, fold
+from zwtick.normalform import _kets, _node_rows, _plug, _term_wiring
 
 SMALL_FRACTIONS = (
     Fraction(0),
@@ -415,6 +416,17 @@ def parse_diagram_reference(text: str) -> Diagram:
     if pos != len(tokens):
         raise DiagramParseError(f"trailing tokens starting at {tokens[pos]!r}")
     return d
+
+
+def nf_to_diagram_reference(nf: NormalForm, unreduced: bool = False) -> Diagram:
+    """The rebuilt normal form as first assembled: every node built at once,
+    the term nodes of each entry around the wiring layers of its position."""
+    n = nf.qubits
+    d = _kets(n)
+    for coeff, x, y in _node_rows(nf, unreduced):
+        legs, ticks, routing, merges = _term_wiring(n, x, y)[:4]
+        d = Compose(merges, Compose(routing, Compose(ticks, Compose(Tensor(id_n(n + 1), ZSpider(coeff, 0, legs)), d))))
+    return Compose(_plug(n), d)
 
 
 def flatten_reference(d: Diagram) -> list[tuple[Generator, int]]:

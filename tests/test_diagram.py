@@ -1,8 +1,11 @@
 """Term construction, arity discipline, duality, and the text form."""
 
 import copy
+import dataclasses
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -46,6 +49,7 @@ from zwtick import (
     interp,
     ket0,
     nf_to_diagram,
+    nf_to_matrix,
     not_gate,
     parse_diagram,
     parse_matrix,
@@ -55,7 +59,9 @@ from zwtick import (
     print_diagram,
     render_dot,
     rule_named,
+    state_operator,
     subdiagrams,
+    subterm_at,
     tensor_many,
     ticked_cap,
     ticked_cup,
@@ -66,7 +72,7 @@ from zwtick.diagram import _SUGAR, flatten, interleave, route, wires
 from zwtick.normalform import _term_wiring
 from zwtick.semantics import _int_compose, interp_sparse
 
-from _support import flatten_reference, parse_diagram_reference, random_nf, random_term
+from _support import flatten_reference, nf_to_diagram_reference, parse_diagram_reference, random_nf, random_term
 
 
 class TestArities:
@@ -325,6 +331,106 @@ class TestSharedBuilders:
                 assert copied == d and copied is not d and "_flat" not in vars(copied)
                 assert "_steps" not in vars(copied)
                 assert flatten(copied) == flatten(d)
+
+
+def _deferred_forms() -> list:
+    """Seeded forms on 0-4 qubits, with the empty 0-qubit form and every position on 4 qubits."""
+    rng = random.Random(161)
+    forms = [random_nf(rng, qubits, density=rng.uniform(0.2, 0.9)) for qubits in (0, 0, 1, 1, 2, 2, 3, 3, 4)]
+    return forms + [NormalForm(0, ()), random_nf(random.Random(131), 4, density=1.0)]
+
+
+def _walk_path(rng: random.Random, d) -> list:
+    """A random path of child names from d down to a leaf."""
+    path = []
+    while isinstance(d, (Compose, Tensor)):
+        path.append(rng.choice(("after", "before") if isinstance(d, Compose) else ("left", "right")))
+        d = getattr(d, path[-1])
+    return path
+
+
+class TestDeferredTerm:
+    """`nf_to_diagram` builds its term the first time something reads it, and the
+    term it builds is the one the eager loop (`nf_to_diagram_reference`) builds."""
+
+    def test_reads_agree_with_the_eager_term(self):
+        rng = random.Random(162)
+        for nf in _deferred_forms():
+            for unreduced in (False, True):
+                want = nf_to_diagram_reference(nf, unreduced)
+
+                def fresh():
+                    d = nf_to_diagram(nf, unreduced)
+                    assert type(d) is Compose and "after" not in vars(d) and "before" not in vars(d)
+                    return d
+
+                assert fresh() == want and want == fresh()
+                assert hash(fresh()) == hash(want)
+                assert print_diagram(fresh()) == print_diagram(want) and repr(fresh()) == repr(want)
+                for copy_ in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
+                    copied = copy_(fresh())
+                    assert copied == want and type(copied) is Compose and "_build" not in vars(copied)
+                assert dataclasses.replace(fresh()) == want
+                assert dataclasses.replace(fresh(), after=want.after) == want
+                for _ in range(4):
+                    path = _walk_path(rng, want)
+                    assert subterm_at(fresh(), path) == subterm_at(want, path)
+                d = fresh()
+                assert flatten(d) == flatten_reference(want)
+                assert "after" not in vars(d)
+                assert flatten_reference(d) == flatten_reference(want)
+                # Once read, the children are plain attributes and the builder is gone.
+                assert vars(d)["after"] == want.after and vars(d)["_build"] is None
+
+    def test_round_trip_builds_no_composite_node(self, monkeypatch):
+        forms = _deferred_forms()
+        assert any(nf.qubits == 0 for nf in forms)
+        # Fill the shared builders first: each position's layers are built once.
+        for nf in forms:
+            for unreduced in (False, True):
+                state_operator(nf_to_diagram(nf, unreduced))
+        built = []
+        for cls in (Compose, Tensor):
+
+            def counted(self, post_init=cls.__post_init__):
+                built.append(type(self))
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for nf in forms:
+            for unreduced in (False, True):
+                d = nf_to_diagram(nf, unreduced)
+                assert state_operator(d) == nf_to_matrix(nf)
+                assert "after" not in vars(d)
+        assert built == []
+        # The counters see the term once it is read.
+        print_diagram(d)
+        assert Compose in built and Tensor in built
+
+    def test_threads_read_one_deferred_form(self):
+        nf = random_nf(random.Random(131), 4, density=1.0)
+        for unreduced in (False, True):
+            want = nf_to_diagram_reference(nf, unreduced)
+            d = nf_to_diagram(nf, unreduced)
+            got: list = [None] * 4
+            start = threading.Barrier(4)
+
+            def work(i):
+                start.wait(timeout=60)
+                got[i] = hash(d), print_diagram(d)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [(hash(want), print_diagram(want))] * 4
 
 
 class TestFlatten:

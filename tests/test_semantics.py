@@ -844,9 +844,11 @@ class TestTableStore:
     def test_concurrent_evaluations_agree(self, monkeypatch):
         # Four threads evaluate the same terms, each in its own order, from
         # a cold store, so they build and fill the same tables at once.  They
-        # also round-trip normal forms, three on each set of positions, twice
-        # each, from an empty segment store, so they meet the same segment
-        # keys, and build and fill the same segments, at once.
+        # also round-trip normal forms, three on each set of positions,
+        # reduced and unreduced, twice each, from an empty segment store, so
+        # they meet the same segment keys, and build and fill the same
+        # segments, at once; and they run segments whose branches carry
+        # every weight and constants other than 1, which each entry folds in.
         cases = self._cases(74, 30)
         want = [self._results(d, h, k) for d, h, k in cases]
         uses = Counter(id(t) for d, _, _ in cases for t in {id(t): t for t in self._tables(d)}.values())
@@ -857,7 +859,9 @@ class TestTableStore:
             positions = random_nf(rng, qubits, density=0.7)
             forms += [TestBoundCoefficients._recoefficient(positions, rng, turn) for turn in range(3)]
         _cold_tables()  # the forms' kept steps hold tables no evaluation has filled
-        states = [nf_to_diagram(nf) for nf in forms] * 2
+        weighted = [TestBoundCoefficients._weighted_segment(t, r, c) for t, r, c in ((I, ONE + OMEGA, ONE + I), (OMEGA, TWO, MINUS_ONE + I))]
+        states = ([nf_to_diagram(nf, unreduced=u) for nf in forms for u in (False, True)] + weighted) * 2
+        state_want = ([nf_to_matrix(nf) for nf in forms for _ in (False, True)] + [_unvec(interp_sparse(unzip(d)), 2) for d in weighted]) * 2
         orders = [random.Random(75 + i).sample(range(len(cases)), len(cases)) for i in range(4)]
         state_orders = [random.Random(80 + i).sample(range(len(states)), len(states)) for i in range(4)]
         got: list = [None] * 4
@@ -883,8 +887,11 @@ class TestTableStore:
         assert not any(t.is_alive() for t in threads)
         for results in got:
             assert results is not None and [results[0][j] for j in range(len(cases))] == want
-            assert [results[1][j] for j in range(len(states))] == [nf_to_matrix(nf) for nf in forms] * 2
+            assert [results[1][j] for j in range(len(states))] == state_want
         assert len(_segment_widths(applied)) >= 100
+        segments = [table for table, _, _ in applied if isinstance(table, semantics._Segment)]
+        folded = {(k, c is ONE) for segment in segments for bs in segment.live[None].values() for _, _, k, c in bs}
+        assert {(k, True) for k in range(4)} | {(k, False) for k in (1, 2, 3)} <= folded
 
     def test_stored_branches_are_relabelled(self):
         # A table keeps its branches relabelled: they are the branches of
@@ -905,7 +912,7 @@ class TestTableStore:
                         for cy in range(1 << step.n):
                             every = step.branches(cx, cy, None)
                             want = [
-                                (r, s, c) for r, s, c in every
+                                (r, s, *c) for r, s, *c in every
                                 if not any(step.outs >> b & 1 and masks[2 * (r >> b & 1) + (s >> b & 1)] >> b & 1 for b in range(step.outs.bit_length()))
                             ]
                             assert list(step.branches(cx, cy, masks)) == want
@@ -919,9 +926,10 @@ class TestTableStore:
                 for cx in range(1 << step.n):
                     for cy in range(1 << step.n):
                         want = []
-                        for rx, ry, c in plain.branches(cx, cy, None):
+                        # A bound table's branch also carries its weight index, with the constant 1.
+                        for rx, ry, *c in plain.branches(cx, cy, None):
                             e = (rx ^ ry) & exchange
-                            want.append((_permute(rx ^ e, step.moved, step.moves), _permute(ry ^ e, step.moved, step.moves), c))
+                            want.append((_permute(rx ^ e, step.moved, step.moves), _permute(ry ^ e, step.moved, step.moves), *c))
                         assert list(step.branches(cx, cy, None)) == want
                         checked += 1
         assert checked >= 100 and dropped >= 40
@@ -976,6 +984,33 @@ class TestBoundCoefficients:
         nf = self._recoefficient(random_nf(rng, qubits, density=density), rng, seed)
         d = nf_to_diagram(nf)
         assert state_operator(d) == _unvec(interp(unzip(d)), qubits) == nf_to_matrix(nf)
+
+
+    @staticmethod
+    def _weighted_segment(t, r, s):
+        """|0> + t|1> beside the bound state |0> + r|1>, whose wire is ticked and then
+        runs (w 1 1) . (z s 1 1): one unbound step after the bound one, so a segment."""
+        states = Tensor(ZSpider(t, 0, 1), ZSpider(r, 0, 1))
+        return Compose(Tensor(Id, Compose(WSpider(1, 1), ZSpider(s, 1, 1))), Compose(Tensor(Id, Tick), states))
+
+    def test_segment_constant_under_both_weights(self, monkeypatch):
+        # The bound state's branch with ket and bra bit 1 carries weight
+        # r conj(r), and the run after it the constant s conj(s) = 2.  r, s
+        # and t are not real, so a weight or a constant put in on the wrong
+        # side, or one entry's weighted value reused for another weight, shows.
+        r, s = ONE + OMEGA, ONE + I
+        d = self._weighted_segment(I, r, s)
+        want = _unvec(interp_sparse(unzip(d)), 2)
+        assert len(want.entries) == 16
+        applied = _record_steps(monkeypatch)
+        semantics._segment.cache_clear()
+        for _ in range(3):  # step by step, then twice through the segments
+            assert state_operator(d) == want
+        segments = [table for table, _, _ in applied if isinstance(table, semantics._Segment)]
+        assert [segment.n for segment in segments] == [0, 1, 0, 1]
+        branches = [b for bs in segments[1].live[None].values() for b in bs]
+        assert (3, s * s.conj()) in {(k, c) for _, _, k, c in branches}
+        assert {k for _, _, k, _ in branches} == {0, 1, 2, 3}
 
 
 def _segment_widths(applied) -> list:
