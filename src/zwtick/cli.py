@@ -16,18 +16,8 @@ from .normalform import (
 )
 from .qinfo import min_pt_eigenvalue, ppt_check, spin_flip
 from .rules import CheckReport, check_corpus, check_soundness
-from .semantics import (
-    MAX_DENSE_LOG2,
-    Matrix,
-    SemanticsError,
-    apply_superop,
-    choi,
-    format_matrix,
-    interp,
-    is_psd,
-    parse_matrix,
-    proper_choi,
-)
+from .matrix import MAX_DENSE_LOG2, Matrix, SemanticsError, format_matrix, parse_matrix
+from .semantics import apply_superop, choi, interp, is_psd, proper_choi
 
 _USAGE_ERROR = 2
 _CHECK_ERROR = 3

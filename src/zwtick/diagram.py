@@ -38,19 +38,17 @@ class Diagram:
     dataclasses that compare and hash by their fields.  On `Compose` and
     `Tensor`, `==`, `hash` and `repr` walk the term on an explicit stack, so
     any depth is safe, and a term's hash is computed once and kept on each
-    of its composite nodes.  A composite node made by a shared builder, and
-    the diagram `normalform.nf_to_diagram` returns, also keep their
-    `flatten` list; the latter keeps its evaluator steps too, and is a
-    deferred `Compose` whose children are built the first time they are
-    read, so a round trip through its steps never builds them.
+    of its composite nodes.  A shared builder's composite output keeps its
+    `flatten` list; the diagram `normalform.nf_to_diagram` returns keeps its
+    program (that list and its compiled steps) and is a deferred `Compose`,
+    whose children are built when first read: a round trip never builds them.
     """
 
     n_in: int = field(init=False, default=0, compare=False)
     n_out: int = field(init=False, default=0, compare=False)
 
     _hash = None  # set on a composite node by its first hash
-    _flat = None  # set by `_shared` on a composite output, and by `nf_to_diagram`
-    _steps = None  # set by `nf_to_diagram`: the steps `semantics._netlist` gives its `_flat`
+    _kept = None  # a `flatten` list set by `_shared`, or the program set by `nf_to_diagram`
 
     def __hash__(self) -> int:
         # Generators hash by their fields; a composite keeps its hash on the node.
@@ -263,7 +261,7 @@ def _children(d: Diagram) -> tuple[Diagram, Diagram]:
 # A composite term is copied and pickled as a table of its distinct nodes in
 # post-order, and rebuilt from it with a loop, so any depth is safe and a
 # shared subterm is written and rebuilt once.  The kept hash, flattened
-# list and steps are not carried: string hashes differ between processes.
+# list and program are not carried: string hashes differ between processes.
 
 
 def _node_table(d: Diagram) -> list:
@@ -311,9 +309,9 @@ def flatten(d: Diagram) -> list[tuple[Generator, int]]:
     Each comes with `lo`, the number of live wires below its inputs when it
     is applied (wire k of w live wires is bit w-1-k of a basis index).  The
     walk keeps an explicit stack, so any depth is safe.  A node that keeps
-    its own list (`_flat`, set by `_shared` on a builder's output and by
-    `normalform.nf_to_diagram` on its result) is spliced in, shifted by the
-    live wires below it, and not walked again.
+    its own list (`_kept`, set by `_shared` on a builder's output, and the
+    `flat` of the program `normalform.nf_to_diagram` sets on its result) is
+    spliced in, shifted by the live wires below it, and not walked again.
     """
     out: list[tuple[Generator, int]] = []
     width = d.n_in
@@ -326,9 +324,10 @@ def flatten(d: Diagram) -> list[tuple[Generator, int]]:
             out.append((node, width - off - node.n_in))
         elif not isinstance(node, (Compose, Tensor)):
             raise TypeError(f"not a diagram: {node!r}")
-        elif node._flat is not None:
+        elif node._kept is not None:
+            flat = node._kept if type(node._kept) is list else node._kept.flat
             shift = width - off - node.n_in
-            out += node._flat if shift == 0 else [(g, lo + shift) for g, lo in node._flat]
+            out += flat if shift == 0 else [(g, lo + shift) for g, lo in flat]
         elif isinstance(node, Compose):
             stack.append((node.after, off))
             stack.append((node.before, off))
@@ -360,7 +359,7 @@ def _shared(build: Callable) -> Callable:
     def cached(*args):
         d = build(*args)
         if isinstance(d, (Compose, Tensor)):
-            object.__setattr__(d, "_flat", flatten(d))
+            object.__setattr__(d, "_kept", flatten(d))
         return d
 
     return cached

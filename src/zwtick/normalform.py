@@ -17,14 +17,11 @@ what produces c|x><y| + conj(c)|y><x| and nothing else.  The gathers are
 assembled as chains of binary merges so that evaluating the diagram stays
 polynomial in the number of terms.  The wiring after a node depends only on
 its entry's position, so it is built once per position (`_term_wiring`, a
-shared builder) with its `flatten` list and its evaluator steps, and the
-rebuilt diagram keeps the `flatten` list joined from those, as a shared
-builder's output does, and the steps, so `state_operator` runs them without
-reading that list again.  Every 0-qubit form, and a form whose last node
-sits at (0, 0), keeps no steps: there the plug's first generator joins the
-top accumulator's last step, which no position's steps hold.  A term costs
-its Z node and its coefficient: the tree of layers around the nodes is
-built only when something reads it.
+shared builder) with its program, and the rebuilt diagram keeps the
+program joined from those and from the ket and plug layers', so
+`state_operator` runs it without reading the term.  A term costs its Z
+node and its coefficient: the tree of layers around the nodes is built only
+when something reads it.
 """
 
 from __future__ import annotations
@@ -48,15 +45,9 @@ from .diagram import (
     wires,
 )
 from .scalar import HALF, MAX_DIGITS, ONE, Scalar, ScalarParseError, ZERO, _too_long, format_scalar, parse_scalar
-from .semantics import (
-    Matrix,
-    _format_complex,
-    _interp_flat,
-    _mirrored,
-    _netlist,
-    bend_inputs,
-    state_operator,
-)
+from .matrix import Matrix, _format_complex, _mirrored
+from .program import Program, compile, join
+from .semantics import _interp_flat, bend_inputs, state_operator
 
 
 class NormalFormError(ValueError):
@@ -171,16 +162,8 @@ def _node_rows(nf: NormalForm, unreduced: bool) -> list[tuple[Scalar, int, int]]
     return rows
 
 
-@_shared
-def _term_wiring(n: int, x: int, y: int) -> tuple[int, Diagram, Diagram, Diagram, list, list, list]:
-    """What follows the Z node of the entry (x, y) on n qubits.
-
-    The node's leg count; its tick layer, route and merge layer; the
-    `flatten` list of those three layers, which start on all live wires;
-    and the tables of the node's step and the steps after it, and the
-    coefficients of the latter.  The node's step binds the entry's
-    coefficient, and no other step binds one.
-    """
+def _term_layers(n: int, x: int, y: int) -> tuple[int, Diagram, Diagram, Diagram]:
+    """The Z node's leg count for the entry (x, y) on n qubits, and its tick layer, route and merge layer."""
     plain = [("x", k) for k in range(n) if (x >> (n - 1 - k)) & 1]
     ticked = [("y", k) for k in range(n) if (y >> (n - 1 - k)) & 1]
     # Tick the bra-side legs of the node.
@@ -192,17 +175,24 @@ def _term_wiring(n: int, x: int, y: int) -> tuple[int, Diagram, Diagram, Diagram
     gathered = [w for acc, group in zip(accs, groups) for w in (acc, *group)]
     routing = route(accs + top + plain + ticked, gathered)
     merges = _merge_layer(tuple(len(group) for group in groups))
-    legs = 1 + len(plain) + len(ticked)
-    wiring = flatten(Compose(merges, Compose(routing, ticks)))
-    tables, coefficients = _netlist([(ZSpider(ONE, 0, legs), 0)] + wiring, True)
-    return legs, ticks, routing, merges, wiring, tables, coefficients[1:]
+    return 1 + len(plain) + len(ticked), ticks, routing, merges
 
 
 @_shared
-def _layer_steps(n: int) -> tuple[list, tuple[list, list], list, tuple[list, list]]:
-    """The `flatten` list and the steps, with their coefficients, of the ket layer and of the plug layer on n qubits."""
-    kets, plug = flatten(_kets(n)), flatten(_plug(n))
-    return kets, _netlist(kets, True), plug, _netlist(plug, True)
+def _term_wiring(n: int, x: int, y: int) -> Program:
+    """The program of the entry (x, y)'s Z node, with r = 1, and of its layers after it.
+
+    The layers start on all live wires.  The node's step binds the entry's
+    coefficient, and no other step binds one.
+    """
+    legs, ticks, routing, merges = _term_layers(n, x, y)
+    return compile([(ZSpider(ONE, 0, legs), 0)] + flatten(Compose(merges, Compose(routing, ticks))), True)
+
+
+@_shared
+def _layer_steps(n: int) -> tuple[Program, Program]:
+    """The programs of the ket layer and of the plug layer on n qubits."""
+    return compile(flatten(_kets(n)), True), compile(flatten(_plug(n)), True)
 
 
 def _kets(n: int) -> Diagram:
@@ -220,47 +210,39 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
 
     The reduced variant spends one Z node per term; the unreduced variant
     spells out the conjugate node of every term as well.  The result keeps
-    its `flatten` list, joined from each position's wiring list and the ket
-    and plug layers', and its steps, joined from their steps.  Those are
-    `_netlist`'s steps for the `flatten` list unless the plug's first step
-    extends the step before it, which happens when that step ends on the
-    top accumulator alone: at 0 qubits, and when the last node sits at
-    (0, 0).  Then the result keeps no steps.
+    its program: the ket layer's, then each position's with its node's
+    coefficient bound, as lists extended in place, joined with the plug
+    layer's (`join`), which makes it `compile` of the result's `flatten` list.
 
     The Z nodes are built here, but the term around them is built only when
-    something reads it (`Compose._deferred`), from each node's kept layers:
-    `state_operator` reads the steps or the `flatten` list alone.
+    something reads it (`Compose._deferred`), from each position's layers:
+    `state_operator` reads the program alone.
     """
     n = nf.qubits
-    flat, (tables, coefficients), plug, (plug_tables, plug_coefficients) = _layer_steps(n)
-    flat, tables, coefficients = list(flat), list(tables), list(coefficients)
-    terms = []
-    for coeff, x, y in _node_rows(nf, unreduced):
-        legs, ticks, routing, merges, wiring, block, rest = _term_wiring(n, x, y)
-        node = ZSpider(coeff, 0, legs)
-        terms.append((node, ticks, routing, merges))
-        # The node opens its legs below every live wire, and its wiring spans them all.
-        flat.append((node, 0))
-        flat += wiring
+    kets, plug = _layer_steps(n)
+    flat, tables, coefficients = list(kets.flat), list(kets.tables), list(kets.coefficients)
+    rows = _node_rows(nf, unreduced)
+    for coeff, x, y in rows:
+        # The position's program, its node binding coeff: the node opens its
+        # legs below every live wire, and its wiring spans them all.
+        term_flat, _, block, rest = _term_wiring(n, x, y)
+        i, j = len(flat), len(coefficients)
+        flat += term_flat
+        flat[i] = ZSpider(coeff, 0, block[0].m), 0
         tables += block
-        coefficients.append(coeff)
         coefficients += rest
+        coefficients[j] = coeff
 
     def build() -> tuple[Diagram, Diagram]:
         d = _kets(n)
-        for node, ticks, routing, merges in terms:
-            d = Compose(merges, Compose(routing, Compose(ticks, Compose(Tensor(id_n(n + 1), node), d))))
+        for coeff, x, y in rows:
+            legs, ticks, routing, merges = _term_layers(n, x, y)
+            d = Compose(merges, Compose(routing, Compose(ticks, Compose(Tensor(id_n(n + 1), ZSpider(coeff, 0, legs)), d))))
         # Consume the top accumulator with the plug; outputs remain in order.
         return _plug(n), d
 
     d = Compose._deferred(0, n, build)
-    flat += plug
-    object.__setattr__(d, "_flat", flat)
-    last, first = tables[-1], plug_tables[0]
-    if not (last.lo == first.lo and last.m == first.n and not (last.exchange or last.moved)):
-        tables += plug_tables
-        coefficients += plug_coefficients
-        object.__setattr__(d, "_steps", (tables, coefficients))
+    object.__setattr__(d, "_kept", join(Program(flat, True, tables, coefficients), plug))
     return d
 
 

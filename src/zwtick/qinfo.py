@@ -27,7 +27,8 @@ from .diagram import (
 )
 from .normalform import diagrams_equal
 from .scalar import HALF, I, MINUS_ONE, ONE, Scalar, TWO, ZERO
-from .semantics import Matrix, SemanticsError, _qubits_of, is_psd, state_operator
+from .matrix import Matrix, SemanticsError
+from .semantics import _qubits_of, is_psd, state_operator
 
 
 def partial_transpose(rho: Matrix, first_block: int) -> Matrix:

@@ -43,7 +43,7 @@ from .diagram import (
 )
 from .normalform import _PLUG, NFTerm, NormalForm, compare_maps, nf_to_diagram
 from .scalar import HALF, I, MINUS_ONE, ONE, OMEGA, Scalar, ZERO
-from .semantics import SemanticsError
+from .matrix import SemanticsError
 
 
 class RuleError(Exception):

@@ -32,7 +32,7 @@ from zwtick import (
     tensor_many,
 )
 from zwtick.diagram import _SUGAR, Generator, fold
-from zwtick.normalform import _kets, _node_rows, _plug, _term_wiring
+from zwtick.normalform import _kets, _node_rows, _plug, _term_layers
 
 SMALL_FRACTIONS = (
     Fraction(0),
@@ -424,7 +424,7 @@ def nf_to_diagram_reference(nf: NormalForm, unreduced: bool = False) -> Diagram:
     n = nf.qubits
     d = _kets(n)
     for coeff, x, y in _node_rows(nf, unreduced):
-        legs, ticks, routing, merges = _term_wiring(n, x, y)[:4]
+        legs, ticks, routing, merges = _term_layers(n, x, y)
         d = Compose(merges, Compose(routing, Compose(ticks, Compose(Tensor(id_n(n + 1), ZSpider(coeff, 0, legs)), d))))
     return Compose(_plug(n), d)
 

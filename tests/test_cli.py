@@ -112,13 +112,13 @@ class TestClassifyVerb:
     @pytest.mark.parametrize("text", ["ground", "tick", "(z 1/2 1 2)"])
     def test_evaluates_the_choi_operator_once(self, tmp_path, capsys, monkeypatch, text):
         calls = []
-        evaluate = semantics._evaluate
+        evaluate = semantics.run
 
         def counting(*args, **kwargs):
             calls.append(args)
             return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(semantics, "_evaluate", counting)
+        monkeypatch.setattr(semantics, "run", counting)
         f = write(tmp_path, "d.zwt", text)
         assert main(["classify", f]) == 0
         assert len(calls) == 1

@@ -70,6 +70,7 @@ from zwtick import (
 )
 from zwtick.diagram import _SUGAR, flatten, interleave, route, wires
 from zwtick.normalform import _term_wiring
+from zwtick.program import Program
 from zwtick.semantics import _int_compose, interp_sparse
 
 from _support import flatten_reference, nf_to_diagram_reference, parse_diagram_reference, random_nf, random_term
@@ -321,15 +322,14 @@ class TestSharedBuilders:
         # Fill the caches first: a kept list set on a generator would show below.
         rebuilt = nf_to_diagram(random_nf(random.Random(6), 2))
         for g in (Id, Empty, Swap, Fswap, Tick, Cup, Cap):
-            assert "_flat" not in vars(g) and "_steps" not in vars(g)
+            assert "_kept" not in vars(g)
         net = permutation_diagram([2, 0, 1])
-        assert "_flat" in vars(net) and "_flat" in vars(id_n(5)) and "_flat" in vars(rebuilt)
-        assert "_steps" in vars(rebuilt) and "_steps" not in vars(net) and "_steps" not in vars(id_n(5))
+        assert "_kept" in vars(net) and "_kept" in vars(id_n(5)) and "_kept" in vars(rebuilt)
+        assert type(rebuilt._kept) is Program and type(net._kept) is list and type(id_n(5)._kept) is list
         for copy_ in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
             for d in (net, id_n(5), Tensor(net, id_n(5)), rebuilt):
                 copied = copy_(d)
-                assert copied == d and copied is not d and "_flat" not in vars(copied)
-                assert "_steps" not in vars(copied)
+                assert copied == d and copied is not d and "_kept" not in vars(copied)
                 assert flatten(copied) == flatten(d)
 
 

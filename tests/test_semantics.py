@@ -73,10 +73,12 @@ from zwtick import (
     ticked_cap,
     unzip,
 )
-from zwtick import semantics
+from zwtick import program
 from zwtick.diagram import flatten, route, wires
-from zwtick.normalform import _layer_steps, _term_wiring
-from zwtick.semantics import MAX_DENSE_LOG2, _gen_matrix, _netlist, _permute, _run_matrix, _table, interp_sparse
+from zwtick.normalform import _layer_steps, _node_rows, _term_wiring
+from zwtick.matrix import MAX_DENSE_LOG2
+from zwtick.program import Program, _gen_matrix, _netlist, _permute, _run_matrix, _table, compile, join
+from zwtick.semantics import interp_sparse
 
 from _support import (
     flatten_reference,
@@ -481,14 +483,14 @@ class TestNetlistEvaluator:
         # case names, unless the random layers after it change the run.
         # Every semantics of the term must match the reference.
         folded_on_diagonal = []
-        apply_step = semantics._apply_step
+        apply_step = program._apply_step
 
         def watched(ops, doubled, table, dead, r):
             if doubled and (table.exchange or table.moved) and any(x == y for x, y in ops):
                 folded_on_diagonal.append(table)
             return apply_step(ops, doubled, table, dead, r)
 
-        monkeypatch.setattr(semantics, "_apply_step", watched)
+        monkeypatch.setattr(program, "_apply_step", watched)
         rng = random.Random(f"fold:{case}")
         skew = 0
         for k in range(30):
@@ -591,7 +593,7 @@ class TestNetlistEvaluator:
         # first time and runs step by step, and a second run feeds each term
         # to one segment, 274 entries (peak 20) and 9,729 (peak 136).
         nf = random_nf(random.Random(seed), qubits, density=density)
-        semantics._segment.cache_clear()
+        program._segment.cache_clear()
         applied = _record_steps(monkeypatch)
         warm = {3: (274, 20), 4: (9729, 136)}[qubits]
         for most_fed, most_live in ((most_fed, most_live), warm):
@@ -605,7 +607,7 @@ class TestNetlistEvaluator:
         # terms, makes one pass per term and one per accumulator it starts
         # from: 144 passes, against 824 step by step.
         nf = random_nf(random.Random(131), 4, density=1.0)
-        semantics._segment.cache_clear()
+        program._segment.cache_clear()
         applied = _record_steps(monkeypatch)
         d = nf_to_diagram(nf)
         assert state_operator(d) == nf_to_matrix(nf)
@@ -618,14 +620,14 @@ class TestNetlistEvaluator:
 def _record_steps(monkeypatch) -> list:
     """Make every step or segment applied from now on append (its table, entries in, entries out)."""
     applied = []
-    apply_step = semantics._apply_step
+    apply_step = program._apply_step
 
     def recording(ops, doubled, table, dead, r):
         out = apply_step(ops, doubled, table, dead, r)
         applied.append((table, len(ops), len(out)))
         return out
 
-    monkeypatch.setattr(semantics, "_apply_step", recording)
+    monkeypatch.setattr(program, "_apply_step", recording)
     return applied
 
 
@@ -639,7 +641,7 @@ def _run_of(table, r) -> tuple:
 
 
 def _cold_tables() -> None:
-    """Empty the table store and the normal-form builders, whose kept steps hold tables outside it."""
+    """Empty the table store and the normal-form builders, whose programs hold tables outside it."""
     _table.cache_clear()
     _term_wiring.cache_clear()
     _layer_steps.cache_clear()
@@ -649,14 +651,14 @@ def _count_tables(monkeypatch) -> list:
     """Make every `_Table` built from now on append its `lo` to the returned list."""
     built = []
 
-    class CountedTable(semantics._Table):
+    class CountedTable(program._Table):
         __slots__ = ()
 
         def __init__(self, run, lo, exchange, moves):
             built.append(lo)
             super().__init__(run, lo, exchange, moves)
 
-    monkeypatch.setattr(semantics, "_Table", CountedTable)
+    monkeypatch.setattr(program, "_Table", CountedTable)
     return built
 
 
@@ -791,7 +793,7 @@ class TestTableStore:
             assert first and all(a is b for a, b in zip(first, second, strict=True)) and r1 == r2
 
     def test_store_never_exceeds_its_bound(self, monkeypatch):
-        bound = semantics._STORE_SIZE
+        bound = program._STORE_SIZE
         assert _table.cache_info().maxsize == bound
         _table.cache_clear()
         scales = [Scalar(k + 2) for k in range(bound + 50)]
@@ -858,7 +860,7 @@ class TestTableStore:
         for qubits in (2, 3, 3):
             positions = random_nf(rng, qubits, density=0.7)
             forms += [TestBoundCoefficients._recoefficient(positions, rng, turn) for turn in range(3)]
-        _cold_tables()  # the forms' kept steps hold tables no evaluation has filled
+        _cold_tables()  # the forms' kept programs hold tables no evaluation has filled
         weighted = [TestBoundCoefficients._weighted_segment(t, r, c) for t, r, c in ((I, ONE + OMEGA, ONE + I), (OMEGA, TWO, MINUS_ONE + I))]
         states = ([nf_to_diagram(nf, unreduced=u) for nf in forms for u in (False, True)] + weighted) * 2
         state_want = ([nf_to_matrix(nf) for nf in forms for _ in (False, True)] + [_unvec(interp_sparse(unzip(d)), 2) for d in weighted]) * 2
@@ -873,7 +875,7 @@ class TestTableStore:
             got[i] = {j: self._results(*cases[j]) for j in orders[i]}, {j: state_operator(states[j]) for j in state_orders[i]}
 
         _table.cache_clear()
-        semantics._segment.cache_clear()
+        program._segment.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -889,7 +891,7 @@ class TestTableStore:
             assert results is not None and [results[0][j] for j in range(len(cases))] == want
             assert [results[1][j] for j in range(len(states))] == state_want
         assert len(_segment_widths(applied)) >= 100
-        segments = [table for table, _, _ in applied if isinstance(table, semantics._Segment)]
+        segments = [table for table, _, _ in applied if isinstance(table, program._Segment)]
         folded = {(k, c is ONE) for segment in segments for bs in segment.live[None].values() for _, _, k, c in bs}
         assert {(k, True) for k in range(4)} | {(k, False) for k in (1, 2, 3)} <= folded
 
@@ -905,7 +907,7 @@ class TestTableStore:
             d = random_term(rng, max_wires=3, max_gens=8)
             for t in (d, bend_inputs(d)):
                 steps, _ = _netlist(flatten(t), True)
-                for step, masks in zip(steps, semantics._dead_patterns(steps) or ()):
+                for step, masks in zip(steps, program._dead_patterns(steps) or ()):
                     if not masks:
                         continue
                     for cx in range(1 << step.n):
@@ -1003,10 +1005,10 @@ class TestBoundCoefficients:
         want = _unvec(interp_sparse(unzip(d)), 2)
         assert len(want.entries) == 16
         applied = _record_steps(monkeypatch)
-        semantics._segment.cache_clear()
+        program._segment.cache_clear()
         for _ in range(3):  # step by step, then twice through the segments
             assert state_operator(d) == want
-        segments = [table for table, _, _ in applied if isinstance(table, semantics._Segment)]
+        segments = [table for table, _, _ in applied if isinstance(table, program._Segment)]
         assert [segment.n for segment in segments] == [0, 1, 0, 1]
         branches = [b for bs in segments[1].live[None].values() for b in bs]
         assert (3, s * s.conj()) in {(k, c) for _, _, k, c in branches}
@@ -1015,7 +1017,7 @@ class TestBoundCoefficients:
 
 def _segment_widths(applied) -> list:
     """The start width of each segment among the steps `_record_steps` recorded."""
-    return [table.n for table, _, _ in applied if isinstance(table, semantics._Segment)]
+    return [table.n for table, _, _ in applied if isinstance(table, program._Segment)]
 
 
 class TestSegments:
@@ -1030,7 +1032,7 @@ class TestSegments:
         for qubits in (1, 2, 3, 4):
             for _ in range(3 if qubits < 4 else 1):
                 positions = random_nf(rng, qubits, density=rng.uniform(0.4, 0.8))
-                semantics._segment.cache_clear()
+                program._segment.cache_clear()
                 for turn in range(3):
                     nf = TestBoundCoefficients._recoefficient(positions, rng, turn)
                     want = nf_to_matrix(nf)
@@ -1050,7 +1052,7 @@ class TestSegments:
         applied = _record_steps(monkeypatch)
         rng = random.Random(seed)
         positions = random_nf(rng, qubits, density=0.7)
-        semantics._segment.cache_clear()
+        program._segment.cache_clear()
         for turn in range(3):
             nf = TestBoundCoefficients._recoefficient(positions, rng, turn)
             s, form = nf_to_diagram(nf), nf_to_matrix(nf)
@@ -1077,7 +1079,7 @@ class TestSegments:
             cut = {(x - half, y - half): v for (x, y), v in form.entries.items() if x >= half and y >= half}
             picked = Compose(Tensor(WSpider(1, 0), id_n(qubits - 1)), s)
             runs = [(picked, Matrix.from_entries(half, half, cut)), (s, form)]
-            semantics._segment.cache_clear()
+            program._segment.cache_clear()
             applied.clear()
             # Each term twice in a row, so the second builds its segments,
             # and the term with the effect first on every other form.
@@ -1088,7 +1090,7 @@ class TestSegments:
 
 
 class TestKeptSteps:
-    """A rebuilt normal form keeps the steps `_netlist` gives its `flatten` list, and `state_operator` runs them."""
+    """A rebuilt normal form keeps the program `compile` gives its `flatten` list, and `state_operator` runs it."""
 
     @staticmethod
     def _forms() -> list:
@@ -1099,76 +1101,111 @@ class TestKeptSteps:
         return forms + [random_nf(random.Random(131), 4, density=1.0)]
 
     @staticmethod
-    def _keeps_steps(nf) -> bool:
-        """Whether a form's last step is not the top accumulator's: at 0 qubits it always is, and
-        otherwise when the last node sits at (0, 0)."""
-        return nf.qubits > 0 and not (nf.terms and (nf.terms[-1].x, nf.terms[-1].y) == (0, 0))
+    def _top_forms() -> list:
+        """Forms whose last step before the plug is the top accumulator's: at 0 qubits always,
+        and otherwise when the last node sits at (0, 0)."""
+        rng = random.Random(143)
+        forms = [random_nf(rng, 0, density=0.5) for _ in range(6)]
+        forms += [NormalForm(0, ()), NormalForm(0, (NFTerm(0, 0, MINUS_ONE),))]
+        return forms + [NormalForm(qubits, (NFTerm(0, 0, Scalar(3)),)) for qubits in (1, 2, 3)]
+
+    @staticmethod
+    def _assert_compiled(d) -> None:
+        """d keeps the program `compile` gives its `flatten` list: the same tables, equal coefficients."""
+        kept, compiled = d._kept, compile(flatten(d), True)
+        assert type(kept) is Program and kept.doubled
+        assert len(kept.tables) == len(compiled.tables) and all(a is b for a, b in zip(kept.tables, compiled.tables))
+        assert kept.coefficients == compiled.coefficients
+
+    @staticmethod
+    def _layer_step_count(nf, unreduced) -> int:
+        """The steps of the ket layer, of each position's program and of the plug layer, together."""
+        kets, plug = _layer_steps(nf.qubits)
+        terms = sum(len(_term_wiring(nf.qubits, x, y).tables) for _, x, y in _node_rows(nf, unreduced))
+        return len(kets.tables) + terms + len(plug.tables)
 
     def test_kept_steps_are_the_netlist_steps(self):
-        forms = self._forms()
-        assert sum(map(self._keeps_steps, forms)) == len(forms) - 1
-        for nf in forms:
-            # Each form from a cold store, so no table its steps hold has been evicted since.
+        for nf in self._forms() + self._top_forms():
+            # Each form from a cold store, so no table its program holds has been evicted since.
             _cold_tables()
             want = nf_to_matrix(nf)
             for unreduced in (False, True):
                 d = nf_to_diagram(nf, unreduced=unreduced)
-                # The kept steps, and the walk of a copy that keeps none.
+                # The kept program, and the walk of a copy that keeps none.
                 copied = pickle.loads(pickle.dumps(d))
-                assert copied._steps is None
+                assert copied._kept is None
                 assert state_operator(d) == state_operator(copied) == want
-                if not self._keeps_steps(nf):
-                    assert d._steps is None
-                    continue
-                (tables, rs), (flat_tables, flat_rs) = d._steps, _netlist(flatten(d), True)
-                assert len(tables) == len(flat_tables) and all(a is b for a, b in zip(tables, flat_tables))
-                assert rs == flat_rs
+                self._assert_compiled(d)
 
     def test_round_trip_skips_netlist(self, monkeypatch):
         calls = []
-        netlist = semantics._netlist
+        compile_ = program.compile
 
         def counted(flat, doubled):
             calls.append(doubled)
-            return netlist(flat, doubled)
+            return compile_(flat, doubled)
 
-        monkeypatch.setattr(semantics, "_netlist", counted)
-        for nf in self._forms()[:-1]:
+        monkeypatch.setattr(program, "compile", counted)
+        for nf in self._forms()[:-1] + self._top_forms():
             for unreduced in (False, True):
                 calls.clear()
                 assert state_operator(nf_to_diagram(nf, unreduced=unreduced)) == nf_to_matrix(nf)
-                assert calls == ([] if self._keeps_steps(nf) else [True])
-        # A copy keeps no steps, and its walk is seen.
-        d = nf_to_diagram(self._forms()[0])
-        calls.clear()
-        assert state_operator(pickle.loads(pickle.dumps(d))) == state_operator(d)
-        assert calls == [True]
+                assert calls == []
+        # A copy keeps no program, and its walk is compiled once.
+        for nf in (self._forms()[0], self._top_forms()[0]):
+            d = nf_to_diagram(nf)
+            calls.clear()
+            assert state_operator(pickle.loads(pickle.dumps(d))) == state_operator(d)
+            assert calls == [True]
 
-    def test_forms_that_end_on_the_top_accumulator_keep_no_steps(self):
+    def test_forms_that_end_on_the_top_accumulator_keep_their_program(self):
         # There `_netlist` composes the plug's (z 1 1 2) into the top
         # accumulator's last merge, or at 0 qubits with no term, into the
-        # top ket: a step no layer holds.  Such a form is flattened.
-        rng = random.Random(143)
-        forms = [random_nf(rng, 0, density=0.5) for _ in range(6)]
-        forms += [NormalForm(0, ()), NormalForm(0, (NFTerm(0, 0, MINUS_ONE),))]
-        forms += [NormalForm(qubits, (NFTerm(0, 0, Scalar(3)),)) for qubits in (1, 2, 3)]
-        for nf in forms:
-            assert not self._keeps_steps(nf)
+        # top ket: a step no layer holds, which `join` makes of the two.
+        for nf in self._top_forms():
             for unreduced in (False, True):
                 d = nf_to_diagram(nf, unreduced=unreduced)
-                assert d._steps is None
+                self._assert_compiled(d)
+                assert len(d._kept.tables) == self._layer_step_count(nf, unreduced) - 1
                 assert state_operator(d) == nf_to_matrix(nf)
         # A node after the one at (0, 0) ends elsewhere, and with no term the
-        # top ket is not the last step.
+        # top ket is not the last step: the layers' steps are joined as they are.
         for nf in (NormalForm(2, (NFTerm(0, 0, Scalar(3)), NFTerm(0, 2, I))), NormalForm(2, ())):
-            assert self._keeps_steps(nf)
             d = nf_to_diagram(nf)
-            assert d._steps is not None and state_operator(d) == nf_to_matrix(nf)
+            self._assert_compiled(d)
+            assert len(d._kept.tables) == self._layer_step_count(nf, False)
+            assert state_operator(d) == nf_to_matrix(nf)
+
+
+class TestJoin:
+    """`join` appends one program to another as `compile` of the joined `flatten` lists would."""
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_join_is_compile_of_the_joined_lists(self, doubled):
+        rng = random.Random(171)
+        seams = opened = 0
+        for _ in range(400):
+            a = random_state(rng, max_wires=3, allow_tick=doubled)
+            b = random_term(rng, max_wires=3, allow_tick=doubled, n_in=a.n_out)
+            first, second = compile(flatten(a), doubled), compile(flatten(b), doubled)
+            joined, whole = join(first, second), compile(flatten(Compose(b, a)), doubled)
+            assert joined.flat == whole.flat and joined.doubled == doubled
+            assert program.run(joined, {(0, 0): ONE}, 0) == program.run(whole, {(0, 0): ONE}, 0)
+            if first.tables and second.tables and second.tables[0].run[0] is Empty:
+                # b opens with a relabelling alone, which stays a step of its own.
+                opened += 1
+                assert len(joined.tables) == len(first.tables) + len(second.tables)
+                continue
+            seams += len(joined.tables) < len(first.tables) + len(second.tables)
+            assert len(joined.tables) == len(whole.tables) and all(x is y for x, y in zip(joined.tables, whole.tables))
+            assert joined.coefficients == whole.coefficients
+        # Only doubled does a run extend the step before it.
+        assert opened and bool(seams) == doubled
 
 
 class TestCompositionLaws:
     """Laws that set one evaluation route against another, with no oracle:
-    a rebuilt normal form's kept steps against the spliced `flatten` list of
+    a rebuilt normal form's kept program against the spliced `flatten` list of
     a term that holds it, and one superoperator run against two."""
 
     @staticmethod
@@ -1185,7 +1222,7 @@ class TestCompositionLaws:
         for _ in range(count):
             s = nf_to_diagram(random_nf(rng, qubits, density=rng.uniform(0.3, 0.7)), unreduced=rng.random() < 0.5)
             a = self._term(rng, qubits, s.n_out)
-            assert s._steps is not None
+            assert type(s._kept) is Program
             assert state_operator(Compose(a, s)) == apply_superop(a, state_operator(s))
 
     @pytest.mark.parametrize("wires, seed, count", [(3, 153, 10), (4, 154, 4)])
@@ -1248,7 +1285,7 @@ def _effect_rich_term(rng, max_wires=3, layers=4, wide=False):
 
 
 def _dead(d):
-    return semantics._dead_patterns(_netlist(flatten(d), True)[0])
+    return program._dead_patterns(_netlist(flatten(d), True)[0])
 
 
 class TestDeadPatterns:
@@ -1340,12 +1377,12 @@ class TestDeadPatterns:
                 assert apply_superop(d, rho) == _unvec(doubled.matmul(_vec(rho)), d.n_out)
             for t in (s, d):
                 tables, rs = _netlist(flatten(t), True)
-                wide += any(table.n > semantics._GROUP_WIRES and not table.full for table in tables)
-                seen |= {(type(g), g.n_in, g.n_out) for table, r in zip(tables, rs) for g in _run_of(table, r) if g.n_in > semantics._GROUP_WIRES}
+                wide += any(table.n > program._GROUP_WIRES and not table.full for table in tables)
+                seen |= {(type(g), g.n_in, g.n_out) for table, r in zip(tables, rs) for g in _run_of(table, r) if g.n_in > program._GROUP_WIRES}
                 pruned += any(_dead(t) or ())
                 for table in tables:
                     for _, groups in table.transfers.values():
-                        assert all(len(on) <= semantics._GROUP_WIRES for on, _ in groups or ())
+                        assert all(len(on) <= program._GROUP_WIRES for on, _ in groups or ())
         assert wide >= 30 and pruned >= 30
         assert seen == {(WSpider, 4, 0), (WSpider, 4, 1), (ZSpider, 4, 0), (ZSpider, 5, 1)}
 
