@@ -38,17 +38,17 @@ class Diagram:
     dataclasses that compare and hash by their fields.  On `Compose` and
     `Tensor`, `==`, `hash` and `repr` walk the term on an explicit stack, so
     any depth is safe, and a term's hash is computed once and kept on each
-    of its composite nodes.  A shared builder's composite output keeps its
-    `flatten` list; the diagram `normalform.nf_to_diagram` returns keeps its
-    program (that list and its compiled steps) and is a deferred `Compose`,
-    whose children are built when first read: a round trip never builds them.
+    of its composite nodes.  The diagram `normalform.nf_to_diagram` returns
+    keeps its program (its `flatten` list and its compiled steps) and is a
+    deferred `Compose`, whose children are built when first read: a round
+    trip never builds them.
     """
 
     n_in: int = field(init=False, default=0, compare=False)
     n_out: int = field(init=False, default=0, compare=False)
 
     _hash = None  # set on a composite node by its first hash
-    _kept = None  # a `flatten` list set by `_shared`, or the program set by `nf_to_diagram`
+    _kept = None  # the program set by `nf_to_diagram`
 
     def __hash__(self) -> int:
         # Generators hash by their fields; a composite keeps its hash on the node.
@@ -260,8 +260,8 @@ def _children(d: Diagram) -> tuple[Diagram, Diagram]:
 #
 # A composite term is copied and pickled as a table of its distinct nodes in
 # post-order, and rebuilt from it with a loop, so any depth is safe and a
-# shared subterm is written and rebuilt once.  The kept hash, flattened
-# list and program are not carried: string hashes differ between processes.
+# shared subterm is written and rebuilt once.  The kept hash and program
+# are not carried: string hashes differ between processes.
 
 
 def _node_table(d: Diagram) -> list:
@@ -308,10 +308,10 @@ def flatten(d: Diagram) -> list[tuple[Generator, int]]:
 
     Each comes with `lo`, the number of live wires below its inputs when it
     is applied (wire k of w live wires is bit w-1-k of a basis index).  The
-    walk keeps an explicit stack, so any depth is safe.  A node that keeps
-    its own list (`_kept`, set by `_shared` on a builder's output, and the
-    `flat` of the program `normalform.nf_to_diagram` sets on its result) is
-    spliced in, shifted by the live wires below it, and not walked again.
+    walk keeps an explicit stack, so any depth is safe.  A rebuilt normal
+    form that keeps its program (`_kept`, set by `normalform.nf_to_diagram`)
+    has its program's `flat` spliced in, shifted by the live wires below it,
+    and is not walked again.
     """
     out: list[tuple[Generator, int]] = []
     width = d.n_in
@@ -325,7 +325,7 @@ def flatten(d: Diagram) -> list[tuple[Generator, int]]:
         elif not isinstance(node, (Compose, Tensor)):
             raise TypeError(f"not a diagram: {node!r}")
         elif node._kept is not None:
-            flat = node._kept if type(node._kept) is list else node._kept.flat
+            flat = node._kept.flat
             shift = width - off - node.n_in
             out += flat if shift == 0 else [(g, lo + shift) for g, lo in flat]
         elif isinstance(node, Compose):
@@ -345,24 +345,9 @@ def flatten(d: Diagram) -> list[tuple[Generator, int]]:
 #: Most outputs each shared builder keeps.
 _SHARED_SIZE = 1024
 
-
-def _shared(build: Callable) -> Callable:
-    """Memoize a builder whose outputs repeat, keyed by its arguments.
-
-    Terms that use the builder share its outputs.  A composite output keeps
-    its `flatten` list, so flattening a term that holds it splices the list
-    in instead of walking the output's wires again.
-    """
-
-    @functools.lru_cache(maxsize=_SHARED_SIZE)
-    @functools.wraps(build)
-    def cached(*args):
-        d = build(*args)
-        if isinstance(d, (Compose, Tensor)):
-            object.__setattr__(d, "_kept", flatten(d))
-        return d
-
-    return cached
+#: Memoize a builder whose outputs repeat, keyed by its arguments: terms
+#: that use the builder share its outputs.
+_shared = functools.lru_cache(maxsize=_SHARED_SIZE)
 
 
 def id_n(n: int) -> Diagram:

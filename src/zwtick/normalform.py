@@ -16,10 +16,10 @@ exactly the branches where a single node fires on a single side, which is
 what produces c|x><y| + conj(c)|y><x| and nothing else.  The gathers are
 assembled as chains of binary merges so that evaluating the diagram stays
 polynomial in the number of terms.  The wiring after a node depends only on
-its entry's position, so it is built once per position (`_term_wiring`, a
-shared builder) with its program, and the rebuilt diagram keeps the
-program joined from those and from the ket and plug layers', so
-`state_operator` runs it without reading the term.  A term costs its Z
+its entry's position, and on whether the plug follows it, so its program is
+compiled once per position (`_term_wiring`, a shared builder).  The rebuilt
+diagram keeps the ket layer's program and its positions' laid end to end,
+so `state_operator` runs it without reading the term.  A term costs its Z
 node and its coefficient: the tree of layers around the nodes is built only
 when something reads it.
 """
@@ -46,7 +46,7 @@ from .diagram import (
 )
 from .scalar import HALF, MAX_DIGITS, ONE, Scalar, ScalarParseError, ZERO, _too_long, format_scalar, parse_scalar
 from .matrix import Matrix, _format_complex, _mirrored
-from .program import Program, compile, join
+from .program import Program, compile
 from .semantics import _interp_flat, bend_inputs, state_operator
 
 
@@ -179,20 +179,26 @@ def _term_layers(n: int, x: int, y: int) -> tuple[int, Diagram, Diagram, Diagram
 
 
 @_shared
-def _term_wiring(n: int, x: int, y: int) -> Program:
+def _term_wiring(n: int, x: int, y: int, last: bool) -> Program:
     """The program of the entry (x, y)'s Z node, with r = 1, and of its layers after it.
 
     The layers start on all live wires.  The node's step binds the entry's
-    coefficient, and no other step binds one.
+    coefficient, and no other step binds one.  The last node's program
+    ends with the plug's: `compile` may take the plug's first generator
+    into the layers' last step.
     """
     legs, ticks, routing, merges = _term_layers(n, x, y)
-    return compile([(ZSpider(ONE, 0, legs), 0)] + flatten(Compose(merges, Compose(routing, ticks))), True)
+    plug = flatten(_plug(n)) if last else []
+    return compile([(ZSpider(ONE, 0, legs), 0)] + flatten(Compose(merges, Compose(routing, ticks))) + plug, True)
 
 
 @_shared
 def _layer_steps(n: int) -> tuple[Program, Program]:
-    """The programs of the ket layer and of the plug layer on n qubits."""
-    return compile(flatten(_kets(n)), True), compile(flatten(_plug(n)), True)
+    """The programs of the ket layer, and of the ket and plug layers together, on n qubits.
+
+    The second is the program of a form with no term.
+    """
+    return compile(flatten(_kets(n)), True), compile(flatten(Compose(_plug(n), _kets(n))), True)
 
 
 def _kets(n: int) -> Diagram:
@@ -211,21 +217,24 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
     The reduced variant spends one Z node per term; the unreduced variant
     spells out the conjugate node of every term as well.  The result keeps
     its program: the ket layer's, then each position's with its node's
-    coefficient bound, as lists extended in place, joined with the plug
-    layer's (`join`), which makes it `compile` of the result's `flatten` list.
+    coefficient bound and the plug in the last one's, or with no term the
+    ket and plug layers' together (`_layer_steps`).  That is `compile` of
+    the result's `flatten` list: each position opens with its node, a
+    0 -> k state, which `compile` takes into no step before it.
 
     The Z nodes are built here, but the term around them is built only when
     something reads it (`Compose._deferred`), from each position's layers:
     `state_operator` reads the program alone.
     """
     n = nf.qubits
-    kets, plug = _layer_steps(n)
-    flat, tables, coefficients = list(kets.flat), list(kets.tables), list(kets.coefficients)
     rows = _node_rows(nf, unreduced)
-    for coeff, x, y in rows:
+    kets, empty = _layer_steps(n)
+    start = kets if rows else empty
+    flat, tables, coefficients = list(start.flat), list(start.tables), list(start.coefficients)
+    for k, (coeff, x, y) in enumerate(rows):
         # The position's program, its node binding coeff: the node opens its
         # legs below every live wire, and its wiring spans them all.
-        term_flat, _, block, rest = _term_wiring(n, x, y)
+        term_flat, _, block, rest = _term_wiring(n, x, y, k == len(rows) - 1)
         i, j = len(flat), len(coefficients)
         flat += term_flat
         flat[i] = ZSpider(coeff, 0, block[0].m), 0
@@ -242,7 +251,7 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
         return _plug(n), d
 
     d = Compose._deferred(0, n, build)
-    object.__setattr__(d, "_kept", join(Program(flat, True, tables, coefficients), plug))
+    object.__setattr__(d, "_kept", Program(flat, True, tables, coefficients))
     return d
 
 

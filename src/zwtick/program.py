@@ -1,11 +1,10 @@
 """A term's compiled evaluator steps, and the netlist evaluator that runs them.
 
 A `Program` is a term's `flatten` list with the steps compiled from it.
-`compile(flat, doubled)` makes one, `join(a, b)` appends one to another
-as `compile` of the joined lists would, and `run(program, ops, width)`
+`compile(flat, doubled)` makes one, and `run(program, ops, width)`
 applies the steps to a sparse operator over the live wires.  `program_of`
-gives a diagram's program: the one a rebuilt normal form keeps, else
-`compile` of its `flatten` list.  `semantics` reads every pure and
+gives a diagram's doubled program: the one a rebuilt normal form keeps,
+else `compile` of its `flatten` list.  `semantics` reads every pure and
 superoperator result through these.
 """
 
@@ -111,10 +110,10 @@ def _gen_matrix(g: Diagram) -> Matrix:
 # its key is met: the first time, its steps run one by one, so a term met
 # once costs only its key.
 #
-# A diagram `normalform.nf_to_diagram` returns keeps its program, joined
-# from the programs of its layers, and `join` composes the plug's (z 1 1 2)
-# into the step before it wherever `_netlist` would, so that program is
-# `compile` of its `flatten` list.
+# A diagram `normalform.nf_to_diagram` returns keeps its program: the
+# programs of its kets and of its node positions, laid end to end.  Each
+# position opens with its node, a 0 -> k state, which no step before it
+# takes into its run, so that program is `compile` of its `flatten` list.
 
 #: Most wires a constraint group of the dead-pattern pass spans.
 _GROUP_WIRES = 3
@@ -152,31 +151,12 @@ def compile(flat: list[tuple[Generator, int]], doubled: bool) -> Program:
     return Program(flat, doubled, *_netlist(flat, doubled))
 
 
-def program_of(d: Diagram, doubled: bool, flat: "list | None" = None) -> Program:
-    """The program d keeps, if doubled; else `compile` of its `flatten` list, `flat` when given."""
-    if doubled and type(d._kept) is Program:
-        return d._kept
-    return compile(flatten(d) if flat is None else flat, doubled)
+def program_of(d: Diagram) -> Program:
+    """The program d keeps, else doubled `compile` of its `flatten` list.
 
-
-def join(a: Program, b: Program) -> Program:
-    """The program of a's `flatten` list followed by b's, where b acts on a's outputs.
-
-    It is `compile` of the joined lists: no step of b extends one of a,
-    except, doubled, where `_netlist` would extend a's last step with b's
-    first run, and then the two steps become one, their runs unbound.  A b
-    whose first step is a relabelling alone (its run `Empty`) keeps it as a
-    step of its own, which is exact, but one step more than `compile` makes.
+    A kept program is doubled: a rebuilt normal form has ticks.
     """
-    tables, coefficients, i = a.tables + b.tables, a.coefficients + b.coefficients, len(a.tables)
-    if a.doubled and a.tables and b.tables:
-        last, first = tables[i - 1], tables[i]
-        if last.lo == first.lo and last.m == first.n and not (last.exchange or last.moved) and first.run[0] is not Empty:
-            run = last.generators(coefficients[i - 1]) + first.generators(coefficients[i])
-            exchange = _permute(first.exchange, first.moved, tuple((dst, src) for src, dst in first.moves))
-            tables[i - 1 : i + 1] = [_table(run, last.lo, exchange, first.moves)]
-            coefficients[i - 1 : i + 1] = [None]
-    return Program(a.flat + b.flat, a.doubled, tables, coefficients)
+    return compile(flatten(d), True) if d._kept is None else d._kept
 
 
 def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> "tuple[list[_Table], list[Scalar | None]]":
@@ -313,10 +293,6 @@ class _Table:
         self.full = len(self.cols) == 1 << self.n
         self.live: dict[tuple | None, dict[int, list[tuple[int, int, Scalar | int]]]] = {}
         self.transfers: dict[tuple, tuple] = {}
-
-    def generators(self, r: "Scalar | None") -> tuple:
-        """The run's generators; a bound table's spider has the step's r."""
-        return (ZSpider(r, *self.run),) if self.bound else self.run
 
     def branches(self, cx: int, cy: int, dead: "tuple[int, int, int, int] | None") -> "list[tuple[int, int, Scalar | int]] | tuple[()]":
         """Doubled branches of ket bits cx and bra bits cy: the run on x, its conjugate on y.

@@ -46,6 +46,7 @@ from .diagram import (
     compose_many,
     conjugate_term,
     dagger,
+    flatten,
     fold,
     id_n,
     interleave,
@@ -54,7 +55,7 @@ from .diagram import (
     wires,
 )
 from .matrix import Matrix, SemanticsError, _check_dense, _mirrored
-from .program import _gen_matrix, program_of, run
+from .program import _gen_matrix, compile, program_of, run
 from .scalar import HALF, I, ONE, ZERO, Scalar
 
 #: The old name of the sparse matrix type.  `bench/tracing.py` patches
@@ -81,7 +82,7 @@ def _interp_flat(d: Diagram, flat: "list | None") -> Matrix:
     """`interp` of d, compiled from `flat`, its `flatten` list, when given."""
     _check_dense(d.n_out, d.n_in)
     cols = 1 << d.n_in
-    out = run(program_of(d, False, flat), {(c, c): ONE for c in range(cols)}, d.n_in)
+    out = run(compile(flatten(d) if flat is None else flat, False), {(c, c): ONE for c in range(cols)}, d.n_in)
     return Matrix.from_entries(1 << d.n_out, cols, out)
 
 
@@ -143,7 +144,7 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
         for part, v in ((h, (a + b) * HALF), (k, (a - b) * _HALF_OVER_I)):
             if not v.is_zero():
                 part[x, y] = v
-    program = program_of(d, True)
+    program = program_of(d)
     out = _mirrored(dim, run(program, h, n))
     if k:
         entries = out.entries
@@ -164,7 +165,7 @@ def state_operator(d: Diagram) -> Matrix:
     if d.n_in != 0:
         raise SemanticsError(f"state_operator needs a state, got {d.n_in} inputs")
     _check_dense(d.n_out, d.n_out)
-    return _mirrored(1 << d.n_out, run(program_of(d, True), {(0, 0): ONE}, 0))
+    return _mirrored(1 << d.n_out, run(program_of(d), {(0, 0): ONE}, 0))
 
 
 # -- Choi matrices -------------------------------------------------------

@@ -77,7 +77,7 @@ from zwtick import program
 from zwtick.diagram import flatten, route, wires
 from zwtick.normalform import _layer_steps, _node_rows, _term_wiring
 from zwtick.matrix import MAX_DENSE_LOG2
-from zwtick.program import Program, _gen_matrix, _netlist, _permute, _run_matrix, _table, compile, join
+from zwtick.program import Program, _gen_matrix, _netlist, _permute, _run_matrix, _table, compile
 from zwtick.semantics import interp_sparse
 
 from _support import (
@@ -1097,8 +1097,8 @@ class TestKeptSteps:
         rng = random.Random(141)
         forms = [random_nf(rng, qubits, density=rng.uniform(0.2, 0.9)) for qubits in (1, 2, 3) for _ in range(5)]
         forms += [random_nf(rng, 4, density=rng.uniform(0.1, 0.4)) for _ in range(2)]
-        # Every position on 4 qubits, 136 terms.
-        return forms + [random_nf(random.Random(131), 4, density=1.0)]
+        # The forms with no term, then every position on 4 qubits, 136 terms.
+        return forms + [NormalForm(qubits, ()) for qubits in (1, 2, 3)] + [random_nf(random.Random(131), 4, density=1.0)]
 
     @staticmethod
     def _top_forms() -> list:
@@ -1119,10 +1119,14 @@ class TestKeptSteps:
 
     @staticmethod
     def _layer_step_count(nf, unreduced) -> int:
-        """The steps of the ket layer, of each position's program and of the plug layer, together."""
-        kets, plug = _layer_steps(nf.qubits)
-        terms = sum(len(_term_wiring(nf.qubits, x, y).tables) for _, x, y in _node_rows(nf, unreduced))
-        return len(kets.tables) + terms + len(plug.tables)
+        """The steps of the ket layer and of each position's program, the plug in the last one's,
+        or with no term the steps of the ket and plug layers' program."""
+        kets, empty = _layer_steps(nf.qubits)
+        rows = _node_rows(nf, unreduced)
+        if not rows:
+            return len(empty.tables)
+        terms = sum(len(_term_wiring(nf.qubits, x, y, i == len(rows) - 1).tables) for i, (_, x, y) in enumerate(rows))
+        return len(kets.tables) + terms
 
     def test_kept_steps_are_the_netlist_steps(self):
         for nf in self._forms() + self._top_forms():
@@ -1158,49 +1162,19 @@ class TestKeptSteps:
             assert state_operator(pickle.loads(pickle.dumps(d))) == state_operator(d)
             assert calls == [True]
 
-    def test_forms_that_end_on_the_top_accumulator_keep_their_program(self):
-        # There `_netlist` composes the plug's (z 1 1 2) into the top
-        # accumulator's last merge, or at 0 qubits with no term, into the
-        # top ket: a step no layer holds, which `join` makes of the two.
-        for nf in self._top_forms():
+    def test_kept_program_is_the_kets_and_positions_end_to_end(self):
+        # Where a form ends on the top accumulator, `_netlist` composes the
+        # plug's (z 1 1 2) into the top accumulator's last merge, or at 0
+        # qubits with no term, into the top ket.  Either way the step is in
+        # one position's program, or in the no-term program, so no step is
+        # added or dropped where the programs meet.
+        ends = [NormalForm(2, (NFTerm(0, 0, Scalar(3)), NFTerm(0, 2, I)))] + [NormalForm(q, ()) for q in (1, 2, 3)]
+        for nf in self._top_forms() + ends:
             for unreduced in (False, True):
                 d = nf_to_diagram(nf, unreduced=unreduced)
                 self._assert_compiled(d)
-                assert len(d._kept.tables) == self._layer_step_count(nf, unreduced) - 1
+                assert len(d._kept.tables) == self._layer_step_count(nf, unreduced)
                 assert state_operator(d) == nf_to_matrix(nf)
-        # A node after the one at (0, 0) ends elsewhere, and with no term the
-        # top ket is not the last step: the layers' steps are joined as they are.
-        for nf in (NormalForm(2, (NFTerm(0, 0, Scalar(3)), NFTerm(0, 2, I))), NormalForm(2, ())):
-            d = nf_to_diagram(nf)
-            self._assert_compiled(d)
-            assert len(d._kept.tables) == self._layer_step_count(nf, False)
-            assert state_operator(d) == nf_to_matrix(nf)
-
-
-class TestJoin:
-    """`join` appends one program to another as `compile` of the joined `flatten` lists would."""
-
-    @pytest.mark.parametrize("doubled", [False, True])
-    def test_join_is_compile_of_the_joined_lists(self, doubled):
-        rng = random.Random(171)
-        seams = opened = 0
-        for _ in range(400):
-            a = random_state(rng, max_wires=3, allow_tick=doubled)
-            b = random_term(rng, max_wires=3, allow_tick=doubled, n_in=a.n_out)
-            first, second = compile(flatten(a), doubled), compile(flatten(b), doubled)
-            joined, whole = join(first, second), compile(flatten(Compose(b, a)), doubled)
-            assert joined.flat == whole.flat and joined.doubled == doubled
-            assert program.run(joined, {(0, 0): ONE}, 0) == program.run(whole, {(0, 0): ONE}, 0)
-            if first.tables and second.tables and second.tables[0].run[0] is Empty:
-                # b opens with a relabelling alone, which stays a step of its own.
-                opened += 1
-                assert len(joined.tables) == len(first.tables) + len(second.tables)
-                continue
-            seams += len(joined.tables) < len(first.tables) + len(second.tables)
-            assert len(joined.tables) == len(whole.tables) and all(x is y for x, y in zip(joined.tables, whole.tables))
-            assert joined.coefficients == whole.coefficients
-        # Only doubled does a run extend the step before it.
-        assert opened and bool(seams) == doubled
 
 
 class TestCompositionLaws:
