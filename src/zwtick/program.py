@@ -108,7 +108,13 @@ def _gen_matrix(g: Diagram) -> Matrix:
 # with `lo` 0.  It is kept in its own store, `_segment`, under its start
 # width, its tables and their masks, and is used only from the second time
 # its key is met: the first time, its steps run one by one, so a term met
-# once costs only its key.
+# once costs only its key.  A segment that ends at the width it starts at
+# carries most entries through unchanged: a normal-form term's node fires
+# only on the entry whose accumulators are all 0, and on any other the W
+# merges annihilate a second firing.  Such a segment notes each entry
+# whose one branch is itself with weight 1, and is applied in place: only
+# the other entries leave the live operator, and their branches are added
+# back into it, so a term costs about the entries it changes.
 #
 # A diagram `normalform.nf_to_diagram` returns keeps its program: the
 # programs of its kets and of its node positions, laid end to end.  Each
@@ -270,10 +276,12 @@ class _Table:
     keys.  Concurrent evaluations need no lock: `setdefault` gives two that
     add one set of masks at once the same dict, two that fill one key at
     once store equal values, and two that build one step at once each get
-    a correct table.
+    a correct table.  A table carries no entry in place (`carried` is
+    None; see `_Segment`).
     """
 
     __slots__ = ("run", "lo", "n", "m", "bound", "exchange", "moved", "moves", "cols", "outs", "full", "live", "transfers")
+    carried = None
 
     def __init__(self, run: "tuple[Generator, ...] | tuple[int, int]", lo: int, exchange: int, moves: tuple):
         self.run, self.lo, self.bound = run, lo, isinstance(run[0], int)
@@ -340,11 +348,18 @@ class _Segment:
     table's, built from the tables' own cached branches (`_Table.live`):
     the weight index is the first step's, and the constant the product of
     the later steps' entries, summed over the paths to (r, s).  `met` says
-    the key has been met before: until then the steps run one by one.  As
-    with a table, nothing stored is changed once built.
+    the key has been met before: until then the steps run one by one.
+
+    A segment with n == m keeps `carried`, the set of the (x, y) whose
+    branches are the one (x, y, 0, ONE): the entry itself, weight 1.  It is
+    filled as their branches are built, and `_apply_step` leaves those
+    entries where they are.  A segment that changes width has `carried`
+    None.  As with a table, nothing stored is changed once built; `live`,
+    its dict and `carried` only gain keys, and two evaluations that add one
+    key at once add the same.
     """
 
-    __slots__ = ("steps", "n", "m", "live", "met")
+    __slots__ = ("steps", "n", "m", "live", "met", "carried")
     lo = exchange = moved = 0
     moves = ()
     bound = True
@@ -354,6 +369,7 @@ class _Segment:
         self.n, self.m = width, width + sum(t.m - t.n for t in tables)
         self.live: dict[None, dict[int, list]] = {}
         self.met = False
+        self.carried: "set[tuple[int, int]] | None" = set() if self.n == self.m else None
 
     def branches(self, x: int, y: int, dead: None) -> "list[tuple[int, int, int, Scalar]]":
         """The doubled branches of the entry at (x, y): each step's branches, one step after another.
@@ -384,7 +400,10 @@ class _Segment:
                     key, v = (bx | rx, by | ry, k + w), c if b is ONE else c * b
                     after[key] = after[key] + v if key in after else v
             paths = {key: v for key, v in after.items() if not v.is_zero()}
-        return [(r, s, k, ONE if c == ONE else c) for (r, s, k), c in paths.items()]
+        out = [(r, s, k, ONE if c == ONE else c) for (r, s, k), c in paths.items()]
+        if self.carried is not None and out == [(x, y, 0, ONE)]:
+            self.carried.add((x, y))
+        return out
 
 
 def _dead_patterns(tables: list[_Table]) -> "list[tuple[int, int, int, int] | None] | None":
@@ -541,6 +560,12 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
     branches all pick k = 0, the weight 1.  A segment is applied with
     `dead` None: its masks are its steps'.
 
+    A step writes a new dict, except a segment that keeps its width
+    (`carried` not None): it updates `ops` in place and returns it.  Only
+    the entries it does not carry are popped and run through the branch
+    loop, whose outputs land in `ops` beside the carried entries, and
+    clash there as they would in a new dict.
+
     An output (r, s) joins an entry's own bits, those outside the run, to a
     branch's output bits.  Both the exchange and the bit permutation split
     over those two disjoint sets, and the table holds its branches already
@@ -567,12 +592,16 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
     lomask = (1 << lo) - 1
     hi, new_hi = lo + n, lo + table.m
     exchange, moved, moves = table.exchange, table.moved, table.moves
-    out: dict[tuple[int, int], Scalar] = {}
+    carried = table.carried
+    if carried is None:
+        out, entries = {}, ops.items()
+    else:  # the carried entries stay in ops, and the others' branches land there
+        out, entries = ops, [(key, ops.pop(key)) for key in ops.keys() - carried]
     clashes = []
     if doubled:
         live = table.live.setdefault(dead, {})
         weights = None if coefficient is None else _weights(coefficient)
-        for (x, y), v in ops.items():
+        for (x, y), v in entries:
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
             pattern = (cx << n) | cy
@@ -614,7 +643,7 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
                 out[key] = nv
     else:
         cols = table.cols
-        for (x, y), v in ops.items():
+        for (x, y), v in entries:
             branches = cols.get((x >> lo) & nmask)
             if branches is None:
                 continue
@@ -641,7 +670,9 @@ def run(program: Program, ops: dict, width: int) -> dict:
     the result, and each step drops the branches `_dead_patterns` finds dead.
     A bound state step at width at most `_SEGMENT_WIRES` starts a segment:
     the steps from it up to the next bound step run as one (`_Segment`)
-    once their key has been met before, and one by one the first time.
+    once their key has been met before, and one by one the first time.  A
+    segment that keeps its width is applied in place, so `run` may update
+    the dict it is given; pass one that is not read again.
     """
     tables, coefficients = program.tables, program.coefficients
     if not program.doubled:

@@ -616,6 +616,59 @@ class TestNetlistEvaluator:
         assert state_operator(d) == nf_to_matrix(nf)
         assert len(applied) <= 300
 
+    @pytest.mark.parametrize("qubits, seed, density, most_changed", [(3, 68, 0.55, 21), (4, 131, 1.0, 137)])
+    def test_warm_dense_round_trip_changes_few_entries(self, monkeypatch, qubits, seed, density, most_changed):
+        # A normal-form term's node fires only on the entry whose accumulators
+        # are all 0, and its merges carry every other entry through unchanged,
+        # so a warm run applies each term's segment in place and changes about
+        # one entry per term: 21 of the 210 entries fed to the segments of the
+        # 3-qubit form above (20 terms), and 137 of 9,316 on the 4-qubit one
+        # (136 terms).  The limits are those counts, one per term plus one.
+        nf = random_nf(random.Random(seed), qubits, density=density)
+        d, want = nf_to_diagram(nf), nf_to_matrix(nf)
+        program._segment.cache_clear()
+        applied = _record_in_place(monkeypatch)
+        for _ in range(2):  # step by step, then building the segments
+            assert state_operator(d) == want
+        segments = list({id(segment): segment for segment, *_ in applied}.values())
+        stored = [_stored(segment) for segment in segments]
+        assert len(segments) == len(nf.terms)
+        applied.clear()
+        assert state_operator(d) == want
+        assert len(applied) == len(nf.terms) and all(any(s is t for t in segments) for s, *_ in applied)
+        assert sum(changed for _, _, changed, _ in applied) <= most_changed
+        assert sum(fed for _, fed, _, _ in applied) >= 10 * most_changed
+        # Nothing a segment stores changes once it is built.
+        assert [_stored(segment) for segment in segments] == stored
+
+
+def _record_in_place(monkeypatch) -> list:
+    """Make every application of a segment that keeps its width append
+    (segment, entries fed, entries changed, entries untouched).  A key of
+    the live operator is changed when its value object changed, or it
+    appeared or vanished, and untouched when it keeps its value object."""
+    applied = []
+    apply_step = program._apply_step
+
+    def recording(ops, doubled, table, dead, r):
+        if table.carried is None:
+            return apply_step(ops, doubled, table, dead, r)
+        before = dict(ops)
+        out = apply_step(ops, doubled, table, dead, r)
+        assert out is ops
+        untouched = sum(out.get(key) is v for key, v in before.items())
+        applied.append((table, len(before), len(before) - untouched + len(out.keys() - before.keys()), untouched))
+        return out
+
+    monkeypatch.setattr(program, "_apply_step", recording)
+    return applied
+
+
+def _stored(segment) -> tuple:
+    """A copy of what a segment and its steps' tables keep: their cached branches, and its carried entries."""
+    tables = [{masks: dict(live) for masks, live in table.live.items()} for table, _ in segment.steps]
+    return {masks: dict(live) for masks, live in segment.live.items()}, set(segment.carried), tables
+
 
 def _record_steps(monkeypatch) -> list:
     """Make every step or segment applied from now on append (its table, entries in, entries out)."""
@@ -623,8 +676,9 @@ def _record_steps(monkeypatch) -> list:
     apply_step = program._apply_step
 
     def recording(ops, doubled, table, dead, r):
+        fed = len(ops)  # read first: a segment that keeps its width updates ops in place
         out = apply_step(ops, doubled, table, dead, r)
-        applied.append((table, len(ops), len(out)))
+        applied.append((table, fed, len(out)))
         return out
 
     monkeypatch.setattr(program, "_apply_step", recording)
@@ -1087,6 +1141,82 @@ class TestSegments:
                 assert state_operator(d) == want
                 assert state_operator(d) == want
             assert _segment_widths(applied)
+
+
+class TestInPlaceSegments:
+    """A segment that ends at the width it starts at leaves the entries it carries in place."""
+
+    @staticmethod
+    def _block(rng, w):
+        """On w >= 1 live wires: a bound state |0..0> + r|1..1> on k new wires
+        below them, now and then ticked or swapped with the live wire beside
+        it, then closed back to w wires across that wire and the new ones:
+        by (w 2 1) when k = 1, else by a cup or (w 3 1)."""
+        k = rng.randint(1, 2)
+        layers = [tensor_many([id_n(w), ZSpider(random_scalar(rng, nonzero=True), 0, k)])]
+        if rng.random() < 0.5:
+            layers.append(tensor_many([id_n(w + k - 1), Tick]))
+        if rng.random() < 0.5:
+            layers.append(tensor_many([id_n(w - 1), Swap, id_n(k - 1)]))
+        if rng.random() < 0.5:
+            tick = rng.randrange(w)
+            layers.append(tensor_many([id_n(tick), Tick, id_n(w + k - 1 - tick)]))
+        close = WSpider(2, 1) if k == 1 else rng.choice([tensor_many([Cup, Id]), WSpider(3, 1)])
+        layers.append(tensor_many([id_n(w - 1), close]))
+        return compose_many(layers)
+
+    @classmethod
+    def _term(cls, rng):
+        """A random term on at most 3 output wires, then two or three blocks, and now and then a random tail."""
+        d = random_term(rng, max_wires=3, max_gens=6)
+        if d.n_out == 0:
+            d = Tensor(d, ZSpider(random_scalar(rng), 0, 1))
+        for _ in range(rng.randint(2, 3)):
+            d = Compose(cls._block(rng, d.n_out), d)
+        if rng.random() < 0.5:
+            d = Compose(random_term(rng, max_wires=3, max_gens=3, n_in=d.n_out), d)
+        return d
+
+    def test_closed_states_match_reference(self, monkeypatch):
+        # Each term three times: from an empty segment store (step by step),
+        # building its segments, and with the segments that keep their width
+        # applied in place.  A non-Hermitian rho takes both of
+        # `apply_superop`'s runs, and is left as it was.
+        rng = random.Random(151)
+        applied = _record_in_place(monkeypatch)
+        in_place = carrying = 0  # in-place applications on a third run, and those that left some entry untouched
+        for _ in range(30):
+            d = self._term(rng)
+            s = Compose(d, random_state(rng, max_wires=d.n_in, n_out=d.n_in))
+            rho = random_matrix(rng, d.n_in, density=1.0)
+            entries = dict(rho.entries)
+            state_want = _unvec(interp_sparse(unzip(s)), s.n_out)
+            superop_want = _unvec(interp_sparse(unzip(d)).matmul(_vec(rho)), d.n_out)
+            program._segment.cache_clear()
+            for _ in range(3):
+                applied.clear()
+                assert state_operator(s) == state_want
+                assert apply_superop(d, rho) == superop_want
+                assert rho.entries == entries
+            in_place += len(applied)
+            carrying += sum(untouched > 0 for *_, untouched in applied)
+        assert in_place >= 100 and carrying >= 30
+
+    def test_clash_with_a_carried_entry_cancels(self, monkeypatch):
+        # NOT then (w 2 1) on |-> beside the bound state |+> gives -|1>.  The
+        # segment carries the entry at |0><0|, and the branches of the
+        # entries at |0><1| and |1><1| that land there cancel it, so it
+        # must leave the live operator.
+        applied = _record_in_place(monkeypatch)
+        d = compose_many([Tensor(ZSpider(MINUS_ONE, 0, 1), ZSpider(ONE, 0, 1)), Tensor(not_gate, Id), WSpider(2, 1)])
+        want = M([[ZERO, ZERO], [ZERO, ONE]])
+        assert _unvec(interp_sparse(unzip(d)), 1) == want
+        program._segment.cache_clear()
+        for _ in range(3):
+            applied.clear()
+            assert state_operator(d) == want
+        ((segment, fed, _, _),) = applied
+        assert fed == 3 and segment.carried == {(0, 0)}
 
 
 class TestKeptSteps:
