@@ -17,11 +17,14 @@ what produces c|x><y| + conj(c)|y><x| and nothing else.  The gathers are
 assembled as chains of binary merges so that evaluating the diagram stays
 polynomial in the number of terms.  The wiring after a node depends only on
 its entry's position, and on whether the plug follows it, so its program is
-compiled once per position (`_term_wiring`, a shared builder).  The rebuilt
-diagram keeps the ket layer's program and its positions' laid end to end,
-so `state_operator` runs it without reading the term.  A term costs its Z
-node and its coefficient: the tree of layers around the nodes is built only
-when something reads it.
+compiled once per position (`_term_wiring`, a shared builder), with its
+dead-pattern masks and its segment.  Between positions the dead-pattern
+pass carries one group whatever the entries, `_between(n)`, so each
+position's masks are compiled from it, or from nothing after the plug.  The
+rebuilt diagram keeps the ket layer's program and its positions' laid end
+to end, so `state_operator` runs it without reading the term or analysing
+its steps.  A term costs its Z node and its coefficient: the tree of layers
+around the nodes is built only when something reads it.
 """
 
 from __future__ import annotations
@@ -178,27 +181,45 @@ def _term_layers(n: int, x: int, y: int) -> tuple[int, Diagram, Diagram, Diagram
     return 1 + len(plain) + len(ticked), ticks, routing, merges
 
 
+def _between(n: int) -> tuple:
+    """The dead-pattern groups where two programs of a rebuilt form on n qubits meet.
+
+    That is after the kets and after each node position but the last: the
+    top accumulator (bit n) never carries ket = bra = 1, because each
+    side's count of node firings only grows and the plug keeps exactly one
+    side fired.  Pulled back through any position, from no group when the
+    plug is in it and from these otherwise, they are these again (a test
+    checks every position up to 5 qubits).
+    """
+    return (((n,), frozenset({(0, 0), (0, 1), (1, 0)})),)
+
+
 @_shared
 def _term_wiring(n: int, x: int, y: int, last: bool) -> Program:
     """The program of the entry (x, y)'s Z node, with r = 1, and of its layers after it.
 
-    The layers start on all live wires.  The node's step binds the entry's
-    coefficient, and no other step binds one.  The last node's program
-    ends with the plug's: `compile` may take the plug's first generator
-    into the layers' last step.
+    The layers start on all n + 1 accumulators.  The node's step binds the
+    entry's coefficient, and no other step binds one.  The last node's
+    program ends with the plug's: `compile` may take the plug's first
+    generator into the layers' last step.  Its masks start from no group
+    after the plug, and any other position's from `_between(n)`, so they
+    are those `compile` gives these steps in any form.  Up to 4 qubits the
+    node and the layers are one segment, up to the plug's node when that
+    is a step of its own.
     """
     legs, ticks, routing, merges = _term_layers(n, x, y)
-    plug = flatten(_plug(n)) if last else []
-    return compile([(ZSpider(ONE, 0, legs), 0)] + flatten(Compose(merges, Compose(routing, ticks))) + plug, True)
+    flat = [(ZSpider(ONE, 0, legs), 0)] + flatten(Compose(merges, Compose(routing, ticks)))
+    return compile(flat + flatten(_plug(n)), True, n + 1) if last else compile(flat, True, n + 1, _between(n))
 
 
 @_shared
 def _layer_steps(n: int) -> tuple[Program, Program]:
     """The programs of the ket layer, and of the ket and plug layers together, on n qubits.
 
-    The second is the program of a form with no term.
+    The first is continued by node positions, so its masks start from
+    `_between(n)`.  The second is the program of a form with no term.
     """
-    return compile(flatten(_kets(n)), True), compile(flatten(Compose(_plug(n), _kets(n))), True)
+    return compile(flatten(_kets(n)), True, 0, _between(n)), compile(flatten(Compose(_plug(n), _kets(n))), True)
 
 
 def _kets(n: int) -> Diagram:
@@ -219,8 +240,10 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
     its program: the ket layer's, then each position's with its node's
     coefficient bound and the plug in the last one's, or with no term the
     ket and plug layers' together (`_layer_steps`).  That is `compile` of
-    the result's `flatten` list: each position opens with its node, a
-    0 -> k state, which `compile` takes into no step before it.
+    the result's `flatten` list, masks and segments included: each
+    position opens with its node, a 0 -> k state, which `compile` takes
+    into no step before it, and the dead-pattern groups where two programs
+    meet are `_between(n)`.
 
     The Z nodes are built here, but the term around them is built only when
     something reads it (`Compose._deferred`), from each position's layers:
@@ -231,15 +254,17 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
     kets, empty = _layer_steps(n)
     start = kets if rows else empty
     flat, tables, coefficients = list(start.flat), list(start.tables), list(start.coefficients)
+    dead = start.dead and list(start.dead)  # None with no term: the plug on |0> gives 0
     for k, (coeff, x, y) in enumerate(rows):
         # The position's program, its node binding coeff: the node opens its
         # legs below every live wire, and its wiring spans them all.
-        term_flat, _, block, rest = _term_wiring(n, x, y, k == len(rows) - 1)
+        position = _term_wiring(n, x, y, k == len(rows) - 1)
         i, j = len(flat), len(coefficients)
-        flat += term_flat
-        flat[i] = ZSpider(coeff, 0, block[0].m), 0
-        tables += block
-        coefficients += rest
+        flat += position.flat
+        flat[i] = ZSpider(coeff, 0, flat[i][0].m), 0
+        tables += position.tables
+        dead += position.dead
+        coefficients += position.coefficients
         coefficients[j] = coeff
 
     def build() -> tuple[Diagram, Diagram]:
@@ -251,7 +276,7 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
         return _plug(n), d
 
     d = Compose._deferred(0, n, build)
-    object.__setattr__(d, "_kept", Program(flat, True, tables, coefficients))
+    object.__setattr__(d, "_kept", Program(flat, True, tables, dead, coefficients))
     return d
 
 

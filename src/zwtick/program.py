@@ -1,11 +1,13 @@
 """A term's compiled evaluator steps, and the netlist evaluator that runs them.
 
 A `Program` is a term's `flatten` list with the steps compiled from it.
-`compile(flat, doubled)` makes one, and `run(program, ops, width)`
-applies the steps to a sparse operator over the live wires.  `program_of`
-gives a diagram's doubled program: the one a rebuilt normal form keeps,
-else `compile` of its `flatten` list.  `semantics` reads every pure and
-superoperator result through these.
+`compile(flat, doubled, width, after)` makes one, and is the only code that
+analyses it: doubled, it finds each step's dead-pattern masks and replaces
+the steps of each segment by its `_Segment`.  `run(program, ops)` applies
+the steps to a sparse operator over the live wires, and only applies them.
+`program_of` gives a diagram's doubled program: the one a rebuilt normal
+form keeps, else `compile` of its `flatten` list.  `semantics` reads every
+pure and superoperator result through these.
 """
 
 from __future__ import annotations
@@ -78,26 +80,29 @@ def _gen_matrix(g: Diagram) -> Matrix:
 # each input pattern, already relabelled, and every later evaluation of a
 # step with the same key reuses them.
 #
-# Doubled, one backward pass over the steps (`_dead_patterns`) first finds
-# the (ket bit, bra bit) patterns each wire can no longer carry in an entry
-# that reaches a nonzero result, and each step drops the branches that land
-# on such a pattern.  The pass reads only which entries of each run are
-# nonzero, never their values, so a dropped branch contributes exactly 0.
-# It keeps constraints as groups of at most `_GROUP_WIRES` wires, each with
-# its allowed joint patterns, because a per-wire view loses what a plug
-# such as cup . (tick (x) (w 1 1)) . (z 1 1 2) says: its top wire carries
-# ket != bra.  A step's transfer undoes the relabelling, then pulls each
-# group on the run's outputs back through the run's doubled support, one
-# walk for all of them: each gives a group over the run's inputs and its own
-# other wires, and is dropped when that spans more than `_GROUP_WIRES`.
-# Groups on the same wires meet.  A run with a zero column (a cup, (w 2 1),
-# an effect) starts a group over its inputs; a run with every column nonzero
-# and no constrained output only moves the groups, so a term with no zero
-# column has no dead pattern.  The masks a step tests are the groups after
-# it, seen one wire at a time, and it tests only the bits its run writes.
-# A step's transfer is kept per constraint in its table, so the steps of
-# one shape share it whatever coefficient they bind.  When some constraint
-# allows no pattern at all, the result is 0 and no step runs.
+# Doubled, `compile` makes one backward pass over the steps
+# (`_dead_patterns`), which finds the (ket bit, bra bit) patterns each wire
+# can no longer carry in an entry that reaches a nonzero result, and each
+# step drops the branches that land on such a pattern.  The pass reads only
+# which entries of each run are nonzero, never their values, so a dropped
+# branch contributes exactly 0.  It keeps constraints as groups of at most
+# `_GROUP_WIRES` wires, each with its allowed joint patterns, because a
+# per-wire view loses what a plug such as cup . (tick (x) (w 1 1)) .
+# (z 1 1 2) says: its top wire carries ket != bra.  A step's transfer undoes
+# the relabelling, then pulls each group on the run's outputs back through
+# the run's doubled support, one walk for all of them: each gives a group
+# over the run's inputs and its own other wires, and is dropped when that
+# spans more than `_GROUP_WIRES`.  Groups on the same wires meet.  A run
+# with a zero column (a cup, (w 2 1), an effect) starts a group over its
+# inputs; a run with every column nonzero and no constrained output only
+# moves the groups, so a term with no zero column has no dead pattern.  The
+# pass starts from the groups after the last step: none for a whole term,
+# or those a caller knows hold where the program is continued.  The masks a
+# step tests are the groups after it, seen one wire at a time, and it tests
+# only the bits its run writes.  A step's transfer is kept per constraint in
+# its table, so the steps of one shape share it whatever coefficient they
+# bind.  When some constraint allows no pattern at all, the result is 0,
+# the program has no masks, and no step runs.
 #
 # Doubled, a bound state (a Z spider 0 -> k, r != 0, as a normal form spends
 # one per entry) and the steps after it up to the next bound step make a
@@ -106,9 +111,8 @@ def _gen_matrix(g: Diagram) -> Matrix:
 # branches the steps give it one after the other, so it is one pass over
 # the live operator instead of one per step; it is applied as a bound step
 # with `lo` 0.  It is kept in its own store, `_segment`, under its start
-# width, its tables and their masks, and is used only from the second time
-# its key is met: the first time, its steps run one by one, so a term met
-# once costs only its key.  A segment that ends at the width it starts at
+# width, its tables and their masks, and `compile` puts it in the program
+# in place of those steps.  A segment that ends at the width it starts at
 # carries most entries through unchanged: a normal-form term's node fires
 # only on the entry whose accumulators are all 0, and on any other the W
 # merges annihilate a second firing.  Such a segment notes each entry
@@ -119,7 +123,9 @@ def _gen_matrix(g: Diagram) -> Matrix:
 # A diagram `normalform.nf_to_diagram` returns keeps its program: the
 # programs of its kets and of its node positions, laid end to end.  Each
 # position opens with its node, a 0 -> k state, which no step before it
-# takes into its run, so that program is `compile` of its `flatten` list.
+# takes into its run, and each is compiled from the groups that hold
+# after it in any form, so that program is `compile` of its `flatten` list,
+# masks and segments included.
 
 #: Most wires a constraint group of the dead-pattern pass spans.
 _GROUP_WIRES = 3
@@ -140,29 +146,57 @@ _SEGMENT_STORE = 512
 
 
 class Program(NamedTuple):
-    """A term's compiled steps: each one's `_Table`, and the coefficient it binds or None.
+    """A term's compiled steps: each one's `_Table` or `_Segment`, its masks, and the coefficient it binds or None.
 
     `flat` is the `flatten` list they are compiled from, and `doubled` says
-    whether they act on the superoperator or on the pure matrix.
+    whether they act on the superoperator or on the pure matrix.  `dead`
+    holds each step's dead-pattern masks, None for a step with none and for
+    a segment, whose steps keep their own; it is None when the result is 0.
     """
 
     flat: list
     doubled: bool
     tables: list
+    dead: "list | None"
     coefficients: list
 
 
-def compile(flat: list[tuple[Generator, int]], doubled: bool) -> Program:
-    """The program of a `flatten` list."""
-    return Program(flat, doubled, *_netlist(flat, doubled))
+def compile(flat: list[tuple[Generator, int]], doubled: bool, width: int = 0, after: tuple = ()) -> Program:
+    """The program of a `flatten` list on `width` input wires.
+
+    Doubled, `_dead_patterns` finds each step's masks, starting from the
+    groups `after` the last step (see `_transfer`): none for a whole term,
+    or groups that hold wherever the program is continued.  Then each bound
+    state step at which the live operator spans at most `_SEGMENT_WIRES`
+    wires, with the unbound steps after it, is replaced by its `_Segment`.
+    The lists are changed in place, so a program with no segment keeps the
+    lists `_netlist` and `_dead_patterns` made.
+    """
+    tables, coefficients = _netlist(flat, doubled)
+    if not doubled:
+        return Program(flat, False, tables, [None] * len(tables), coefficients)
+    dead = _dead_patterns(tables, after)
+    i = 0
+    while dead is not None and i < len(tables):
+        table = tables[i]
+        if table.bound and not table.n and width <= _SEGMENT_WIRES:
+            j = i + 1
+            while j < len(tables) and not tables[j].bound:
+                j += 1
+            table = tables[i] = _segment(width, tuple(tables[i:j]), tuple(dead[i:j]))
+            dead[i] = None
+            del tables[i + 1:j], dead[i + 1:j], coefficients[i + 1:j]
+        width += table.m - table.n
+        i += 1
+    return Program(flat, True, tables, dead, coefficients)
 
 
 def program_of(d: Diagram) -> Program:
-    """The program d keeps, else doubled `compile` of its `flatten` list.
+    """The program d keeps, else doubled `compile` of its `flatten` list on its inputs.
 
     A kept program is doubled: a rebuilt normal form has ticks.
     """
-    return compile(flatten(d), True) if d._kept is None else d._kept
+    return compile(flatten(d), True, d.n_in) if d._kept is None else d._kept
 
 
 def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> "tuple[list[_Table], list[Scalar | None]]":
@@ -347,8 +381,10 @@ class _Segment:
     branches of each (x, y) it meets, (r, s, weight index, constant) as a
     table's, built from the tables' own cached branches (`_Table.live`):
     the weight index is the first step's, and the constant the product of
-    the later steps' entries, summed over the paths to (r, s).  `met` says
-    the key has been met before: until then the steps run one by one.
+    the later steps' entries, summed over the paths to (r, s).  `compile`
+    gets it from the store, `_segment`, and puts it in a program in place
+    of its steps, so it runs from the first time its key is met; its
+    branches are built as its entries are met.
 
     A segment with n == m keeps `carried`, the set of the (x, y) whose
     branches are the one (x, y, 0, ONE): the entry itself, weight 1.  It is
@@ -359,7 +395,7 @@ class _Segment:
     key at once add the same.
     """
 
-    __slots__ = ("steps", "n", "m", "live", "met", "carried")
+    __slots__ = ("steps", "n", "m", "live", "carried")
     lo = exchange = moved = 0
     moves = ()
     bound = True
@@ -368,7 +404,6 @@ class _Segment:
         self.steps = tuple(zip(tables, masks))
         self.n, self.m = width, width + sum(t.m - t.n for t in tables)
         self.live: dict[None, dict[int, list]] = {}
-        self.met = False
         self.carried: "set[tuple[int, int]] | None" = set() if self.n == self.m else None
 
     def branches(self, x: int, y: int, dead: None) -> "list[tuple[int, int, int, Scalar]]":
@@ -406,26 +441,26 @@ class _Segment:
         return out
 
 
-def _dead_patterns(tables: list[_Table]) -> "list[tuple[int, int, int, int] | None] | None":
+def _dead_patterns(tables: list[_Table], after: tuple = ()) -> "list[tuple[int, int, int, int] | None] | None":
     """The dead-pattern masks after each doubled step, or None when the result is 0.
 
     A step's masks (d00, d01, d10, d11) have bit b set when, after the
     step, wire b carries ket bit and bra bit 0 0, 0 1, 1 0 or 1 1 in no
     entry that reaches a nonzero result; a step after which nothing is
-    dead has None.  The pass walks the steps backward from the result,
-    where nothing is dead, carrying the groups after each step.
+    dead has None.  The pass walks the steps backward, carrying the groups
+    after each step, from the groups `after` the last one: none at the
+    result of a whole term, where nothing is dead.  Only `compile` runs it.
     """
     dead: list = [None] * len(tables)
-    groups: tuple = ()
     for i in range(len(tables) - 1, -1, -1):
         table = tables[i]
-        if not groups and table.full:
+        if not after and table.full:
             continue
-        known = table.transfers.get(groups)
+        known = table.transfers.get(after)
         if known is None:
-            known = table.transfers[groups] = (_masks(groups), _transfer(table, groups))
-        dead[i], groups = known
-        if groups is None:
+            known = table.transfers[after] = (_masks(after), _transfer(table, after))
+        dead[i], after = known  # the groups before step i are those after step i - 1
+        if after is None:
             return None
     return dead
 
@@ -663,39 +698,17 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
     return out
 
 
-def run(program: Program, ops: dict, width: int) -> dict:
-    """Run `program` over the sparse operator `ops` on its `width` input wires.
+def run(program: Program, ops: dict) -> dict:
+    """Run `program` over the sparse operator `ops` on its input wires.
 
     Doubled, `ops` is the upper triangle of a Hermitian operator, and so is
-    the result, and each step drops the branches `_dead_patterns` finds dead.
-    A bound state step at width at most `_SEGMENT_WIRES` starts a segment:
-    the steps from it up to the next bound step run as one (`_Segment`)
-    once their key has been met before, and one by one the first time.  A
+    the result.  Each step is applied with the masks `compile` found for it,
+    and a segment as one step; a program whose result is 0 runs no step.  A
     segment that keeps its width is applied in place, so `run` may update
     the dict it is given; pass one that is not read again.
     """
-    tables, coefficients = program.tables, program.coefficients
-    if not program.doubled:
-        for table, r in zip(tables, coefficients):
-            ops = _apply_step(ops, False, table, None, r)
-        return ops
-    dead = _dead_patterns(tables)
-    if dead is None:
+    if program.dead is None:
         return {}
-    i, count = 0, len(tables)
-    while i < count:
-        table, r = tables[i], coefficients[i]
-        if table.bound and not table.n and width <= _SEGMENT_WIRES:
-            j = i + 1
-            while j < count and not tables[j].bound:
-                j += 1
-            segment = _segment(width, tuple(tables[i:j]), tuple(dead[i:j]))
-            if segment.met:
-                ops, width, i = _apply_step(ops, True, segment, None, r), segment.m, j
-                continue
-            segment.met = True
-        ops = _apply_step(ops, True, table, dead[i], r)
-        width += table.m - table.n
-        i += 1
+    for table, dead, r in zip(program.tables, program.dead, program.coefficients):
+        ops = _apply_step(ops, program.doubled, table, dead, r)
     return ops
-

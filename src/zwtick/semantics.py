@@ -82,7 +82,7 @@ def _interp_flat(d: Diagram, flat: "list | None") -> Matrix:
     """`interp` of d, compiled from `flat`, its `flatten` list, when given."""
     _check_dense(d.n_out, d.n_in)
     cols = 1 << d.n_in
-    out = run(compile(flatten(d) if flat is None else flat, False), {(c, c): ONE for c in range(cols)}, d.n_in)
+    out = run(compile(flatten(d) if flat is None else flat, False), {(c, c): ONE for c in range(cols)})
     return Matrix.from_entries(1 << d.n_out, cols, out)
 
 
@@ -145,10 +145,10 @@ def apply_superop(d: Diagram, rho: Matrix) -> Matrix:
             if not v.is_zero():
                 part[x, y] = v
     program = program_of(d)
-    out = _mirrored(dim, run(program, h, n))
+    out = _mirrored(dim, run(program, h))
     if k:
         entries = out.entries
-        for key, v in _mirrored(dim, run(program, k, n)).entries.items():
+        for key, v in _mirrored(dim, run(program, k)).entries.items():
             v = entries.get(key, ZERO) + I * v
             if v.is_zero():
                 entries.pop(key, None)
@@ -165,7 +165,7 @@ def state_operator(d: Diagram) -> Matrix:
     if d.n_in != 0:
         raise SemanticsError(f"state_operator needs a state, got {d.n_in} inputs")
     _check_dense(d.n_out, d.n_out)
-    return _mirrored(1 << d.n_out, run(program_of(d), {(0, 0): ONE}, 0))
+    return _mirrored(1 << d.n_out, run(program_of(d), {(0, 0): ONE}))
 
 
 # -- Choi matrices -------------------------------------------------------

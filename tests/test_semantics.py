@@ -75,7 +75,7 @@ from zwtick import (
 )
 from zwtick import program
 from zwtick.diagram import flatten, route, wires
-from zwtick.normalform import _layer_steps, _node_rows, _term_wiring
+from zwtick.normalform import _between, _layer_steps, _node_rows, _term_wiring
 from zwtick.matrix import MAX_DENSE_LOG2
 from zwtick.program import Program, _gen_matrix, _netlist, _permute, _run_matrix, _table, compile
 from zwtick.semantics import interp_sparse
@@ -580,41 +580,42 @@ class TestNetlistEvaluator:
         assert len(steps) <= 110
         assert not any(_run_matrix(_run_of(step, r)) == _gen_matrix(Empty) for step, r in zip(steps, rs))
 
-    @pytest.mark.parametrize(
-        "qubits, seed, density, most_fed, most_live", [(3, 68, 0.55, 1673, 59), (4, 131, 1.0, 81_081, 407)]
-    )
+    @pytest.mark.parametrize("qubits, seed, density, most_fed, most_live", [(3, 68, 0.55, 274, 20), (4, 131, 1.0, 9729, 136)])
     def test_dense_round_trip_entries_touched(self, monkeypatch, qubits, seed, density, most_fed, most_live):
-        # Dropping dead (ket, bra) patterns cuts the entries fed to the steps
+        # Dropping dead (ket, bra) patterns cut the entries fed to the steps
         # from 4,599 to 1,673 on the 3-qubit normal form above (peak live
         # entries 146 to 59), and from 266,523 to 81,081 on a full 4-qubit
-        # one of 136 terms (peak 407).  The limits are those counts, so any
-        # pruning lost on a normal form fails here.  A segment counts the
-        # entries fed to it: the first run meets each segment's key for the
-        # first time and runs step by step, and a second run feeds each term
-        # to one segment, 274 entries (peak 20) and 9,729 (peak 136).
+        # one of 136 terms (peak 407), step by step.  A segment counts the
+        # entries fed to it, and each term is fed to one segment, cold or
+        # warm: 274 entries (peak 20) and 9,729 (peak 136).  The limits are
+        # those counts, so any pruning lost on a normal form fails here:
+        # segments built with no masks are fed 609 (peak 39) and 27,140
+        # (peak 273).
         nf = random_nf(random.Random(seed), qubits, density=density)
+        _cold_tables()
         program._segment.cache_clear()
         applied = _record_steps(monkeypatch)
-        warm = {3: (274, 20), 4: (9729, 136)}[qubits]
-        for most_fed, most_live in ((most_fed, most_live), warm):
+        for _ in range(2):
             applied.clear()
             assert state_operator(nf_to_diagram(nf)) == nf_to_matrix(nf)
             assert sum(fed for _, fed, _ in applied) <= most_fed
             assert max(max(fed, out) for _, fed, out in applied) <= most_live
 
     def test_dense_round_trip_passes(self, monkeypatch):
-        # A warm round trip of the full 4-qubit normal form above, of 136
-        # terms, makes one pass per term and one per accumulator it starts
-        # from: 144 passes, against 824 step by step.
+        # A round trip of the full 4-qubit normal form above, of 136 terms,
+        # makes one pass per term and one per accumulator it starts from:
+        # 144 passes, against 824 step by step.  Its positions' programs
+        # hold their segments, so the first run from cold stores makes as
+        # few as a warm one.
         nf = random_nf(random.Random(131), 4, density=1.0)
+        _cold_tables()
         program._segment.cache_clear()
         applied = _record_steps(monkeypatch)
         d = nf_to_diagram(nf)
-        assert state_operator(d) == nf_to_matrix(nf)
-        assert len(applied) > 300
-        applied.clear()
-        assert state_operator(d) == nf_to_matrix(nf)
-        assert len(applied) <= 300
+        for _ in range(2):
+            applied.clear()
+            assert state_operator(d) == nf_to_matrix(nf)
+            assert len(applied) <= 300
 
     @pytest.mark.parametrize("qubits, seed, density, most_changed", [(3, 68, 0.55, 21), (4, 131, 1.0, 137)])
     def test_warm_dense_round_trip_changes_few_entries(self, monkeypatch, qubits, seed, density, most_changed):
@@ -628,7 +629,7 @@ class TestNetlistEvaluator:
         d, want = nf_to_diagram(nf), nf_to_matrix(nf)
         program._segment.cache_clear()
         applied = _record_in_place(monkeypatch)
-        for _ in range(2):  # step by step, then building the segments
+        for _ in range(2):  # building the segments, then in place
             assert state_operator(d) == want
         segments = list({id(segment): segment for segment, *_ in applied}.values())
         stored = [_stored(segment) for segment in segments]
@@ -1060,10 +1061,10 @@ class TestBoundCoefficients:
         assert len(want.entries) == 16
         applied = _record_steps(monkeypatch)
         program._segment.cache_clear()
-        for _ in range(3):  # step by step, then twice through the segments
+        for _ in range(3):  # building the segments, then twice through them
             assert state_operator(d) == want
         segments = [table for table, _, _ in applied if isinstance(table, program._Segment)]
-        assert [segment.n for segment in segments] == [0, 1, 0, 1]
+        assert [segment.n for segment in segments] == [0, 1] * 3
         branches = [b for bs in segments[1].live[None].values() for b in bs]
         assert (3, s * s.conj()) in {(k, c) for _, _, k, c in branches}
         assert {k for _, _, k, _ in branches} == {0, 1, 2, 3}
@@ -1075,12 +1076,11 @@ def _segment_widths(applied) -> list:
 
 
 class TestSegments:
-    """A bound state step and the steps after it run as one segment from the second time their key is met."""
+    """A bound state step and the steps after it run as one segment, which `compile` puts in the program."""
 
     def test_fresh_coefficients_run_through_segments(self, monkeypatch):
-        # Three forms on the same positions: the first runs step by step,
-        # the next two apply one segment per Z node, built by the second
-        # from the tables the first filled.
+        # Three forms on the same positions: each applies one segment per Z
+        # node, the first too, from an empty segment store.
         applied = _record_steps(monkeypatch)
         rng = random.Random(94)
         for qubits in (1, 2, 3, 4):
@@ -1093,11 +1093,7 @@ class TestSegments:
                     for unreduced in (False, True):
                         applied.clear()
                         assert state_operator(nf_to_diagram(nf, unreduced=unreduced)) == want
-                        segments = _segment_widths(applied)
-                        if turn == 0 and not unreduced:
-                            assert segments == []
-                        elif turn > 0:
-                            assert segments == [qubits + 1] * (len(nf.terms) * (1 + unreduced))
+                        assert _segment_widths(applied) == [qubits + 1] * (len(nf.terms) * (1 + unreduced))
 
     @pytest.mark.parametrize("qubits, seed", [(1, 95), (2, 96), (3, 97)])
     def test_superop_through_a_held_normal_form(self, monkeypatch, qubits, seed):
@@ -1241,10 +1237,11 @@ class TestKeptSteps:
 
     @staticmethod
     def _assert_compiled(d) -> None:
-        """d keeps the program `compile` gives its `flatten` list: the same tables, equal coefficients."""
+        """d keeps the program `compile` gives its `flatten` list: the same tables and segments, equal masks and coefficients."""
         kept, compiled = d._kept, compile(flatten(d), True)
         assert type(kept) is Program and kept.doubled
         assert len(kept.tables) == len(compiled.tables) and all(a is b for a, b in zip(kept.tables, compiled.tables))
+        assert kept.dead == compiled.dead
         assert kept.coefficients == compiled.coefficients
 
     @staticmethod
@@ -1272,25 +1269,64 @@ class TestKeptSteps:
                 self._assert_compiled(d)
 
     def test_round_trip_skips_netlist(self, monkeypatch):
-        calls = []
-        compile_ = program.compile
+        # A round trip of a rebuilt form, once its positions are compiled,
+        # compiles nothing, and finds no mask and no segment: its program
+        # holds them all.
+        calls, analyses = [], []
+        compile_, dead_patterns, segment = program.compile, program._dead_patterns, program._segment
 
-        def counted(flat, doubled):
+        def counted(flat, doubled, width=0, after=()):
             calls.append(doubled)
-            return compile_(flat, doubled)
+            return compile_(flat, doubled, width, after)
+
+        def dead_counted(tables, after=()):
+            analyses.append("dead")
+            return dead_patterns(tables, after)
+
+        def segment_counted(width, tables, masks):
+            analyses.append("segment")
+            return segment(width, tables, masks)
 
         monkeypatch.setattr(program, "compile", counted)
+        monkeypatch.setattr(program, "_dead_patterns", dead_counted)
+        monkeypatch.setattr(program, "_segment", segment_counted)
         for nf in self._forms()[:-1] + self._top_forms():
             for unreduced in (False, True):
+                nf_to_diagram(nf, unreduced=unreduced)  # compiles the positions not met before
                 calls.clear()
+                analyses.clear()
                 assert state_operator(nf_to_diagram(nf, unreduced=unreduced)) == nf_to_matrix(nf)
-                assert calls == []
-        # A copy keeps no program, and its walk is compiled once.
+                assert calls == [] and analyses == []
+        # A copy keeps no program, and its walk is compiled and analysed once.
         for nf in (self._forms()[0], self._top_forms()[0]):
             d = nf_to_diagram(nf)
             calls.clear()
+            analyses.clear()
             assert state_operator(pickle.loads(pickle.dumps(d))) == state_operator(d)
-            assert calls == [True]
+            assert calls == [True] and analyses.count("dead") == 1
+
+    def test_groups_between_positions_are_exact(self):
+        # A position's masks are compiled once, from no group after the
+        # plug or from `_between(n)` after any other position, so they are
+        # the masks of the whole form only if the groups the pass pulls back
+        # to the position's start are `_between(n)` again, whichever entry
+        # it holds.  Read from each table's kept transfers, which `compile`
+        # filled: the groups before each step from the groups after it.
+        def before(position, after):
+            for step in reversed(position.tables):
+                for table in reversed([t for t, _ in step.steps] if isinstance(step, program._Segment) else [step]):
+                    if after or not table.full:  # with no group, a run with every column nonzero gives none
+                        after = table.transfers[after][1]
+            return after
+
+        for n in range(6):
+            between = _between(n)
+            for x in range(1 << n):
+                for y in range(1 << n):
+                    assert before(_term_wiring(n, x, y, True), ()) == between
+                    assert before(_term_wiring(n, x, y, False), between) == between
+            # Pulled back from `_between(n)` through the kets, no group allows nothing: the ket program is not 0.
+            assert _layer_steps(n)[0].dead is not None
 
     def test_kept_program_is_the_kets_and_positions_end_to_end(self):
         # Where a form ends on the top accumulator, `_netlist` composes the
