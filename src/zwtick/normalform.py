@@ -18,7 +18,9 @@ assembled as chains of binary merges so that evaluating the diagram stays
 polynomial in the number of terms.  The wiring after a node depends only on
 its entry's position, and on whether the plug follows it, so its program is
 compiled once per position (`_term_wiring`, a shared builder), with its
-dead-pattern masks and its segment.  Between positions the dead-pattern
+dead-pattern masks and its segment.  The plug's Z spider binds 1, so the
+last position's segment runs through the plug, and a rebuilt form's program
+is its kets and one segment per term.  Between positions the dead-pattern
 pass carries one group whatever the entries, `_between(n)`, so each
 position's masks are compiled from it, or from nothing after the plug.  The
 rebuilt diagram keeps the ket layer's program and its positions' laid end
@@ -199,13 +201,14 @@ def _term_wiring(n: int, x: int, y: int, last: bool) -> Program:
     """The program of the entry (x, y)'s Z node, with r = 1, and of its layers after it.
 
     The layers start on all n + 1 accumulators.  The node's step binds the
-    entry's coefficient, and no other step binds one.  The last node's
-    program ends with the plug's: `compile` may take the plug's first
-    generator into the layers' last step.  Its masks start from no group
-    after the plug, and any other position's from `_between(n)`, so they
-    are those `compile` gives these steps in any form.  Up to 4 qubits the
-    node and the layers are one segment, up to the plug's node when that
-    is a step of its own.
+    entry's coefficient, and no other step binds one but 1.  The last
+    node's program ends with the plug's: `compile` may take the plug's
+    first generator into the layers' last step.  Its masks start from no
+    group after the plug, and any other position's from `_between(n)`, so
+    they are those `compile` gives these steps in any form.  Up to 4 qubits
+    the node and the layers are one segment, which in the last position
+    runs through the plug: the plug's (z 1 1 2), when it is a step of its
+    own, binds 1.
     """
     legs, ticks, routing, merges = _term_layers(n, x, y)
     flat = [(ZSpider(ONE, 0, legs), 0)] + flatten(Compose(merges, Compose(routing, ticks)))

@@ -72,13 +72,14 @@ def _gen_matrix(g: Diagram) -> Matrix:
 # placement, its relabelling, and its run.  A run that is one Z spider with
 # legs and r != 0 enters the key by its shape (n, m) alone: its support is
 # the same for every such r, and the step binds r when it is applied: each
-# doubled branch names which of 1, r, conj(r) and r conj(r) it carries, and
-# each entry is multiplied by each one its branches name, once.  Any other
-# run enters by its generators, compared by value.  A bit permutation
-# P commutes with the exchange, P(r ^ ((r ^ s) & E)) = P(r) ^ ((P(r) ^ P(s))
-# & P(E)), so a table keeps its output bits, and the doubled branches of
-# each input pattern, already relabelled, and every later evaluation of a
-# step with the same key reuses them.
+# doubled branch names which of 1, r, conj(r) and r conj(r) it carries, each
+# of them is formed the first time a branch names it, and each entry is
+# multiplied by each one its branches name, once.  Any other run enters by
+# its generators, compared by value.  A bit permutation P commutes with the
+# exchange, P(r ^ ((r ^ s) & E)) = P(r) ^ ((P(r) ^ P(s)) & P(E)), so a table
+# keeps its output bits, and the doubled branches of each input pattern,
+# already relabelled, and every later evaluation of a step with the same key
+# reuses them.
 #
 # Doubled, `compile` makes one backward pass over the steps
 # (`_dead_patterns`), which finds the (ket bit, bra bit) patterns each wire
@@ -105,20 +106,25 @@ def _gen_matrix(g: Diagram) -> Matrix:
 # the program has no masks, and no step runs.
 #
 # Doubled, a bound state (a Z spider 0 -> k, r != 0, as a normal form spends
-# one per entry) and the steps after it up to the next bound step make a
-# segment, `_Segment`, when the live operator at its start spans at most
-# `_SEGMENT_WIRES` wires.  A segment maps a whole (x, y) entry to the
-# branches the steps give it one after the other, so it is one pass over
-# the live operator instead of one per step; it is applied as a bound step
-# with `lo` 0.  It is kept in its own store, `_segment`, under its start
-# width, its tables and their masks, and `compile` puts it in the program
-# in place of those steps.  A segment that ends at the width it starts at
-# carries most entries through unchanged: a normal-form term's node fires
-# only on the entry whose accumulators are all 0, and on any other the W
-# merges annihilate a second firing.  Such a segment notes each entry
-# whose one branch is itself with weight 1, and is applied in place: only
-# the other entries leave the live operator, and their branches are added
-# back into it, so a term costs about the entries it changes.
+# one per entry) and the steps after it up to the next bound state, or the
+# next bound step whose r is not 1, make a segment, `_Segment`, when the
+# live operator at its start spans at most `_SEGMENT_WIRES` wires.  A bound
+# step that binds 1 has all four weights 1, so a segment's branches take
+# their weight index from its first step alone; a normal form's plug, whose
+# (z 1 1 2) is such a step, runs inside its last term's segment.  A segment
+# maps a whole (x, y) entry to the branches the steps give it one after the
+# other, so it is one pass over the live operator instead of one per step;
+# it is applied as a bound step with `lo` 0.  It is kept in its own store,
+# `_segment`, under its start width, its tables and their masks: a segment
+# that holds a later bound step is only built where that step binds 1, so
+# the key needs no coefficient.  `compile` puts it in the program in place
+# of those steps.  A segment that ends at the width it starts at carries
+# most entries through unchanged: a normal-form term's node fires only on
+# the entry whose accumulators are all 0, and on any other the W merges
+# annihilate a second firing.  Such a segment notes each entry whose one
+# branch is itself with weight 1, and is applied in place: only the other
+# entries leave the live operator, and their branches are added back into
+# it, so a term costs about the entries it changes.
 #
 # A diagram `normalform.nf_to_diagram` returns keeps its program: the
 # programs of its kets and of its node positions, laid end to end.  Each
@@ -168,7 +174,8 @@ def compile(flat: list[tuple[Generator, int]], doubled: bool, width: int = 0, af
     groups `after` the last step (see `_transfer`): none for a whole term,
     or groups that hold wherever the program is continued.  Then each bound
     state step at which the live operator spans at most `_SEGMENT_WIRES`
-    wires, with the unbound steps after it, is replaced by its `_Segment`.
+    wires, with the steps after it up to the next bound state or bound step
+    whose coefficient is not 1, is replaced by its `_Segment`.
     The lists are changed in place, so a program with no segment keeps the
     lists `_netlist` and `_dead_patterns` made.
     """
@@ -181,7 +188,7 @@ def compile(flat: list[tuple[Generator, int]], doubled: bool, width: int = 0, af
         table = tables[i]
         if table.bound and not table.n and width <= _SEGMENT_WIRES:
             j = i + 1
-            while j < len(tables) and not tables[j].bound:
+            while j < len(tables) and not (tables[j].bound and (not tables[j].n or coefficients[j] != ONE)):
                 j += 1
             table = tables[i] = _segment(width, tuple(tables[i:j]), tuple(dead[i:j]))
             dead[i] = None
@@ -302,7 +309,9 @@ class _Table:
     conj(r) or r conj(r): a bound branch's says which sides carry the
     step's r, and its constant is 1; an unbound branch's is 0, and its
     constant is its ket-side entry times the conjugate of its bra-side
-    one.  A constant equal to 1 is the shared `ONE`.
+    one.  A constant equal to 1 is the shared `ONE`.  Inside a segment a
+    bound table binds 1 unless it is the first step, and the segment
+    reads its branches' weight indices as 0.
     `transfers` caches the dead-pattern pass through the step, (masks,
     groups before) for each groups after it; it reads only the run's
     support.  A table is shared by every evaluation, so nothing in it is
@@ -372,7 +381,7 @@ def _segment(width: int, tables: "tuple[_Table, ...]", masks: tuple) -> _Segment
 
 
 class _Segment:
-    """Steps applied as one: a bound state step and the unbound steps after it.
+    """Steps applied as one: a bound state step and the steps after it, any bound one binding 1.
 
     `steps` pairs each step's table with its dead-pattern masks; the live
     operator spans `n` wires before them and `m` after.  A segment reads as
@@ -380,11 +389,12 @@ class _Segment:
     it: an entry's bits are all its pattern.  `live[None]` caches the
     branches of each (x, y) it meets, (r, s, weight index, constant) as a
     table's, built from the tables' own cached branches (`_Table.live`):
-    the weight index is the first step's, and the constant the product of
-    the later steps' entries, summed over the paths to (r, s).  `compile`
-    gets it from the store, `_segment`, and puts it in a program in place
-    of its steps, so it runs from the first time its key is met; its
-    branches are built as its entries are met.
+    the weight index is the first step's, since a later bound step binds 1
+    and each of its weights is 1, and the constant the product of the later
+    steps' entries, summed over the paths to (r, s).  `compile` gets it
+    from the store, `_segment`, and puts it in a program in place of its
+    steps, so it runs from the first time its key is met; its branches are
+    built as its entries are met.
 
     A segment with n == m keeps `carried`, the set of the (x, y) whose
     branches are the one (x, y, 0, ONE): the entry itself, weight 1.  It is
@@ -412,7 +422,7 @@ class _Segment:
         `dead` is None: each step drops the branches its own masks mark.
         """
         paths = {(x, y, 0): ONE}  # (ket bits, bra bits, weight index) -> constant
-        for table, masks in self.steps:
+        for later, (table, masks) in enumerate(self.steps):
             lo, n, exchange, moved, moves = table.lo, table.n, table.exchange, table.moved, table.moves
             nmask, lomask, hi, new_hi = (1 << n) - 1, (1 << lo) - 1, lo + n, lo + table.m
             live = table.live.setdefault(masks, {})
@@ -430,9 +440,10 @@ class _Segment:
                     bx, by = _permute(bx, moved, moves), _permute(by, moved, moves)
                 e = (bx ^ by) & exchange
                 bx, by = bx ^ e, by ^ e
-                # Only the first step is bound: a path's weight index is its branch's there, and 0 after.
+                # A later bound step binds 1, all four of its weights 1: a path's
+                # weight index is its branch's at the first step, and kept after.
                 for rx, ry, w, b in branches:
-                    key, v = (bx | rx, by | ry, k + w), c if b is ONE else c * b
+                    key, v = (bx | rx, by | ry, k if later else w), c if b is ONE else c * b
                     after[key] = after[key] + v if key in after else v
             paths = {key: v for key, v in after.items() if not v.is_zero()}
         out = [(r, s, k, ONE if c == ONE else c) for (r, s, k), c in paths.items()]
@@ -570,30 +581,21 @@ def _pull(table: _Table, groups: list, before) -> list:
     return [(wires, frozenset(found)) for wires, found in pulled]
 
 
-@lru_cache(maxsize=128)
-def _weights(r: Scalar) -> tuple:
-    """The doubled weights (1, r, conj(r), r conj(r)), any that equals 1 as the shared `ONE`.
-
-    A branch's weight index picks one; `_apply_step` multiplies an entry by
-    each weight its branches pick, once per entry.  Kept for the last 128
-    coefficients: a rule grid binds about 32 over and over, while a normal
-    form binds each of its own once.
-    """
-    rc = r.conj()
-    return tuple(ONE if w == ONE else w for w in (ONE, r, rc, r * rc))
-
-
 def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tuple[int, int, int, int] | None", coefficient: "Scalar | None") -> dict:
     """Apply a step that binds `coefficient` r, or None: on x alone, or doubled on the upper triangle.
 
     On x alone, a bound table's entry None stands for r.  Doubled, a
     branch (r, s, k, c) adds the entry v times weight k of 1, r, conj(r)
-    and r conj(r) (`_weights`), times its constant c.  Each v times weight
-    k is computed once per entry, when the first of its branches that picks
-    k needs it, and shared by the rest; a weight or constant equal to 1 is
-    the shared `ONE`, which is never multiplied.  An unbound step's
-    branches all pick k = 0, the weight 1.  A segment is applied with
-    `dead` None: its masks are its steps'.
+    and r conj(r), times its constant c.  Weight k is formed once per
+    application, the first time a branch picks it: r itself, conj(r), or
+    r conj(r), which a normal form's segments never pick, as its top
+    accumulator never carries ket = bra = 1.  Each v times weight k is
+    computed once per entry, when the first of its branches that picks k
+    needs it, and shared by the rest.  A weight, an entry or a constant
+    equal to 1 is the shared `ONE`, which is never multiplied: an entry
+    that is `ONE` takes the weight as it is.  An unbound step's branches
+    all pick k = 0, the weight 1.  A segment is applied with `dead` None:
+    its masks are its steps'.
 
     A step writes a new dict, except a segment that keeps its width
     (`carried` not None): it updates `ops` in place and returns it.  Only
@@ -635,7 +637,7 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
     clashes = []
     if doubled:
         live = table.live.setdefault(dead, {})
-        weights = None if coefficient is None else _weights(coefficient)
+        weights = [ONE, None, None, None]  # each formed the first time a branch picks it
         for (x, y), v in entries:
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
@@ -661,7 +663,10 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
                 nv = weighted[k]
                 if nv is None:
                     w = weights[k]
-                    nv = weighted[k] = v if w is ONE else v * w
+                    if w is None:
+                        w = coefficient if k == 1 else coefficient.conj() if k == 2 else coefficient * coefficient.conj()
+                        w = weights[k] = ONE if w == ONE else w
+                    nv = weighted[k] = w if v is ONE else v if w is ONE else v * w
                 if c is not ONE:
                     nv = nv * c
                 if r > s:

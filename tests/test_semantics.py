@@ -77,7 +77,7 @@ from zwtick import program
 from zwtick.diagram import flatten, route, wires
 from zwtick.normalform import _between, _layer_steps, _node_rows, _term_wiring
 from zwtick.matrix import MAX_DENSE_LOG2
-from zwtick.program import Program, _gen_matrix, _netlist, _permute, _run_matrix, _table, compile
+from zwtick.program import Program, _gen_matrix, _netlist, _permute, _run_matrix, _table, compile, program_of
 from zwtick.semantics import interp_sparse
 
 from _support import (
@@ -580,17 +580,17 @@ class TestNetlistEvaluator:
         assert len(steps) <= 110
         assert not any(_run_matrix(_run_of(step, r)) == _gen_matrix(Empty) for step, r in zip(steps, rs))
 
-    @pytest.mark.parametrize("qubits, seed, density, most_fed, most_live", [(3, 68, 0.55, 274, 20), (4, 131, 1.0, 9729, 136)])
+    @pytest.mark.parametrize("qubits, seed, density, most_fed, most_live", [(3, 68, 0.55, 214, 20), (4, 131, 1.0, 9321, 136)])
     def test_dense_round_trip_entries_touched(self, monkeypatch, qubits, seed, density, most_fed, most_live):
         # Dropping dead (ket, bra) patterns cut the entries fed to the steps
         # from 4,599 to 1,673 on the 3-qubit normal form above (peak live
         # entries 146 to 59), and from 266,523 to 81,081 on a full 4-qubit
         # one of 136 terms (peak 407), step by step.  A segment counts the
-        # entries fed to it, and each term is fed to one segment, cold or
-        # warm: 274 entries (peak 20) and 9,729 (peak 136).  The limits are
-        # those counts, so any pruning lost on a normal form fails here:
-        # segments built with no masks are fed 609 (peak 39) and 27,140
-        # (peak 273).
+        # entries fed to it, and each term is fed to one segment, the last
+        # one's running through the plug, cold or warm: 214 entries (peak
+        # 20) and 9,321 (peak 136).  The limits are those counts, so any
+        # pruning lost on a normal form fails here: segments built with no
+        # masks are fed 492 (peak 38) and 26,321 (peak 272).
         nf = random_nf(random.Random(seed), qubits, density=density)
         _cold_tables()
         program._segment.cache_clear()
@@ -603,10 +603,10 @@ class TestNetlistEvaluator:
 
     def test_dense_round_trip_passes(self, monkeypatch):
         # A round trip of the full 4-qubit normal form above, of 136 terms,
-        # makes one pass per term and one per accumulator it starts from:
-        # 144 passes, against 824 step by step.  Its positions' programs
-        # hold their segments, so the first run from cold stores makes as
-        # few as a warm one.
+        # makes one pass per term, the last one's running through the plug,
+        # and one per accumulator it starts from: 141 passes, against 824
+        # step by step.  Its positions' programs hold their segments, so the
+        # first run from cold stores makes as few as a warm one.
         nf = random_nf(random.Random(131), 4, density=1.0)
         _cold_tables()
         program._segment.cache_clear()
@@ -615,30 +615,37 @@ class TestNetlistEvaluator:
         for _ in range(2):
             applied.clear()
             assert state_operator(d) == nf_to_matrix(nf)
-            assert len(applied) <= 300
+            assert len(applied) <= 141
 
-    @pytest.mark.parametrize("qubits, seed, density, most_changed", [(3, 68, 0.55, 21), (4, 131, 1.0, 137)])
+    @pytest.mark.parametrize("qubits, seed, density, most_changed", [(3, 68, 0.55, 19), (4, 131, 1.0, 135)])
     def test_warm_dense_round_trip_changes_few_entries(self, monkeypatch, qubits, seed, density, most_changed):
         # A normal-form term's node fires only on the entry whose accumulators
         # are all 0, and its merges carry every other entry through unchanged,
-        # so a warm run applies each term's segment in place and changes about
-        # one entry per term: 21 of the 210 entries fed to the segments of the
-        # 3-qubit form above (20 terms), and 137 of 9,316 on the 4-qubit one
-        # (136 terms).  The limits are those counts, one per term plus one.
+        # so a warm run applies each term's segment in place and changes one
+        # entry per term: 19 of the 190 entries fed to the in-place segments
+        # of the 3-qubit form above (20 terms), and 135 of 9,180 on the
+        # 4-qubit one (136 terms).  The last term's segment runs through the
+        # plug, which drops the top accumulator, so it runs once and not in
+        # place.  The limits are those counts, one per term but the last.
         nf = random_nf(random.Random(seed), qubits, density=density)
         d, want = nf_to_diagram(nf), nf_to_matrix(nf)
+        last = d._kept.tables[-1]
+        assert type(last) is program._Segment and last.carried is None
         program._segment.cache_clear()
         applied = _record_in_place(monkeypatch)
         for _ in range(2):  # building the segments, then in place
             assert state_operator(d) == want
         segments = list({id(segment): segment for segment, *_ in applied}.values())
         stored = [_stored(segment) for segment in segments]
-        assert len(segments) == len(nf.terms)
+        assert len(segments) == len(nf.terms) - 1
         applied.clear()
+        steps = _record_steps(monkeypatch)
         assert state_operator(d) == want
-        assert len(applied) == len(nf.terms) and all(any(s is t for t in segments) for s, *_ in applied)
-        assert sum(changed for _, _, changed, _ in applied) <= most_changed
-        assert sum(fed for _, fed, _, _ in applied) >= 10 * most_changed
+        assert len(applied) == len(nf.terms) - 1 and all(any(s is t for t in segments) for s, *_ in applied)
+        assert sum(table is last for table, _, _ in steps) == 1 and steps[-1][0] is last
+        changed = sum(changed for _, _, changed, _ in applied)
+        assert changed <= most_changed
+        assert sum(fed for _, fed, _, _ in applied) >= 10 * changed
         # Nothing a segment stores changes once it is built.
         assert [_stored(segment) for segment in segments] == stored
 
@@ -1042,6 +1049,34 @@ class TestBoundCoefficients:
         d = nf_to_diagram(nf)
         assert state_operator(d) == _unvec(interp(unzip(d)), qubits) == nf_to_matrix(nf)
 
+    @pytest.mark.parametrize("r", OFF_DIAGONAL)
+    def test_bound_spiders_with_inputs(self, monkeypatch, r):
+        # A bound Z spider that is not a state carries r on each side whose
+        # input bits are all 1: an entry with ket and bra bits 0 0, 1 0, 0 1
+        # and 1 1 there picks weight 1, r, conj(r) and r conj(r).  Each
+        # spider is fed dense operators, on its own and after bound states,
+        # whose segment ends at it or, when it binds 1, runs through it.  It
+        # sits above and below a plain wire: the upper triangle holds ket
+        # bits 1 0 on its inputs only below a higher bit that differs.
+        _cold_tables()  # so the spiders' tables hold only the branches fed here
+        rng = random.Random(99)
+        applied = _record_steps(monkeypatch)
+        for spider in (ZSpider(r, 1, 1), ZSpider(r, 1, 2), ZSpider(r, 2, 1), ZSpider(r, 2, 2)):
+            picked = set()  # the weight indices the spider's branches pick
+            for d in (Tensor(spider, Id), Tensor(Id, spider)):
+                states = tensor_many([ZSpider(random_scalar(rng, nonzero=True), 0, 1) for _ in range(d.n_in)])
+                s = Compose(d, Compose(tensor_many([Tick] + [Id] * (d.n_in - 1)), states))
+                rho = random_matrix(rng, d.n_in, density=1.0)
+                applied.clear()
+                assert apply_superop(d, rho) == _unvec(interp_sparse(unzip(d)).matmul(_vec(rho)), d.n_out)
+                assert state_operator(s) == _unvec(interp_sparse(unzip(s)), s.n_out)
+                segments = [table for table, _, _ in applied if isinstance(table, program._Segment)]
+                # A segment per state, the last one's running through the spider when it binds 1.
+                assert [len(segment.steps) for segment in segments] == [1] * (d.n_in - 1) + [2 if r == ONE else 1]
+                steps = [table for table, _, _ in applied if table not in segments]
+                (table,) = {id(t): t for t in steps + [t for segment in segments for t, _ in segment.steps] if t.bound and t.n}.values()
+                picked |= {k for live in table.live.values() for branches in live.values() for _, _, k, _ in branches}
+            assert picked == {0, 1, 2, 3}
 
     @staticmethod
     def _weighted_segment(t, r, s):
@@ -1131,8 +1166,9 @@ class TestSegments:
             runs = [(picked, Matrix.from_entries(half, half, cut)), (s, form)]
             program._segment.cache_clear()
             applied.clear()
-            # Each term twice in a row, so the second builds its segments,
-            # and the term with the effect first on every other form.
+            # Each term twice in a row, so the first run builds its segments'
+            # branches and the second reads them, and the term with the
+            # effect first on every other form.
             for d, want in (runs if k % 2 else runs[::-1]) * 2:
                 assert state_operator(d) == want
                 assert state_operator(d) == want
@@ -1147,7 +1183,9 @@ class TestInPlaceSegments:
         """On w >= 1 live wires: a bound state |0..0> + r|1..1> on k new wires
         below them, now and then ticked or swapped with the live wire beside
         it, then closed back to w wires across that wire and the new ones:
-        by (w 2 1) when k = 1, else by a cup or (w 3 1)."""
+        by (w 2 1) when k = 1, else by a cup or (w 3 1).  Now and then a
+        bound (z r 1 1) on one of the w wires ends the block: binding 1, the
+        segment runs through it, else it ends there."""
         k = rng.randint(1, 2)
         layers = [tensor_many([id_n(w), ZSpider(random_scalar(rng, nonzero=True), 0, k)])]
         if rng.random() < 0.5:
@@ -1159,6 +1197,12 @@ class TestInPlaceSegments:
             layers.append(tensor_many([id_n(tick), Tick, id_n(w + k - 1 - tick)]))
         close = WSpider(2, 1) if k == 1 else rng.choice([tensor_many([Cup, Id]), WSpider(3, 1)])
         layers.append(tensor_many([id_n(w - 1), close]))
+        if rng.random() < 0.5:
+            at = rng.randrange(w)
+            if at == w - 1:  # a tick relabels the close, so the spider is a step of its own
+                layers.append(tensor_many([id_n(w - 1), Tick]))
+            r = ONE if rng.random() < 0.5 else random_scalar(rng, nonzero=True)
+            layers.append(tensor_many([id_n(at), ZSpider(r, 1, 1), id_n(w - 1 - at)]))
         return compose_many(layers)
 
     @classmethod
@@ -1174,16 +1218,22 @@ class TestInPlaceSegments:
         return d
 
     def test_closed_states_match_reference(self, monkeypatch):
-        # Each term three times: from an empty segment store (step by step),
-        # building its segments, and with the segments that keep their width
-        # applied in place.  A non-Hermitian rho takes both of
-        # `apply_superop`'s runs, and is left as it was.
+        # Each term three times, from an empty segment store: building its
+        # segments' branches as their entries are met, then twice with them
+        # built.  The segments that keep their width are applied in place.
+        # A non-Hermitian rho takes both of `apply_superop`'s runs, and is
+        # left as it was.
         rng = random.Random(151)
         applied = _record_in_place(monkeypatch)
         in_place = carrying = 0  # in-place applications on a third run, and those that left some entry untouched
+        through = ended = 0  # segments run through a bound step that binds 1, and ended by one that binds r != 1
         for _ in range(30):
             d = self._term(rng)
             s = Compose(d, random_state(rng, max_wires=d.n_in, n_out=d.n_in))
+            compiled = program_of(s)
+            through += sum(type(a) is program._Segment and any(t.bound for t, _ in a.steps[1:]) for a in compiled.tables)
+            steps = zip(compiled.tables, compiled.tables[1:], compiled.coefficients[1:])
+            ended += sum(type(a) is program._Segment and b.bound and b.n > 0 and r != ONE for a, b, r in steps)
             rho = random_matrix(rng, d.n_in, density=1.0)
             entries = dict(rho.entries)
             state_want = _unvec(interp_sparse(unzip(s)), s.n_out)
@@ -1197,6 +1247,7 @@ class TestInPlaceSegments:
             in_place += len(applied)
             carrying += sum(untouched > 0 for *_, untouched in applied)
         assert in_place >= 100 and carrying >= 30
+        assert through >= 10 and ended >= 10
 
     def test_clash_with_a_carried_entry_cancels(self, monkeypatch):
         # NOT then (w 2 1) on |-> beside the bound state |+> gives -|1>.  The
