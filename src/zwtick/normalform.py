@@ -212,7 +212,7 @@ def _term_wiring(n: int, x: int, y: int, last: bool) -> Program:
     """
     legs, ticks, routing, merges = _term_layers(n, x, y)
     flat = [(ZSpider(ONE, 0, legs), 0)] + flatten(Compose(merges, Compose(routing, ticks)))
-    return compile(flat + flatten(_plug(n)), True, n + 1) if last else compile(flat, True, n + 1, _between(n))
+    return compile(flat + flatten(_plug(n)), n + 1) if last else compile(flat, n + 1, _between(n))
 
 
 @_shared
@@ -222,7 +222,7 @@ def _layer_steps(n: int) -> tuple[Program, Program]:
     The first is continued by node positions, so its masks start from
     `_between(n)`.  The second is the program of a form with no term.
     """
-    return compile(flatten(_kets(n)), True, 0, _between(n)), compile(flatten(Compose(_plug(n), _kets(n))), True)
+    return compile(flatten(_kets(n)), 0, _between(n)), compile(flatten(Compose(_plug(n), _kets(n))))
 
 
 def _kets(n: int) -> Diagram:
@@ -279,7 +279,7 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
         return _plug(n), d
 
     d = Compose._deferred(0, n, build)
-    object.__setattr__(d, "_kept", Program(flat, True, tables, dead, coefficients))
+    object.__setattr__(d, "_kept", Program(flat, tables, dead, coefficients))
     return d
 
 

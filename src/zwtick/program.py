@@ -1,13 +1,15 @@
-"""A term's compiled evaluator steps, and the netlist evaluator that runs them.
+"""A term's compiled superoperator steps, and the netlist evaluator that runs them.
 
-A `Program` is a term's `flatten` list with the steps compiled from it.
-`compile(flat, doubled, width, after)` makes one, and is the only code that
-analyses it: doubled, it finds each step's dead-pattern masks and replaces
-the steps of each segment by its `_Segment`.  `run(program, ops)` applies
-the steps to a sparse operator over the live wires, and only applies them.
-`program_of` gives a diagram's doubled program: the one a rebuilt normal
-form keeps, else `compile` of its `flatten` list.  `semantics` reads every
-pure and superoperator result through these.
+A `Program` is a term's `flatten` list with the doubled steps compiled
+from it.  `compile(flat, width, after)` makes one, and is the only code
+that analyses it: it finds each step's dead-pattern masks and replaces the
+steps of each segment by its `_Segment`.  `run(program, ops)` applies the
+steps to the upper triangle of a Hermitian operator over the live wires,
+and only applies them.  `program_of` gives a diagram's program: the one a
+rebuilt normal form keeps, else `compile` of its `flatten` list.  A
+tick-free term's pure matrix needs no program: `sweep(flat, ops)` applies
+its pure steps as `_netlist` gives them.  `semantics` reads every pure and
+superoperator result through these.
 """
 
 from __future__ import annotations
@@ -147,41 +149,43 @@ _STORE_SIZE = 2048
 _SEGMENT_WIRES = 5
 
 #: Most segments (and keys met once) the segment store holds: a dense
-#: 4-qubit normal form has 136 entries, twice that unreduced.
+#: 4-qubit normal form has 136 entries, twice that unreduced.  Its hits
+#: come from terms compiled afresh.  Over two warm benchmark cycles (seed
+#: 7), `certify`, whose rule instances are compiled anew each cycle, hits
+#: it 536 times and misses none.  `nf_roundtrip` never hits it: each
+#: position's program holds its segments through `_term_wiring`, and it
+#: misses only on positions compiled for the first time.  `verdicts` makes
+#: no segment.
 _SEGMENT_STORE = 512
 
 
 class Program(NamedTuple):
-    """A term's compiled steps: each one's `_Table` or `_Segment`, its masks, and the coefficient it binds or None.
+    """A term's compiled doubled steps: each one's `_Table` or `_Segment`, its masks, and the coefficient it binds or None.
 
-    `flat` is the `flatten` list they are compiled from, and `doubled` says
-    whether they act on the superoperator or on the pure matrix.  `dead`
-    holds each step's dead-pattern masks, None for a step with none and for
-    a segment, whose steps keep their own; it is None when the result is 0.
+    `flat` is the `flatten` list they are compiled from.  `dead` holds each
+    step's dead-pattern masks, None for a step with none and for a segment,
+    whose steps keep their own; it is None when the result is 0.
     """
 
     flat: list
-    doubled: bool
     tables: list
     dead: "list | None"
     coefficients: list
 
 
-def compile(flat: list[tuple[Generator, int]], doubled: bool, width: int = 0, after: tuple = ()) -> Program:
-    """The program of a `flatten` list on `width` input wires.
+def compile(flat: list[tuple[Generator, int]], width: int = 0, after: tuple = ()) -> Program:
+    """The doubled program of a `flatten` list on `width` input wires.
 
-    Doubled, `_dead_patterns` finds each step's masks, starting from the
-    groups `after` the last step (see `_transfer`): none for a whole term,
-    or groups that hold wherever the program is continued.  Then each bound
+    `_dead_patterns` finds each step's masks, starting from the groups
+    `after` the last step (see `_transfer`): none for a whole term, or
+    groups that hold wherever the program is continued.  Then each bound
     state step at which the live operator spans at most `_SEGMENT_WIRES`
     wires, with the steps after it up to the next bound state or bound step
-    whose coefficient is not 1, is replaced by its `_Segment`.
-    The lists are changed in place, so a program with no segment keeps the
-    lists `_netlist` and `_dead_patterns` made.
+    whose coefficient is not 1, is replaced by its `_Segment`.  The lists
+    are changed in place, so a program with no segment keeps the lists
+    `_netlist` and `_dead_patterns` made.
     """
-    tables, coefficients = _netlist(flat, doubled)
-    if not doubled:
-        return Program(flat, False, tables, [None] * len(tables), coefficients)
+    tables, coefficients = _netlist(flat, True)
     dead = _dead_patterns(tables, after)
     i = 0
     while dead is not None and i < len(tables):
@@ -195,15 +199,12 @@ def compile(flat: list[tuple[Generator, int]], doubled: bool, width: int = 0, af
             del tables[i + 1:j], dead[i + 1:j], coefficients[i + 1:j]
         width += table.m - table.n
         i += 1
-    return Program(flat, True, tables, dead, coefficients)
+    return Program(flat, tables, dead, coefficients)
 
 
 def program_of(d: Diagram) -> Program:
-    """The program d keeps, else doubled `compile` of its `flatten` list on its inputs.
-
-    A kept program is doubled: a rebuilt normal form has ticks.
-    """
-    return compile(flatten(d), True, d.n_in) if d._kept is None else d._kept
+    """The program d keeps, else `compile` of its `flatten` list on its inputs."""
+    return compile(flatten(d), d.n_in) if d._kept is None else d._kept
 
 
 def _netlist(flat: list[tuple[Generator, int]], doubled: bool) -> "tuple[list[_Table], list[Scalar | None]]":
@@ -703,11 +704,22 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
     return out
 
 
+def sweep(flat: list[tuple[Generator, int]], ops: dict) -> dict:
+    """Apply the pure steps of a tick-free `flatten` list to the sparse matrix `ops` on its input wires.
+
+    Each step acts on x alone, as `_netlist` gives it: no mask, no segment
+    and no `Program`.  A tick raises `SemanticsError`.
+    """
+    for table, r in zip(*_netlist(flat, False)):
+        ops = _apply_step(ops, False, table, None, r)
+    return ops
+
+
 def run(program: Program, ops: dict) -> dict:
     """Run `program` over the sparse operator `ops` on its input wires.
 
-    Doubled, `ops` is the upper triangle of a Hermitian operator, and so is
-    the result.  Each step is applied with the masks `compile` found for it,
+    `ops` is the upper triangle of a Hermitian operator, and so is the
+    result.  Each step is applied with the masks `compile` found for it,
     and a segment as one step; a program whose result is 0 runs no step.  A
     segment that keeps its width is applied in place, so `run` may update
     the dict it is given; pass one that is not read again.
@@ -715,5 +727,5 @@ def run(program: Program, ops: dict) -> dict:
     if program.dead is None:
         return {}
     for table, dead, r in zip(program.tables, program.dead, program.coefficients):
-        ops = _apply_step(ops, program.doubled, table, dead, r)
+        ops = _apply_step(ops, True, table, dead, r)
     return ops

@@ -55,7 +55,7 @@ from .diagram import (
     wires,
 )
 from .matrix import Matrix, SemanticsError, _check_dense, _mirrored
-from .program import _gen_matrix, compile, program_of, run
+from .program import _gen_matrix, program_of, run, sweep
 from .scalar import HALF, I, ONE, ZERO, Scalar
 
 #: The old name of the sparse matrix type.  `bench/tracing.py` patches
@@ -79,10 +79,10 @@ def interp(d: Diagram) -> Matrix:
 
 
 def _interp_flat(d: Diagram, flat: "list | None") -> Matrix:
-    """`interp` of d, compiled from `flat`, its `flatten` list, when given."""
+    """`interp` of d, swept from `flat`, its `flatten` list, when given."""
     _check_dense(d.n_out, d.n_in)
     cols = 1 << d.n_in
-    out = run(compile(flatten(d) if flat is None else flat, False), {(c, c): ONE for c in range(cols)})
+    out = sweep(flatten(d) if flat is None else flat, {(c, c): ONE for c in range(cols)})
     return Matrix.from_entries(1 << d.n_out, cols, out)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -10,11 +12,18 @@ from zwtick import (
     ArityError,
     DiagramParseError,
     NormalFormError,
+    Scalar,
     ScalarParseError,
     SemanticsError,
+    Tensor,
+    ZSpider,
+    format_matrix,
+    print_diagram,
     semantics,
 )
 from zwtick.cli import main
+
+from _support import random_matrix, random_term
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -389,3 +398,30 @@ class TestDeepInput:
         f = write(tmp_path, "d.zwt", "(compose (w 1 1) (compose (w 1 1) (w 1 1)))")
         assert main(["render", f]) == 0
         assert capsys.readouterr().out == chain_dot(3)
+
+
+class TestEveryVerb:
+    def test_random_terms_through_every_diagram_verb(self, tmp_path, capsys):
+        # Seeded terms of up to 4 wires, ticked or not, through each verb that
+        # reads a diagram: every run ends in a verdict or a reported error.
+        # `interp` of a ticked term is refused with exit 2 and an error line.
+        rng = random.Random(61)
+        codes = Counter()
+        for k in range(32):
+            d = random_term(rng, max_wires=4)
+            # The other side of `eq`: d times the phase -1, or a random term on d's inputs.
+            e = Tensor(ZSpider(Scalar(-2), 0, 0), d) if k % 3 == 0 else random_term(rng, max_wires=4, n_in=d.n_in)
+            f = write(tmp_path, f"d{k}.zwt", print_diagram(d))
+            g = write(tmp_path, f"e{k}.zwt", print_diagram(e))
+            rho = write(tmp_path, f"rho{k}.mat", format_matrix(random_matrix(rng, d.n_in, density=0.5)))
+            verbs = [["interp", f], ["choi", f], ["choi", f, "--proper"], ["superop", f, "--rho", rho]]
+            verbs += [["nf", f], ["eq", f, g], ["classify", f], ["render", f]]
+            for argv in verbs:
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err, argv
+                if code == 2:
+                    assert err.startswith("error: "), argv
+                codes[argv[0], code] += 1
+        assert codes["interp", 2] > 0 and codes["eq", 0] > 0 and codes["eq", 1] > 0

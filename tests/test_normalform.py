@@ -44,7 +44,7 @@ from zwtick import (
     parse_nf,
     state_operator,
 )
-from zwtick import Swap
+from zwtick import Swap, program
 from zwtick.normalform import compare_maps
 from zwtick.rules import _default_samples
 
@@ -288,6 +288,30 @@ class TestPureRoute:
         equal, explain = compare_maps(Tick, Id)
         assert not equal and calls == [a, b, Tick, Id]
         assert explain() == (0, 3, ZERO, ONE) and len(calls) == 4
+
+    def test_tick_free_route_builds_no_program(self, monkeypatch):
+        # A tick-free term's pure matrix is swept from its flattened form, so
+        # neither `interp` nor a tick-free verdict compiles a program; a ticked
+        # pair is decided from its sides' doubled programs.
+        pairs = pure_pairs(17, 60)
+        terms = [d for _, a, b in pairs for d in (a, b)]
+        matrices = [interp(d) for d in terms]
+        verdicts = [compare_maps(a, b)[0] for _, a, b in pairs]
+        assert True in verdicts and False in verdicts
+
+        def refused(*args):
+            raise AssertionError("a tick-free evaluation built a program")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(program, "compile", refused)
+            patched.setattr(program, "Program", refused)
+            assert [interp(d) for d in terms] == matrices
+            assert [compare_maps(a, b)[0] for _, a, b in pairs] == verdicts
+            assert [diagrams_equal(a, b) for _, a, b in pairs] == verdicts
+        compiled, compile_ = [], program.compile
+        monkeypatch.setattr(program, "compile", lambda flat, *rest: compiled.append(flat) or compile_(flat, *rest))
+        assert not compare_maps(Tick, WSpider(1, 1))[0]
+        assert len(compiled) == 2
 
     def test_arity_mismatch_has_no_witness(self):
         equal, explain = compare_maps(Id, id_n(2))

@@ -580,7 +580,7 @@ class TestNetlistEvaluator:
         assert len(steps) <= 110
         assert not any(_run_matrix(_run_of(step, r)) == _gen_matrix(Empty) for step, r in zip(steps, rs))
 
-    @pytest.mark.parametrize("qubits, seed, density, most_fed, most_live", [(3, 68, 0.55, 214, 20), (4, 131, 1.0, 9321, 136)])
+    @pytest.mark.parametrize("qubits, seed, density, most_fed, most_live", [(3, 68, 0.55, 214, 20), (4, 131, 1.0, 9321, 136)], ids=["3-qubit", "4-qubit"])
     def test_dense_round_trip_entries_touched(self, monkeypatch, qubits, seed, density, most_fed, most_live):
         # Dropping dead (ket, bra) patterns cut the entries fed to the steps
         # from 4,599 to 1,673 on the 3-qubit normal form above (peak live
@@ -617,7 +617,7 @@ class TestNetlistEvaluator:
             assert state_operator(d) == nf_to_matrix(nf)
             assert len(applied) <= 141
 
-    @pytest.mark.parametrize("qubits, seed, density, most_changed", [(3, 68, 0.55, 19), (4, 131, 1.0, 135)])
+    @pytest.mark.parametrize("qubits, seed, density, most_changed", [(3, 68, 0.55, 19), (4, 131, 1.0, 135)], ids=["3-qubit", "4-qubit"])
     def test_warm_dense_round_trip_changes_few_entries(self, monkeypatch, qubits, seed, density, most_changed):
         # A normal-form term's node fires only on the entry whose accumulators
         # are all 0, and its merges carry every other entry through unchanged,
@@ -1289,8 +1289,8 @@ class TestKeptSteps:
     @staticmethod
     def _assert_compiled(d) -> None:
         """d keeps the program `compile` gives its `flatten` list: the same tables and segments, equal masks and coefficients."""
-        kept, compiled = d._kept, compile(flatten(d), True)
-        assert type(kept) is Program and kept.doubled
+        kept, compiled = d._kept, compile(flatten(d))
+        assert type(kept) is Program
         assert len(kept.tables) == len(compiled.tables) and all(a is b for a, b in zip(kept.tables, compiled.tables))
         assert kept.dead == compiled.dead
         assert kept.coefficients == compiled.coefficients
@@ -1326,9 +1326,9 @@ class TestKeptSteps:
         calls, analyses = [], []
         compile_, dead_patterns, segment = program.compile, program._dead_patterns, program._segment
 
-        def counted(flat, doubled, width=0, after=()):
-            calls.append(doubled)
-            return compile_(flat, doubled, width, after)
+        def counted(flat, width=0, after=()):
+            calls.append(flat)
+            return compile_(flat, width, after)
 
         def dead_counted(tables, after=()):
             analyses.append("dead")
@@ -1354,7 +1354,7 @@ class TestKeptSteps:
             calls.clear()
             analyses.clear()
             assert state_operator(pickle.loads(pickle.dumps(d))) == state_operator(d)
-            assert calls == [True] and analyses.count("dead") == 1
+            assert len(calls) == 1 and analyses.count("dead") == 1
 
     def test_groups_between_positions_are_exact(self):
         # A position's masks are compiled once, from no group after the
@@ -1576,6 +1576,23 @@ class TestDeadPatterns:
                         assert all(len(on) <= program._GROUP_WIRES for on, _ in groups or ())
         assert wide >= 30 and pruned >= 30
         assert seen == {(WSpider, 4, 0), (WSpider, 4, 1), (ZSpider, 4, 0), (ZSpider, 5, 1)}
+
+    def test_wide_terms_match_the_pure_sweep_of_the_doubled_term(self):
+        # Past 4 wires `interp_sparse(unzip(...))` is too slow, so the oracle
+        # is chained: the pure sweep of the doubled term, with no mask and no
+        # segment, checks the doubled sweep on bent terms whose live operator
+        # spans 5 to 7 wires and whose wide runs start no group.
+        rng = random.Random(86)
+        widest = Counter()
+        for _ in range(120):
+            s = bend_inputs(_effect_rich_term(rng, max_wires=6, layers=6, wide=True))
+            width = top = 0
+            for g, _ in flatten(s):
+                width += g.n_out - g.n_in
+                top = max(top, width)
+            widest[top] += 1
+            assert state_operator(s) == _unvec(interp(unzip(s)), s.n_out)
+        assert widest[5] >= 20 and widest[6] >= 20 and widest[7] >= 5
 
 
 class TestHPPresentation:
