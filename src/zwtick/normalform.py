@@ -256,19 +256,16 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
     rows = _node_rows(nf, unreduced)
     kets, empty = _layer_steps(n)
     start = kets if rows else empty
-    flat, tables, coefficients = list(start.flat), list(start.tables), list(start.coefficients)
-    dead = start.dead and list(start.dead)  # None with no term: the plug on |0> gives 0
+    flat, steps = list(start.flat), start.steps and list(start.steps)  # None with no term: the plug on |0> gives 0
     for k, (coeff, x, y) in enumerate(rows):
         # The position's program, its node binding coeff: the node opens its
         # legs below every live wire, and its wiring spans them all.
         position = _term_wiring(n, x, y, k == len(rows) - 1)
-        i, j = len(flat), len(coefficients)
+        i = len(flat)
         flat += position.flat
         flat[i] = ZSpider(coeff, 0, flat[i][0].m), 0
-        tables += position.tables
-        dead += position.dead
-        coefficients += position.coefficients
-        coefficients[j] = coeff
+        (table, masks, _), *wiring = position.steps
+        steps += [(table, masks, coeff), *wiring]
 
     def build() -> tuple[Diagram, Diagram]:
         d = _kets(n)
@@ -279,7 +276,7 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
         return _plug(n), d
 
     d = Compose._deferred(0, n, build)
-    object.__setattr__(d, "_kept", Program(flat, tables, dead, coefficients))
+    object.__setattr__(d, "_kept", Program(flat, steps))
     return d
 
 

@@ -1,15 +1,16 @@
 """A term's compiled superoperator steps, and the netlist evaluator that runs them.
 
-A `Program` is a term's `flatten` list with the doubled steps compiled
-from it.  `compile(flat, width, after)` makes one, and is the only code
-that analyses it: it finds each step's dead-pattern masks and replaces the
-steps of each segment by its `_Segment`.  `run(program, ops)` applies the
-steps to the upper triangle of a Hermitian operator over the live wires,
-and only applies them.  `program_of` gives a diagram's program: the one a
-rebuilt normal form keeps, else `compile` of its `flatten` list.  A
-tick-free term's pure matrix needs no program: `sweep(flat, ops)` applies
-its pure steps as `_netlist` gives them.  `semantics` reads every pure and
-superoperator result through these.
+A `Program` is a term's `flatten` list with the one list of doubled steps
+compiled from it, each step its table or segment, its masks and the
+coefficient it binds.  `compile(flat, width, after)` makes one, and is the
+only code that analyses it: it finds each step's dead-pattern masks and
+puts each segment in the list in place of its steps.  `run(program, ops)`
+applies the steps to the upper triangle of a Hermitian operator over the
+live wires, and only applies them.  `program_of` gives a diagram's
+program: the one a rebuilt normal form keeps, else `compile` of its
+`flatten` list.  A tick-free term's pure matrix needs no program:
+`sweep(flat, ops)` applies its pure steps as `_netlist` gives them.
+`semantics` reads every pure and superoperator result through these.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def _gen_matrix(g: Diagram) -> Matrix:
 # maps a whole (x, y) entry to the branches the steps give it one after the
 # other, so it is one pass over the live operator instead of one per step;
 # it is applied as a bound step with `lo` 0.  It is kept in its own store,
-# `_segment`, under its start width, its tables and their masks: a segment
+# `_segment`, under its start width and its steps' (table, masks): a segment
 # that holds a later bound step is only built where that step binds 1, so
 # the key needs no coefficient.  `compile` puts it in the program in place
 # of those steps.  A segment that ends at the width it starts at carries
@@ -160,17 +161,17 @@ _SEGMENT_STORE = 512
 
 
 class Program(NamedTuple):
-    """A term's compiled doubled steps: each one's `_Table` or `_Segment`, its masks, and the coefficient it binds or None.
+    """A term's compiled doubled steps, in the order they are applied.
 
-    `flat` is the `flatten` list they are compiled from.  `dead` holds each
-    step's dead-pattern masks, None for a step with none and for a segment,
-    whose steps keep their own; it is None when the result is 0.
+    `flat` is the `flatten` list they are compiled from.  Each step is
+    (table, masks, coefficient): its `_Table` or `_Segment`, its
+    dead-pattern masks (None for none, and for a segment, whose steps keep
+    their own), and the coefficient it binds or None.  `steps` is None
+    when the result is 0.
     """
 
     flat: list
-    tables: list
-    dead: "list | None"
-    coefficients: list
+    steps: "list[tuple] | None"
 
 
 def compile(flat: list[tuple[Generator, int]], width: int = 0, after: tuple = ()) -> Program:
@@ -178,28 +179,25 @@ def compile(flat: list[tuple[Generator, int]], width: int = 0, after: tuple = ()
 
     `_dead_patterns` finds each step's masks, starting from the groups
     `after` the last step (see `_transfer`): none for a whole term, or
-    groups that hold wherever the program is continued.  Then each bound
-    state step at which the live operator spans at most `_SEGMENT_WIRES`
-    wires, with the steps after it up to the next bound state or bound step
-    whose coefficient is not 1, is replaced by its `_Segment`.  The lists
-    are changed in place, so a program with no segment keeps the lists
-    `_netlist` and `_dead_patterns` made.
+    groups that hold wherever the program is continued.  Then one forward
+    pass appends the steps: each bound state step at which the live
+    operator spans at most `_SEGMENT_WIRES` wires, with the steps after it
+    up to the next bound state or bound step whose coefficient is not 1,
+    goes in as its `_Segment`, and every other step as it is.
     """
     tables, coefficients = _netlist(flat, True)
     dead = _dead_patterns(tables, after)
-    i = 0
+    steps, i = [], 0
     while dead is not None and i < len(tables):
-        table = tables[i]
+        table, masks, j = tables[i], dead[i], i + 1
         if table.bound and not table.n and width <= _SEGMENT_WIRES:
-            j = i + 1
             while j < len(tables) and not (tables[j].bound and (not tables[j].n or coefficients[j] != ONE)):
                 j += 1
-            table = tables[i] = _segment(width, tuple(tables[i:j]), tuple(dead[i:j]))
-            dead[i] = None
-            del tables[i + 1:j], dead[i + 1:j], coefficients[i + 1:j]
+            table, masks = _segment(width, tuple(zip(tables[i:j], dead[i:j]))), None
+        steps.append((table, masks, coefficients[i]))
         width += table.m - table.n
-        i += 1
-    return Program(flat, tables, dead, coefficients)
+        i = j
+    return Program(flat, None if dead is None else steps)
 
 
 def program_of(d: Diagram) -> Program:
@@ -376,26 +374,27 @@ class _Table:
 
 
 @lru_cache(maxsize=_SEGMENT_STORE)
-def _segment(width: int, tables: "tuple[_Table, ...]", masks: tuple) -> _Segment:
-    """The shared segment of a bound state step and the steps after it; evicts the least recently used."""
-    return _Segment(width, tables, masks)
+def _segment(width: int, steps: tuple) -> _Segment:
+    """The shared segment of a bound state step and the steps after it, each (table, masks); evicts the least recently used."""
+    return _Segment(width, steps)
 
 
 class _Segment:
     """Steps applied as one: a bound state step and the steps after it, any bound one binding 1.
 
-    `steps` pairs each step's table with its dead-pattern masks; the live
-    operator spans `n` wires before them and `m` after.  A segment reads as
-    a bound table with `lo` 0 and no relabelling, so `_apply_step` applies
-    it: an entry's bits are all its pattern.  `live[None]` caches the
-    branches of each (x, y) it meets, (r, s, weight index, constant) as a
-    table's, built from the tables' own cached branches (`_Table.live`):
-    the weight index is the first step's, since a later bound step binds 1
-    and each of its weights is 1, and the constant the product of the later
-    steps' entries, summed over the paths to (r, s).  `compile` gets it
-    from the store, `_segment`, and puts it in a program in place of its
-    steps, so it runs from the first time its key is met; its branches are
-    built as its entries are met.
+    `steps` holds each step's (table, masks), as `compile` passes them to
+    `_segment`; the live operator spans `n` wires before them and `m`
+    after.  A segment reads as a bound table with `lo` 0 and no
+    relabelling, so `_apply_step` applies it: an entry's bits are all its
+    pattern.  `live[None]` caches the branches of each (x, y) it meets,
+    (r, s, weight index, constant) as a table's, built from the tables'
+    own cached branches (`_Table.live`): the weight index is the first
+    step's, since a later bound step binds 1 and each of its weights is 1,
+    and the constant the product of the later steps' entries, summed over
+    the paths to (r, s).  `compile` gets it from the store, `_segment`,
+    and puts it in a program in place of its steps, so it runs from the
+    first time its key is met; its branches are built as its entries are
+    met.
 
     A segment with n == m keeps `carried`, the set of the (x, y) whose
     branches are the one (x, y, 0, ONE): the entry itself, weight 1.  It is
@@ -411,9 +410,9 @@ class _Segment:
     moves = ()
     bound = True
 
-    def __init__(self, width: int, tables: "tuple[_Table, ...]", masks: tuple):
-        self.steps = tuple(zip(tables, masks))
-        self.n, self.m = width, width + sum(t.m - t.n for t in tables)
+    def __init__(self, width: int, steps: "tuple[tuple[_Table, tuple | None], ...]"):
+        self.steps = steps
+        self.n, self.m = width, width + sum(t.m - t.n for t, _ in steps)
         self.live: dict[None, dict[int, list]] = {}
         self.carried: "set[tuple[int, int]] | None" = set() if self.n == self.m else None
 
@@ -724,8 +723,8 @@ def run(program: Program, ops: dict) -> dict:
     segment that keeps its width is applied in place, so `run` may update
     the dict it is given; pass one that is not read again.
     """
-    if program.dead is None:
+    if program.steps is None:
         return {}
-    for table, dead, r in zip(program.tables, program.dead, program.coefficients):
+    for table, dead, r in program.steps:
         ops = _apply_step(ops, True, table, dead, r)
     return ops

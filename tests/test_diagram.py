@@ -68,6 +68,7 @@ from zwtick import (
     transpose_term,
     unzip,
 )
+from zwtick import diagram
 from zwtick.diagram import _SUGAR, flatten, interleave, route, wires
 from zwtick.normalform import _term_wiring
 from zwtick.program import Program
@@ -110,6 +111,9 @@ class TestArities:
         d = compose_many([ket0, not_gate])
         assert (d.n_in, d.n_out) == (0, 1)
         assert interp(d).data[1][0] == ONE
+
+    def test_compose_many_of_nothing(self):
+        assert compose_many([]) is Empty
 
     def test_tensor_many(self):
         assert tensor_many([]) is Empty
@@ -186,6 +190,19 @@ class TestEquality:
         assert WSpider(1, 2) != ZSpider(ONE, 1, 2) and Swap != Fswap
         assert Tensor(Id, Cup) != Compose(Id, Id) and (Id == "(id 1)") is False
         assert len({ZSpider(HALF, 1, 1), ZSpider(HALF, 1, 1), Tick, Tick}) == 2
+
+    def test_composites_and_other_types(self):
+        d = Compose(not_gate, ket0)
+        assert (d == 1) is False and (1 == d) is False and d != 1
+
+    def test_kept_hashes_that_differ_decide_at_once(self, monkeypatch):
+        # Two composites whose hashes are kept and differ are unequal
+        # before either's children are read.
+        a, b = Compose(not_gate, ket0), Compose(not_gate, not_gate)
+        hash(a), hash(b)
+        assert a._hash != b._hash
+        monkeypatch.setattr(diagram, "_children", lambda node: pytest.fail("children read"))
+        assert (a == b) is False and (b == a) is False
 
     def test_generators_are_values(self):
         # Separately built equal generators are equal and hash alike.

@@ -96,6 +96,13 @@ class TestFieldLaws:
         else:
             assert a * a.inverse() == ONE
 
+    def test_division_multiplies_by_the_inverse(self):
+        assert ONE / TWO == HALF and OMEGA / OMEGA == ONE
+        for x, y in ((HALF + I, OMEGA), (SQRT2, TWO - I), (ZERO, OMEGA3)):
+            assert x / y == x * y.inverse()
+            with pytest.raises(ZeroDivisionError):
+                x / ZERO
+
     @given(scalars, scalars)
     def test_conj_is_ring_map(self, a, b):
         assert (a + b).conj() == a.conj() + b.conj()

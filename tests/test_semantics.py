@@ -629,7 +629,7 @@ class TestNetlistEvaluator:
         # place.  The limits are those counts, one per term but the last.
         nf = random_nf(random.Random(seed), qubits, density=density)
         d, want = nf_to_diagram(nf), nf_to_matrix(nf)
-        last = d._kept.tables[-1]
+        last = d._kept.steps[-1][0]
         assert type(last) is program._Segment and last.carried is None
         program._segment.cache_clear()
         applied = _record_in_place(monkeypatch)
@@ -1230,10 +1230,10 @@ class TestInPlaceSegments:
         for _ in range(30):
             d = self._term(rng)
             s = Compose(d, random_state(rng, max_wires=d.n_in, n_out=d.n_in))
-            compiled = program_of(s)
-            through += sum(type(a) is program._Segment and any(t.bound for t, _ in a.steps[1:]) for a in compiled.tables)
-            steps = zip(compiled.tables, compiled.tables[1:], compiled.coefficients[1:])
-            ended += sum(type(a) is program._Segment and b.bound and b.n > 0 and r != ONE for a, b, r in steps)
+            compiled = program_of(s).steps or []  # none when the result is 0
+            through += sum(type(a) is program._Segment and any(t.bound for t, _ in a.steps[1:]) for a, _, _ in compiled)
+            steps = zip(compiled, compiled[1:])
+            ended += sum(type(a) is program._Segment and b.bound and b.n > 0 and r != ONE for (a, _, _), (b, _, r) in steps)
             rho = random_matrix(rng, d.n_in, density=1.0)
             entries = dict(rho.entries)
             state_want = _unvec(interp_sparse(unzip(s)), s.n_out)
@@ -1288,23 +1288,19 @@ class TestKeptSteps:
 
     @staticmethod
     def _assert_compiled(d) -> None:
-        """d keeps the program `compile` gives its `flatten` list: the same tables and segments, equal masks and coefficients."""
-        kept, compiled = d._kept, compile(flatten(d))
-        assert type(kept) is Program
-        assert len(kept.tables) == len(compiled.tables) and all(a is b for a, b in zip(kept.tables, compiled.tables))
-        assert kept.dead == compiled.dead
-        assert kept.coefficients == compiled.coefficients
+        """d keeps the program `compile` gives its `flatten` list: an equal list, the same tables and segments, and equal masks and coefficients."""
+        assert d._kept == compile(flatten(d))
 
     @staticmethod
     def _layer_step_count(nf, unreduced) -> int:
         """The steps of the ket layer and of each position's program, the plug in the last one's,
-        or with no term the steps of the ket and plug layers' program."""
+        or with no term those of the ket and plug layers' program, which keeps none."""
         kets, empty = _layer_steps(nf.qubits)
         rows = _node_rows(nf, unreduced)
         if not rows:
-            return len(empty.tables)
-        terms = sum(len(_term_wiring(nf.qubits, x, y, i == len(rows) - 1).tables) for i, (_, x, y) in enumerate(rows))
-        return len(kets.tables) + terms
+            return len(empty.steps or ())  # the plug on |0> gives 0
+        terms = sum(len(_term_wiring(nf.qubits, x, y, i == len(rows) - 1).steps) for i, (_, x, y) in enumerate(rows))
+        return len(kets.steps) + terms
 
     def test_kept_steps_are_the_netlist_steps(self):
         for nf in self._forms() + self._top_forms():
@@ -1318,6 +1314,18 @@ class TestKeptSteps:
                 assert copied._kept is None
                 assert state_operator(d) == state_operator(copied) == want
                 self._assert_compiled(d)
+
+    @pytest.mark.parametrize("qubits, seed, count, density", [(3, 144, 4, 0.6), (4, 145, 2, 0.3)])
+    def test_kept_program_matches_the_pure_sweep_of_the_built_term(self, qubits, seed, count, density):
+        # The oracles chained: `unzip` reads the deferred term, so the kept
+        # program, with its masks and segments, is checked against the pure
+        # sweep of the doubled term built around the same Z nodes.
+        rng = random.Random(seed)
+        for _ in range(count):
+            nf = random_nf(rng, qubits, density=density)
+            for unreduced in (False, True):
+                s = nf_to_diagram(nf, unreduced=unreduced)
+                assert state_operator(s) == _unvec(interp(unzip(s)), s.n_out) == nf_to_matrix(nf)
 
     def test_round_trip_skips_netlist(self, monkeypatch):
         # A round trip of a rebuilt form, once its positions are compiled,
@@ -1334,9 +1342,9 @@ class TestKeptSteps:
             analyses.append("dead")
             return dead_patterns(tables, after)
 
-        def segment_counted(width, tables, masks):
+        def segment_counted(width, steps):
             analyses.append("segment")
-            return segment(width, tables, masks)
+            return segment(width, steps)
 
         monkeypatch.setattr(program, "compile", counted)
         monkeypatch.setattr(program, "_dead_patterns", dead_counted)
@@ -1364,7 +1372,7 @@ class TestKeptSteps:
         # it holds.  Read from each table's kept transfers, which `compile`
         # filled: the groups before each step from the groups after it.
         def before(position, after):
-            for step in reversed(position.tables):
+            for step, _, _ in reversed(position.steps):
                 for table in reversed([t for t, _ in step.steps] if isinstance(step, program._Segment) else [step]):
                     if after or not table.full:  # with no group, a run with every column nonzero gives none
                         after = table.transfers[after][1]
@@ -1377,7 +1385,7 @@ class TestKeptSteps:
                     assert before(_term_wiring(n, x, y, True), ()) == between
                     assert before(_term_wiring(n, x, y, False), between) == between
             # Pulled back from `_between(n)` through the kets, no group allows nothing: the ket program is not 0.
-            assert _layer_steps(n)[0].dead is not None
+            assert _layer_steps(n)[0].steps is not None
 
     def test_kept_program_is_the_kets_and_positions_end_to_end(self):
         # Where a form ends on the top accumulator, `_netlist` composes the
@@ -1390,7 +1398,7 @@ class TestKeptSteps:
             for unreduced in (False, True):
                 d = nf_to_diagram(nf, unreduced=unreduced)
                 self._assert_compiled(d)
-                assert len(d._kept.tables) == self._layer_step_count(nf, unreduced)
+                assert len(d._kept.steps or ()) == self._layer_step_count(nf, unreduced)
                 assert state_operator(d) == nf_to_matrix(nf)
 
 
@@ -1423,6 +1431,34 @@ class TestCompositionLaws:
         for _ in range(count):
             b = self._term(rng, wires, wires)
             a = self._term(rng, wires, b.n_out)
+            for rho in (random_hermitian(rng, wires, density=0.5), random_matrix(rng, wires, density=0.5)):
+                skew += not rho.is_hermitian()
+                assert apply_superop(Compose(a, b), rho) == apply_superop(a, apply_superop(b, rho))
+        assert skew == count
+
+    @staticmethod
+    def _effect_rich(rng, wires, n_in):
+        """A seeded `_effect_rich_term` on `n_in` inputs and at most `wires` wires."""
+        while True:
+            d = _effect_rich_term(rng, max_wires=wires)
+            if d.n_in == n_in:
+                return d
+
+    @pytest.mark.parametrize("qubits, seed, count", [(3, 155, 6), (4, 156, 3)])
+    def test_effect_rich_map_after_a_rebuilt_state(self, qubits, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            s = nf_to_diagram(random_nf(rng, qubits, density=rng.uniform(0.3, 0.7)), unreduced=rng.random() < 0.5)
+            a = self._effect_rich(rng, qubits, s.n_out)
+            assert state_operator(Compose(a, s)) == apply_superop(a, state_operator(s))
+
+    @pytest.mark.parametrize("wires, seed, count", [(3, 157, 10), (4, 158, 4)])
+    def test_superop_of_an_effect_rich_composite(self, wires, seed, count):
+        rng = random.Random(seed)
+        skew = 0
+        for _ in range(count):
+            b = self._effect_rich(rng, wires, wires)
+            a = self._effect_rich(rng, wires, b.n_out)
             for rho in (random_hermitian(rng, wires, density=0.5), random_matrix(rng, wires, density=0.5)):
                 skew += not rho.is_hermitian()
                 assert apply_superop(Compose(a, b), rho) == apply_superop(a, apply_superop(b, rho))
