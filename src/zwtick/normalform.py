@@ -23,10 +23,11 @@ last position's segment runs through the plug, and a rebuilt form's program
 is its kets and one segment per term.  Between positions the dead-pattern
 pass carries one group whatever the entries, `_between(n)`, so each
 position's masks are compiled from it, or from nothing after the plug.  The
-rebuilt diagram keeps the ket layer's program and its positions' laid end
-to end, so `state_operator` runs it without reading the term or analysing
-its steps.  A term costs its Z node and its coefficient: the tree of layers
-around the nodes is built only when something reads it.
+rebuilt diagram keeps the ket layer's steps and its positions' laid end to
+end, so `state_operator` runs them without reading the term or analysing
+them.  A term costs one lookup of its position's program and one step that
+binds its coefficient: its Z node, in the kept flattened form and in the
+tree of layers around the nodes, is made only when something reads them.
 """
 
 from __future__ import annotations
@@ -248,24 +249,28 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
     into no step before it, and the dead-pattern groups where two programs
     meet are `_between(n)`.
 
-    The Z nodes are built here, but the term around them is built only when
-    something reads it (`Compose._deferred`), from each position's layers:
-    `state_operator` reads the program alone.
+    Only the steps are laid down here: `state_operator` reads them alone.
+    The kept `flat` is built on its first read, from the ket layer's and
+    each position's with the node's Z spider put in, and the term when
+    something reads it (`Compose._deferred`), from each position's layers.
     """
     n = nf.qubits
     rows = _node_rows(nf, unreduced)
     kets, empty = _layer_steps(n)
-    start = kets if rows else empty
-    flat, steps = list(start.flat), start.steps and list(start.steps)  # None with no term: the plug on |0> gives 0
-    for k, (coeff, x, y) in enumerate(rows):
-        # The position's program, its node binding coeff: the node opens its
-        # legs below every live wire, and its wiring spans them all.
-        position = _term_wiring(n, x, y, k == len(rows) - 1)
-        i = len(flat)
-        flat += position.flat
-        flat[i] = ZSpider(coeff, 0, flat[i][0].m), 0
+    # Each position's program, its node binding coeff: the node opens its
+    # legs below every live wire, and its wiring spans them all.
+    positions = [_term_wiring(n, x, y, k == len(rows) - 1) for k, (_, x, y) in enumerate(rows)]
+    steps = list(kets.steps)
+    for (coeff, _, _), position in zip(rows, positions):
         (table, masks, _), *wiring = position.steps
         steps += [(table, masks, coeff), *wiring]
+
+    def flat() -> list:
+        out = list(kets.flat)
+        for (coeff, _, _), position in zip(rows, positions):
+            (node, _), *wiring = position.flat
+            out += [(ZSpider(coeff, 0, node.m), 0), *wiring]
+        return out
 
     def build() -> tuple[Diagram, Diagram]:
         d = _kets(n)
@@ -276,7 +281,7 @@ def nf_to_diagram(nf: NormalForm, unreduced: bool = False) -> Diagram:
         return _plug(n), d
 
     d = Compose._deferred(0, n, build)
-    object.__setattr__(d, "_kept", Program(flat, steps))
+    object.__setattr__(d, "_kept", Program(flat, steps) if rows else empty)  # the plug on |0> gives 0
     return d
 
 

@@ -16,7 +16,7 @@ program: the one a rebuilt normal form keeps, else `compile` of its
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable
 
 from .diagram import Cap, Cup, Diagram, Empty, Fswap, Generator, Id, Swap, Tick, WSpider, ZSpider, flatten
 from .matrix import Matrix, SemanticsError
@@ -134,7 +134,9 @@ def _gen_matrix(g: Diagram) -> Matrix:
 # position opens with its node, a 0 -> k state, which no step before it
 # takes into its run, and each is compiled from the groups that hold
 # after it in any form, so that program is `compile` of its `flatten` list,
-# masks and segments included.
+# masks and segments included.  Only its steps are laid down: `run` reads
+# nothing else, and its `flat` is built on the first read, which is the
+# first `flatten` of a term that holds the form.
 
 #: Most wires a constraint group of the dead-pattern pass spans.
 _GROUP_WIRES = 3
@@ -160,18 +162,33 @@ _SEGMENT_WIRES = 5
 _SEGMENT_STORE = 512
 
 
-class Program(NamedTuple):
+class Program:
     """A term's compiled doubled steps, in the order they are applied.
 
     `flat` is the `flatten` list they are compiled from.  Each step is
     (table, masks, coefficient): its `_Table` or `_Segment`, its
     dead-pattern masks (None for none, and for a segment, whose steps keep
     their own), and the coefficient it binds or None.  `steps` is None
-    when the result is 0.
+    when the result is 0.  `compile` gives the list; `nf_to_diagram` gives
+    a builder instead, called on the first read of `flat`, whose list is
+    kept.  Two threads that read it at once may each build it, as equal
+    lists.  Programs are equal when their steps and lists are.
     """
 
-    flat: list
-    steps: "list[tuple] | None"
+    __slots__ = ("_flat", "steps")
+
+    def __init__(self, flat: "list | Callable[[], list]", steps: "list[tuple] | None") -> None:
+        self._flat, self.steps = flat, steps
+
+    @property
+    def flat(self) -> list:
+        flat = self._flat
+        if not isinstance(flat, list):
+            flat = self._flat = flat()
+        return flat
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Program and self.steps == other.steps and self.flat == other.flat
 
 
 def compile(flat: list[tuple[Generator, int]], width: int = 0, after: tuple = ()) -> Program:

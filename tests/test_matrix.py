@@ -115,6 +115,10 @@ class TestMatrixType:
         with pytest.raises(ValueError):
             Matrix([[ONE, ZERO], [ONE]])
 
+    def test_repr_reads_the_shape(self):
+        assert repr(Matrix([[ONE, ZERO, TWO]])) == "Matrix(1x3)"
+        assert repr(Matrix([[ZERO], [ZERO]])) == "Matrix(2x1)"
+
     def test_data_is_a_fresh_copy(self):
         m = Matrix([[ONE, ZERO], [ZERO, TWO]])
         m.data[0][0] = ZERO

@@ -40,7 +40,7 @@ from zwtick import (
     subterm_at,
 )
 from zwtick.diagram import fold
-from zwtick.rules import _assoc_key, _certify
+from zwtick.rules import _assoc_key, _certify, _default_samples
 
 from _support import assoc_key_reference, random_term
 
@@ -202,6 +202,17 @@ class TestCertificationReport:
         report = check_soundness(rules=[rule_named("zs")])
         assert report.all_pass
         assert all(e.witness is None for e in report.entries)
+
+    def test_param_samples_name_each_instance(self):
+        # The benchmark's `certify` workload passes each instance's params.
+        for name, params in (("zt", {"r": HALF}), ("ws", {"n": 2, "m": 1})):
+            report = check_soundness([rule_named(name)], param_samples={name: [params]}, seed=5)
+            (e,) = report.entries
+            assert e.ok and e.name == name and dict(e.params) == params
+        # A rule they do not name is certified on its default samples.
+        rule = rule_named("ad")
+        report = check_soundness([rule], param_samples={"zt": [{"r": HALF}]}, seed=5)
+        assert report.all_pass and [dict(e.params) for e in report.entries] == _default_samples(rule, 5)
 
     def test_arity_mismatch_fails_without_witness(self):
         # Cap (0 -> 2) and Cup (2 -> 0) bend to the same Bell state.

@@ -73,7 +73,7 @@ from zwtick import (
     ticked_cap,
     unzip,
 )
-from zwtick import program
+from zwtick import normalform, program
 from zwtick.diagram import flatten, route, wires
 from zwtick.normalform import _between, _layer_steps, _node_rows, _term_wiring
 from zwtick.matrix import MAX_DENSE_LOG2
@@ -1313,6 +1313,29 @@ class TestKeptSteps:
                 copied = pickle.loads(pickle.dumps(d))
                 assert copied._kept is None
                 assert state_operator(d) == state_operator(copied) == want
+                self._assert_compiled(d)
+
+    def test_round_trip_builds_no_flat_list(self, monkeypatch):
+        # A warm round trip runs the kept steps alone: it makes no generator
+        # and leaves the kept `flat` unbuilt.  The first `flatten` builds it
+        # from the positions, one Z spider per node, and later reads keep it.
+        rng = random.Random(146)
+        forms = [random_nf(rng, qubits, density=rng.uniform(0.2, 0.8)) for qubits in range(5) for _ in range(2)]
+        forms += [NormalForm(2, ()), NormalForm(0, (NFTerm(0, 0, Scalar(5)),))]
+        made, zspider = [], normalform.ZSpider
+        monkeypatch.setattr(normalform, "ZSpider", lambda *args: made.append(args) or zspider(*args))
+        for nf in forms:
+            for unreduced in (False, True):
+                want, rows = nf_to_matrix(nf), _node_rows(nf, unreduced)
+                state_operator(nf_to_diagram(nf, unreduced=unreduced))  # compiles the positions not met before
+                made.clear()
+                for _ in range(3):
+                    d = nf_to_diagram(nf, unreduced=unreduced)
+                    assert state_operator(d) == want
+                assert made == [] and callable(d._kept._flat) == bool(rows)
+                flat = flatten(d)
+                assert len(made) == len(rows) and isinstance(d._kept._flat, list)
+                assert flatten(d) == flat and len(made) == len(rows)
                 self._assert_compiled(d)
 
     @pytest.mark.parametrize("qubits, seed, count, density", [(3, 144, 4, 0.6), (4, 145, 2, 0.3)])
