@@ -20,7 +20,11 @@ its entry's position, and on whether the plug follows it, so its program is
 compiled once per position (`_term_wiring`, a shared builder), with its
 dead-pattern masks and its segment.  The plug's Z spider binds 1, so the
 last position's segment runs through the plug, and a rebuilt form's program
-is its kets and one segment per term.  Between positions the dead-pattern
+is its kets and one segment per term.  Every other position's segment keeps
+its width and is applied in place, guarded by the top accumulator at
+(0, 0) or (1, 1): every entry outside is carried, and the one live entry
+inside is the one whose accumulators are all 0, so a term takes out and
+changes that entry alone and meets no other.  Between positions the dead-pattern
 pass carries one group whatever the entries, `_between(n)`, so each
 position's masks are compiled from it, or from nothing after the plug.  The
 rebuilt diagram keeps the ket layer's steps and its positions' laid end to

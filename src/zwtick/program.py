@@ -16,6 +16,7 @@ program: the one a rebuilt normal form keeps, else `compile` of its
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from typing import Callable
 
 from .diagram import Cap, Cup, Diagram, Empty, Fswap, Generator, Id, Swap, Tick, WSpider, ZSpider, flatten
@@ -117,17 +118,28 @@ def _gen_matrix(g: Diagram) -> Matrix:
 # (z 1 1 2) is such a step, runs inside its last term's segment.  A segment
 # maps a whole (x, y) entry to the branches the steps give it one after the
 # other, so it is one pass over the live operator instead of one per step;
-# it is applied as a bound step with `lo` 0.  It is kept in its own store,
-# `_segment`, under its start width and its steps' (table, masks): a segment
-# that holds a later bound step is only built where that step binds 1, so
-# the key needs no coefficient.  `compile` puts it in the program in place
-# of those steps.  A segment that ends at the width it starts at carries
-# most entries through unchanged: a normal-form term's node fires only on
-# the entry whose accumulators are all 0, and on any other the W merges
-# annihilate a second firing.  Such a segment notes each entry whose one
-# branch is itself with weight 1, and is applied in place: only the other
-# entries leave the live operator, and their branches are added back into
-# it, so a term costs about the entries it changes.
+# `_apply_segment` applies it as a bound step with `lo` 0 and no
+# relabelling, so an entry's branches land where they say.  It is kept in its
+# own store, `_segment`, under its start width and its steps' (table,
+# masks): a segment that holds a later bound step is only built where that
+# step binds 1, so the key needs no coefficient.  `compile` puts it in the
+# program in place of those steps.  A segment that ends at the width it
+# starts at carries most entries through unchanged: a normal-form term's
+# node fires only on the entry whose accumulators are all 0, and on any
+# other the W merges annihilate a second firing.  Such a segment is applied
+# in place, and gets a guard when it is built, from its own steps and masks:
+# a wire and the (ket, bra) patterns allowed on it, such that every entry
+# outside them is carried, its one branch itself with weight 1 (`_guard`, an
+# abstract run of the segment's branches).  A normal-form position's guard is
+# the top accumulator at (0, 0) or (1, 1): the node fires only where it
+# reads (0, 0), and the masks leave no branch where it reads (1, 1), while
+# on (0, 1) the W merges annihilate a firing.  `run` hands a guarded segment
+# the live keys inside its guard: one scan finds them where a chain of
+# segments with one guard starts, and each segment of the chain hands the
+# next its own, with the keys its branches landed on inside the guard
+# added.  Only those the segment does not carry leave the live operator,
+# and their branches are added back into it, so a normal-form term pops
+# the one entry it changes and never meets another.
 #
 # A diagram `normalform.nf_to_diagram` returns keeps its program: the
 # programs of its kets and of its node positions, laid end to end.  Each
@@ -330,17 +342,18 @@ class _Table:
     reads its branches' weight indices as 0.
     `transfers` caches the dead-pattern pass through the step, (masks,
     groups before) for each groups after it; it reads only the run's
-    support.  A table is shared by every evaluation, so nothing in it is
-    changed once built; `live`, each dict in it, and `transfers` only gain
-    keys.  Concurrent evaluations need no lock: `setdefault` gives two that
-    add one set of masks at once the same dict, two that fill one key at
-    once store equal values, and two that build one step at once each get
-    a correct table.  A table carries no entry in place (`carried` is
-    None; see `_Segment`).
+    support.  `probes` caches the abstract branches `_guard` reads
+    (`_probe`).  A table is shared by every evaluation, so nothing in it is
+    changed once built; `live`, each dict in it, `transfers` and `probes`
+    only gain keys.  Concurrent evaluations need no lock: `setdefault`
+    gives two that add one set of masks at once the same dict, two that
+    fill one key at once store equal values, and two that build one step
+    at once each get a correct table.  A table carries no entry in place and has no guard
+    (`carried` and `guard` are None; see `_Segment`).
     """
 
-    __slots__ = ("run", "lo", "n", "m", "bound", "exchange", "moved", "moves", "cols", "outs", "full", "live", "transfers")
-    carried = None
+    __slots__ = ("run", "lo", "n", "m", "bound", "exchange", "moved", "moves", "cols", "outs", "full", "live", "transfers", "probes")
+    carried = guard = None
 
     def __init__(self, run: "tuple[Generator, ...] | tuple[int, int]", lo: int, exchange: int, moves: tuple):
         self.run, self.lo, self.bound = run, lo, isinstance(run[0], int)
@@ -360,6 +373,7 @@ class _Table:
         self.full = len(self.cols) == 1 << self.n
         self.live: dict[tuple | None, dict[int, list[tuple[int, int, Scalar | int]]]] = {}
         self.transfers: dict[tuple, tuple] = {}
+        self.probes: dict[tuple, list] = {}
 
     def branches(self, cx: int, cy: int, dead: "tuple[int, int, int, int] | None") -> "list[tuple[int, int, Scalar | int]] | tuple[()]":
         """Doubled branches of ket bits cx and bra bits cy: the run on x, its conjugate on y.
@@ -402,8 +416,8 @@ class _Segment:
     `steps` holds each step's (table, masks), as `compile` passes them to
     `_segment`; the live operator spans `n` wires before them and `m`
     after.  A segment reads as a bound table with `lo` 0 and no
-    relabelling, so `_apply_step` applies it: an entry's bits are all its
-    pattern.  `live[None]` caches the branches of each (x, y) it meets,
+    relabelling: an entry's bits are all its pattern, and `_apply_segment`
+    applies it.  `live[None]` caches the branches of each (x, y) it meets,
     (r, s, weight index, constant) as a table's, built from the tables'
     own cached branches (`_Table.live`): the weight index is the first
     step's, since a later bound step binds 1 and each of its weights is 1,
@@ -413,16 +427,25 @@ class _Segment:
     first time its key is met; its branches are built as its entries are
     met.
 
-    A segment with n == m keeps `carried`, the set of the (x, y) whose
-    branches are the one (x, y, 0, ONE): the entry itself, weight 1.  It is
-    filled as their branches are built, and `_apply_step` leaves those
-    entries where they are.  A segment that changes width has `carried`
-    None.  As with a table, nothing stored is changed once built; `live`,
-    its dict and `carried` only gain keys, and two evaluations that add one
-    key at once add the same.
+    A segment with n == m is applied in place and has a `guard`, fixed when
+    it is built from its steps and masks alone (`_guard`): (mask, allowed),
+    one wire's bit and the (ket bits, bra bits) it may carry there, each
+    masked, one object per value.  Every entry whose bits on the wire are
+    not allowed is carried: its branches are the one (x, y, 0, ONE), the
+    entry itself, weight 1.  The guard is None where no such claim is
+    shown, and for a segment that changes width.  `carried` holds the
+    (x, y) met whose branches are that one branch; it is filled as their
+    branches are built.  `_apply_segment` leaves those entries where they
+    are, and meets no entry outside the guard, so in a guarded segment
+    `carried` holds only keys inside it.  `lands` holds, for each (x, y)
+    met whose branches land inside the guard on keys other than (x, y),
+    those keys.  A segment that changes width has
+    `carried` None.  As with a table, nothing stored is changed once built;
+    `live`, its dict, `carried` and `lands` only gain keys, and two
+    evaluations that add one key at once add the same.
     """
 
-    __slots__ = ("steps", "n", "m", "live", "carried")
+    __slots__ = ("steps", "n", "m", "live", "carried", "guard", "lands")
     lo = exchange = moved = 0
     moves = ()
     bound = True
@@ -432,6 +455,8 @@ class _Segment:
         self.n, self.m = width, width + sum(t.m - t.n for t, _ in steps)
         self.live: dict[None, dict[int, list]] = {}
         self.carried: "set[tuple[int, int]] | None" = set() if self.n == self.m else None
+        self.guard = None if self.carried is None else _guard(width, steps)
+        self.lands: dict[tuple[int, int], tuple] = {}
 
     def branches(self, x: int, y: int, dead: None) -> "list[tuple[int, int, int, Scalar]]":
         """The doubled branches of the entry at (x, y): each step's branches, one step after another.
@@ -466,7 +491,145 @@ class _Segment:
         out = [(r, s, k, ONE if c == ONE else c) for (r, s, k), c in paths.items()]
         if self.carried is not None and out == [(x, y, 0, ONE)]:
             self.carried.add((x, y))
+        if self.guard is not None:
+            mask, allowed = self.guard
+            lands = {(min(r, s), max(r, s)) for r, s, _, _ in out if (r & mask, s & mask) in allowed} - {(x, y)}
+            if lands:
+                self.lands[(x, y)] = tuple(lands)
         return out
+
+
+def _guard(width: int, steps: tuple) -> "tuple[int, frozenset] | None":
+    """The guard of a segment that keeps its width `width`, from its steps' (table, masks); None for none.
+
+    The wires are tried from the highest bit down, and the first on which
+    `_carries` shows a (ket, bra) pattern carried, whatever the other
+    wires hold, is the guard's, allowing every pattern not shown.  A
+    pattern's mirror is carried with it, since a branch's mirror is the
+    mirror's branch, so (1, 0) is not tried.  In a normal-form position
+    the guard is the top accumulator, allowing (0, 0) and (1, 1): the node
+    fires only where the top reads (0, 0), and after (1, 1) the masks drop
+    every branch.
+    """
+    for wire in range(width - 1, -1, -1):
+        shown = set()
+        for q in ((0, 0), (0, 1), (1, 1)):
+            every = list(range(2, 2 * width + 2, 2)), list(range(3, 2 * width + 3, 2))  # a variable per bit
+            every[0][wire], every[1][wire] = q
+            if _carries(steps, *every):
+                shown.add(q)
+        if shown:
+            b = 1 << wire
+            return _guarded(b, frozenset((x * b, y * b) for x in (0, 1) for y in (0, 1) if (min(x, y), max(x, y)) not in shown))
+    return None
+
+
+@lru_cache(maxsize=None)
+def _guarded(mask: int, allowed: frozenset) -> tuple[int, frozenset]:
+    """The one guard (mask, allowed) of its value, so `run` tells a chain by identity: at most 16 per wire."""
+    return mask, allowed
+
+
+def _carries(steps: tuple, ket: list[int], bra: list[int]) -> bool:
+    """Whether a segment's branches are the entry itself, weight 1, for every entry the bits `ket`, `bra` stand for.
+
+    An abstract `_Segment.branches` over paths whose bits each hold 0, 1
+    or a variable, an int from 2 up.  Each step reads a path's run inputs
+    through `_probe`, and relabels its other bits as `_apply_step` does.
+    A path is `exact` while it exists for every entry it stands for, with
+    constant 1.  Every concrete path lies on one abstract path, so the
+    claim holds when one path is left, exact, of weight index 0, and with
+    the entry's own bits.
+    """
+    entry = (ket, bra, 0, True)
+    fresh = count(max(ket + bra + [1]) + 1)  # ids of the variables the analysis makes
+    paths = [entry]
+    for index, (table, masks) in enumerate(steps):
+        lo, hi, probes = table.lo, table.lo + table.n, table.probes
+        after = []
+        for ket, bra, k, exact in paths:
+            names: dict = {}  # the run's input variables, in order of first use -> 2, 3, ...
+            key = tuple([v if v < 2 else names.setdefault(v, len(names) + 2) for v in ket[lo:hi] + bra[lo:hi]])
+            probed = probes.get((masks, key))
+            if probed is None:
+                probed = probes[(masks, key)] = _probe(table, masks, key, len(names))
+            if not probed:
+                continue
+            free = [None, None, *names, None]  # each symbol's variable, from 2 up; None for a fresh one
+            kept_ket, kept_bra = _relabelled(table, ket, bra)
+            for w, one, symbols in probed:
+                ket, bra = kept_ket[:], kept_bra[:]
+                for b, sx, sy in symbols:
+                    ket[b] = sx if sx < 2 else free[sx] or next(fresh)
+                    bra[b] = sy if sy < 2 else free[sy] or next(fresh)
+                after.append((ket, bra, k if w is None or index else w, exact and one))
+        paths = after
+        if not any(exact and not k for _, _, k, exact in paths):
+            return False
+    return paths == [entry]
+
+
+def _probe(table: _Table, masks: "tuple | None", key: tuple, free: int) -> list:
+    """The abstract branches of a step's run on inputs `key`, each (weight index, exact, output symbols).
+
+    `key` holds the run's ket input bits, then its bra input bits, each 0,
+    1 or variable i + 2 of `free`.  The run is tried under every
+    assignment of the variables, through the table's branches under
+    `masks`, as a segment reads them.  With no variable each branch is
+    one result, exact when its constant is 1.  Otherwise the result is
+    nothing when no assignment has a branch, else one, of weight index
+    None (the path keeps its own), exact when every assignment has one
+    branch and its constant is 1.  The symbols are (bit, ket, bra) for
+    each output bit: a constant, a variable i + 2 it always equals, or 2 +
+    `free` for one that follows neither.  `_carries` keeps them in
+    `table.probes`.
+    """
+    n = table.n
+    live = table.live.setdefault(masks, {})
+    outs = [b for b in range(table.outs.bit_length()) if table.outs >> b & 1]
+    met = []  # (assignment, branch)
+    one = True
+    for a in range(1 << free):
+        cx = cy = 0
+        for j in range(n):
+            x, y = key[j], key[n + j]
+            cx |= (x if x < 2 else a >> (x - 2) & 1) << j
+            cy |= (y if y < 2 else a >> (y - 2) & 1) << j
+        branches = live.get((cx << n) | cy)
+        if branches is None:
+            branches = live[(cx << n) | cy] = table.branches(cx, cy, masks)
+        one = one and len(branches) == 1
+        met += [(a, branch) for branch in branches]
+    if not free:
+        return [(w, c is ONE, [(b, rx >> b & 1, ry >> b & 1) for b in outs]) for _, (rx, ry, w, c) in met]
+    if not met:
+        return []
+
+    def symbol(bits: list[int]) -> int:
+        if all(bit == bits[0] for bit in bits):
+            return bits[0]
+        for i in range(free):
+            if all(bit == a >> i & 1 for bit, (a, _) in zip(bits, met)):
+                return i + 2
+        return free + 2
+
+    symbols = [(b, symbol([rx >> b & 1 for _, (rx, _, _, _) in met]), symbol([ry >> b & 1 for _, (_, ry, _, _) in met])) for b in outs]
+    return [(None, one and all(c is ONE for _, (_, _, _, c) in met), symbols)]
+
+
+def _relabelled(table: _Table, ket: list, bra: list) -> tuple[list, list]:
+    """A path's bits after `table`'s step, from its bits before it: the run's outputs are None."""
+    lo, hi = table.lo, table.lo + table.n
+    ket, bra = ket[:lo] + [None] * table.m + ket[hi:], bra[:lo] + [None] * table.m + bra[hi:]
+    if table.moves:
+        moved_ket, moved_bra = ket[:], bra[:]
+        for src, dst in table.moves:
+            moved_ket[dst], moved_bra[dst] = ket[src], bra[src]
+        ket, bra = moved_ket, moved_bra
+    for b in range(table.exchange.bit_length()):
+        if table.exchange >> b & 1:
+            ket[b], bra[b] = bra[b], ket[b]
+    return ket, bra
 
 
 def _dead_patterns(tables: list[_Table], after: tuple = ()) -> "list[tuple[int, int, int, int] | None] | None":
@@ -611,14 +774,8 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
     needs it, and shared by the rest.  A weight, an entry or a constant
     equal to 1 is the shared `ONE`, which is never multiplied: an entry
     that is `ONE` takes the weight as it is.  An unbound step's branches
-    all pick k = 0, the weight 1.  A segment is applied with `dead` None:
-    its masks are its steps'.
-
-    A step writes a new dict, except a segment that keeps its width
-    (`carried` not None): it updates `ops` in place and returns it.  Only
-    the entries it does not carry are popped and run through the branch
-    loop, whose outputs land in `ops` beside the carried entries, and
-    clash there as they would in a new dict.
+    all pick k = 0, the weight 1.  A step writes a new dict.  A segment
+    goes to `_apply_segment`, with `dead` its candidates.
 
     An output (r, s) joins an entry's own bits, those outside the run, to a
     branch's output bits.  Both the exchange and the bit permutation split
@@ -641,21 +798,18 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
     masks are the same under ket <-> bra, so a branch and its mirror are
     dropped together.
     """
+    if type(table) is _Segment:
+        return _apply_segment(ops, table, dead, coefficient)
     lo, n = table.lo, table.n
     nmask = (1 << n) - 1
     lomask = (1 << lo) - 1
     hi, new_hi = lo + n, lo + table.m
     exchange, moved, moves = table.exchange, table.moved, table.moves
-    carried = table.carried
-    if carried is None:
-        out, entries = {}, ops.items()
-    else:  # the carried entries stay in ops, and the others' branches land there
-        out, entries = ops, [(key, ops.pop(key)) for key in ops.keys() - carried]
-    clashes = []
+    out, clashes = {}, []
     if doubled:
         live = table.live.setdefault(dead, {})
         weights = [ONE, None, None, None]  # each formed the first time a branch picks it
-        for (x, y), v in entries:
+        for (x, y), v in ops.items():
             cx = (x >> lo) & nmask
             cy = (y >> lo) & nmask
             pattern = (cx << n) | cy
@@ -700,7 +854,7 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
                 out[key] = nv
     else:
         cols = table.cols
-        for (x, y), v in entries:
+        for (x, y), v in ops.items():
             branches = cols.get((x >> lo) & nmask)
             if branches is None:
                 continue
@@ -717,6 +871,75 @@ def _apply_step(ops: dict, doubled: bool, table: "_Table | _Segment", dead: "tup
     for key in clashes:
         if key in out and out[key].is_zero():
             del out[key]
+    return out
+
+
+def _apply_segment(ops: dict, segment: _Segment, candidates: "set | None", coefficient: Scalar) -> dict:
+    """Apply a segment that binds `coefficient` r, doubled on the upper triangle, as `_apply_step` applies a step.
+
+    A segment reads each entry's bits as its whole pattern, with no
+    relabelling and no masks of its own (its steps keep theirs), so a
+    branch (r, s, k, c) lands at (r, s) itself: mirrored, weighted and
+    clashing as in `_apply_step`.  One that changes width writes a new
+    dict.  One that keeps it (`carried` not None) updates `ops` in place
+    and returns it.  `candidates` is the set of the live keys inside its
+    guard, or None for all of `ops` where it has no guard.  Only the
+    candidates it does not carry are popped and run through the branch
+    loop, whose outputs land in `ops` beside the entries left there.  The
+    candidates then become those of the next segment with the same guard:
+    the keys a popped entry's branches land on inside the guard, other
+    than its own (`_Segment.lands`), join them.  So they hold every live
+    key inside the guard, and may hold keys that have left `ops` since
+    (popped with no branch back, or cancelled), which are skipped.
+    """
+    carried = segment.carried
+    if carried is None:
+        out, entries = {}, ops.items()
+    else:
+        out, entries = ops, []
+        for key in list(ops) if candidates is None else candidates:
+            if key not in carried and key in ops:
+                entries.append((key, ops.pop(key)))
+    n = segment.n
+    live = segment.live.setdefault(None, {})
+    weights = [ONE, None, None, None]  # each formed the first time a branch picks it
+    clashes = []
+    for (x, y), v in entries:
+        branches = live.get((x << n) | y)
+        if branches is None:
+            branches = live[(x << n) | y] = segment.branches(x, y, None)
+        diagonal = x == y
+        weighted = [v, None, None, None]  # v times each weight, once a branch needs it
+        for r, s, k, c in branches:
+            if r > s and diagonal:
+                continue
+            nv = weighted[k]
+            if nv is None:
+                w = weights[k]
+                if w is None:
+                    w = coefficient if k == 1 else coefficient.conj() if k == 2 else coefficient * coefficient.conj()
+                    w = weights[k] = ONE if w == ONE else w
+                nv = weighted[k] = w if v is ONE else v if w is ONE else v * w
+            if c is not ONE:
+                nv = nv * c
+            if r > s:
+                key, nv = (s, r), nv.conj()
+            else:
+                key = (r, s)
+                if r == s and not diagonal:
+                    nv = nv + nv.conj()
+                    if nv.is_zero():
+                        continue
+            if key in out:
+                nv = out[key] + nv
+                clashes.append(key)
+            out[key] = nv
+    for key in clashes:
+        if key in out and out[key].is_zero():
+            del out[key]
+    if candidates is not None and segment.lands:
+        for key, _ in entries:
+            candidates.update(segment.lands.get(key, ()))
     return out
 
 
@@ -738,10 +961,21 @@ def run(program: Program, ops: dict) -> dict:
     result.  Each step is applied with the masks `compile` found for it,
     and a segment as one step; a program whose result is 0 runs no step.  A
     segment that keeps its width is applied in place, so `run` may update
-    the dict it is given; pass one that is not read again.
+    the dict it is given; pass one that is not read again.  A guarded one
+    is handed the live keys inside its guard: where the segment before it
+    had another guard, or none, one scan of `ops` finds them, and else
+    that segment's application hands them on (see `_apply_segment`).
     """
     if program.steps is None:
         return {}
+    chain = inside = None  # the guard of the segment just applied, and the live keys inside it
     for table, dead, r in program.steps:
+        guard = table.guard
+        if guard is not None:
+            if guard is not chain:
+                mask, allowed = guard
+                inside = {key for key in ops if (key[0] & mask, key[1] & mask) in allowed}
+            dead = inside
+        chain = guard
         ops = _apply_step(ops, True, table, dead, r)
     return ops

@@ -649,6 +649,34 @@ class TestNetlistEvaluator:
         # Nothing a segment stores changes once it is built.
         assert [_stored(segment) for segment in segments] == stored
 
+    @pytest.mark.parametrize("qubits, seed, density", [(3, 68, 0.55), (4, 131, 1.0)], ids=["3-qubit", "4-qubit"])
+    def test_warm_dense_round_trip_pops_one_entry_per_term(self, monkeypatch, qubits, seed, density):
+        # Every in-place segment of the forms above is guarded by the top
+        # accumulator at (0, 0) or (1, 1), and the one live entry inside is
+        # the one whose accumulators are all 0, so each pops that entry
+        # alone, cold or warm, and meets no other: after three runs their
+        # `carried` sets hold at most one key per term between them.
+        nf = random_nf(random.Random(seed), qubits, density=density)
+        _cold_tables()
+        program._segment.cache_clear()
+        d, want = nf_to_diagram(nf), nf_to_matrix(nf)
+        in_place = [step for step, _, _ in d._kept.steps if type(step) is program._Segment and step.carried is not None]
+        assert len(in_place) == len(nf.terms) - 1 and all(step.guard is not None for step in in_place)
+        popped = []
+        apply_step = program._apply_step
+
+        def counting(ops, doubled, table, dead, r):
+            if table.carried is not None:
+                popped.append(sum(key in ops for key in dead - table.carried))
+            return apply_step(ops, doubled, table, dead, r)
+
+        monkeypatch.setattr(program, "_apply_step", counting)
+        for _ in range(3):
+            popped.clear()
+            assert state_operator(d) == want
+            assert popped == [1] * len(in_place)
+        assert sum(len(step.carried) for step in in_place) <= len(nf.terms)
+
 
 def _record_in_place(monkeypatch) -> list:
     """Make every application of a segment that keeps its width append
@@ -1263,7 +1291,107 @@ class TestInPlaceSegments:
             applied.clear()
             assert state_operator(d) == want
         ((segment, fed, _, _),) = applied
-        assert fed == 3 and segment.carried == {(0, 0)}
+        mask, allowed = segment.guard
+        carries = {key for key in ((0, 0), (0, 1), (1, 1)) if key in segment.carried or (key[0] & mask, key[1] & mask) not in allowed}
+        assert fed == 3 and carries == {(0, 0)}
+
+
+def _uncarried_outside(segment, guard) -> "tuple[int, int] | None":
+    """The first key x <= y at a segment's width that lies outside `guard` and is not carried, else None.
+
+    Carried means its branches are the one (x, y, 0, ONE).  The branches are
+    read from a fresh copy of the segment, so the stored one's `carried` is
+    left as it was.
+    """
+    fresh = program._Segment(segment.n, segment.steps)
+    mask, allowed = guard
+    for x in range(1 << segment.n):
+        for y in range(x, 1 << segment.n):
+            if (x & mask, y & mask) not in allowed and fresh.branches(x, y, None) != [(x, y, 0, ONE)]:
+                return x, y
+    return None
+
+
+class TestGuards:
+    """A segment that keeps its width carries every entry outside its guard, which is fixed when it is built."""
+
+    @staticmethod
+    def _position_segments(n, x, y):
+        """The segments of the entry (x, y)'s position on n qubits, not last and last."""
+        return [step for last in (False, True) for step, _, _ in _term_wiring(n, x, y, last).steps if type(step) is program._Segment]
+
+    def test_every_position_up_to_3_qubits(self):
+        # A position's node fires only where the top accumulator reads
+        # (0, 0), and after (1, 1) the masks drop every branch, so every
+        # key outside the top's (0, 0) and (1, 1) is carried.  The last
+        # position's segment runs through the plug and has no guard.
+        for n in range(4):
+            top = 1 << n
+            for x in range(1 << n):
+                for y in range(1 << n):
+                    middle, last = self._position_segments(n, x, y)
+                    assert middle.guard == (top, frozenset({(0, 0), (top, top)}))
+                    assert _uncarried_outside(middle, middle.guard) is None
+                    assert last.carried is None and last.guard is None
+
+    def test_sampled_positions_at_4_qubits(self):
+        rng = random.Random(171)
+        for _ in range(6):
+            middle, _ = self._position_segments(4, rng.randrange(16), rng.randrange(16))
+            assert middle.guard == (16, frozenset({(0, 0), (16, 16)}))
+            assert _uncarried_outside(middle, middle.guard) is None
+
+    def test_a_guard_without_either_pattern_fails(self):
+        # Without (1, 1) the keys whose top reads (1, 1), which have no
+        # branch, would be carried; without (0, 0) the entry whose
+        # accumulators are all 0, where the node fires, would be.
+        for n, x, y in ((0, 0, 0), (1, 0, 1), (2, 3, 1), (3, 5, 6)):
+            middle, _ = self._position_segments(n, x, y)
+            mask, allowed = middle.guard
+            assert _uncarried_outside(middle, (mask, allowed - {(mask, mask)})) is not None
+            assert _uncarried_outside(middle, (mask, allowed - {(0, 0)})) == (0, 0)
+
+    def test_closed_state_segments(self):
+        # The terms of `TestInPlaceSegments`: every guard is exact, and the
+        # rest have none.
+        rng = random.Random(172)
+        guarded = unguarded = 0
+        for _ in range(40):
+            d = TestInPlaceSegments._term(rng)
+            s = Compose(d, random_state(rng, max_wires=d.n_in, n_out=d.n_in))
+            for step, _, _ in program_of(s).steps or []:
+                if type(step) is program._Segment and step.carried is not None:
+                    if step.guard is None:
+                        unguarded += 1
+                    else:
+                        guarded += 1
+                        assert _uncarried_outside(step, step.guard) is None
+        assert guarded >= 20 and unguarded >= 1
+
+    def test_chained_segments_take_the_keys_landed_on(self, monkeypatch):
+        # Where two segments with one guard follow each other, the second is
+        # handed the keys the first's branches landed on inside the guard,
+        # not found by a scan: the closed states below pop such keys, and
+        # match the reference on a cold run and a warm one.
+        handed = 0
+        apply_segment = program._apply_segment
+
+        def counting(ops, segment, candidates, r):
+            nonlocal handed
+            if candidates is not None:
+                handed += sum(key in segment.lands for key in candidates if key in ops and key not in segment.carried)
+            return apply_segment(ops, segment, candidates, r)
+
+        monkeypatch.setattr(program, "_apply_segment", counting)
+        for seed in range(300):
+            rng = random.Random(f"lands:{seed}")
+            d = TestInPlaceSegments._term(rng)
+            s = Compose(d, random_state(rng, max_wires=d.n_in, n_out=d.n_in))
+            want = _unvec(interp_sparse(unzip(s)), s.n_out)
+            program._segment.cache_clear()
+            for _ in range(2):
+                assert state_operator(s) == want
+        assert handed >= 10
 
 
 class TestKeptSteps:
