@@ -5,9 +5,11 @@ A Hermitian operator H on n qubits is presented as a list of entry terms
 contributes c|x><x| (c real), an off-diagonal term (x, y, c) contributes
 c|x><y| plus its conjugate transpose.  The list, sorted by (x, y), is a
 complete invariant, so two diagrams denote the same channel exactly when
-the normal forms of their input-bent states coincide.  `compare_maps`
-decides equality that way for ticked terms, and for tick-free ones from the
-much smaller pure matrices, which must agree up to a phase.
+the normal forms of their input-bent states coincide, that is when the
+upper triangles of their Choi matrices do.  `compare_maps` decides a ticked
+pair on those triangles, and builds the normal forms only for the witness
+of a difference; a tick-free pair it decides from the much smaller pure
+matrices, which must agree up to a phase.
 
 `nf_to_diagram` rebuilds a diagram from the term list.  Each term becomes
 one parameterized Z node (two in the unreduced variant) whose legs feed,
@@ -57,7 +59,7 @@ from .diagram import (
 from .scalar import HALF, MAX_DIGITS, ONE, Scalar, ScalarParseError, ZERO, _too_long, format_scalar, parse_scalar
 from .matrix import Matrix, _format_complex, _mirrored
 from .program import Program, compile
-from .semantics import _interp_flat, bend_inputs, state_operator
+from .semantics import _choi_upper, _interp_flat, state_operator
 
 
 class NormalFormError(ValueError):
@@ -296,7 +298,12 @@ def nf_of_diagram(d: Diagram) -> NormalForm:
 
 def canonical_of_map(d: Diagram) -> NormalForm:
     """Complete invariant of a general diagram: normal form of its bent state."""
-    return nf_from_matrix(state_operator(bend_inputs(d)))
+    return _canonical(d, _choi_upper(d, flatten(d)))
+
+
+def _canonical(d: Diagram, upper: dict) -> NormalForm:
+    """`canonical_of_map(d)`, from `upper`, the upper triangle of d's Choi matrix."""
+    return nf_from_matrix(_mirrored(1 << (d.n_in + d.n_out), upper))
 
 
 def first_difference(a: NormalForm, b: NormalForm) -> "tuple[int, int, Scalar, Scalar] | None":
@@ -325,7 +332,7 @@ def _equal_up_to_phase(a: dict, b: dict) -> bool:
         return True
     key = next(iter(a))
     c = a[key] * b[key].inverse()
-    return c * c.conj() == ONE and all(v == c * b[k] for k, v in a.items())
+    return a == b if c == ONE else c * c.conj() == ONE and all(v == c * b[k] for k, v in a.items())
 
 
 def compare_maps(
@@ -336,27 +343,29 @@ def compare_maps(
     A tick-free term denotes rho -> A rho A^dagger with A its pure matrix,
     and two such maps are equal exactly when A = cB with |c| = 1.  So a
     tick-free pair is decided from `interp` of each side (2^(n+m) entries),
-    and a ticked or mixed pair from `canonical_of_map` of each side
-    (4^(n+m) entries).  Arities that differ are unequal before any
-    evaluation.
+    and a ticked or mixed pair from the upper triangle of each side's Choi
+    matrix (4^(n+m) entries), equal exactly when the canonical forms are.
+    Arities that differ are unequal before any evaluation.
 
     The second value, called after a "not equal", returns the first entry
     (x, y, lhs, rhs) where the canonical forms differ (`first_difference`),
-    or None when the arities differ.  It reuses the canonical forms the
-    verdict computed; after a tick-free verdict it computes them, so only
-    failures pay for it, and raises `SemanticsError` when they exceed the
+    or None when the arities differ.  Only it builds normal forms: after a
+    ticked verdict from the triangles the verdict computed, after a
+    tick-free one from scratch, so only failures pay for them.  After a
+    tick-free verdict it raises `SemanticsError` when they exceed the
     dense-result guard.
     """
     if d1.n_in != d2.n_in or d1.n_out != d2.n_out:
         return False, lambda: None
-    # Each side is flattened once, for the tick test and the evaluation,
-    # and the second only when the first has no tick.
+    # Each side is flattened once, for the tick test and the evaluation.
     flats = []
     for d in (d1, d2):
         flats.append(flatten(d))
         if any(g is Tick for g, _ in flats[-1]):
-            a, b = canonical_of_map(d1), canonical_of_map(d2)
-            return a == b, lambda: first_difference(a, b)
+            if len(flats) == 1:
+                flats.append(flatten(d2))
+            a, b = _choi_upper(d1, flats[0]), _choi_upper(d2, flats[1])
+            return a == b, lambda: first_difference(_canonical(d1, a), _canonical(d2, b))
     if _equal_up_to_phase(_interp_flat(d1, flats[0]).entries, _interp_flat(d2, flats[1]).entries):
         return True, lambda: None
     return False, lambda: first_difference(canonical_of_map(d1), canonical_of_map(d2))

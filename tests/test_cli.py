@@ -17,13 +17,19 @@ from zwtick import (
     SemanticsError,
     Tensor,
     ZSpider,
+    bend_inputs,
+    canonical_of_map,
     format_matrix,
+    interp,
     print_diagram,
     semantics,
+    state_operator,
+    unzip,
 )
 from zwtick.cli import main
 
 from _support import random_matrix, random_term
+from test_semantics import _unvec
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -405,8 +411,11 @@ class TestEveryVerb:
         # Seeded terms of up to 4 wires, ticked or not, through each verb that
         # reads a diagram: every run ends in a verdict or a reported error.
         # `interp` of a ticked term is refused with exit 2 and an error line.
+        # Where the bent state spans at most 6 wires, its operator matches the
+        # pure sweep of its `unzip`, and `eq` the canonical-form oracle.
         rng = random.Random(61)
         codes = Counter()
+        checked = 0
         for k in range(32):
             d = random_term(rng, max_wires=4)
             # The other side of `eq`: d times the phase -1, or a random term on d's inputs.
@@ -424,4 +433,13 @@ class TestEveryVerb:
                 if code == 2:
                     assert err.startswith("error: "), argv
                 codes[argv[0], code] += 1
+                if argv[0] == "eq":
+                    eq_code = code
+            if d.n_in + d.n_out <= 6:
+                s = bend_inputs(d)
+                assert state_operator(s) == _unvec(interp(unzip(s)), s.n_out)
+                same = (d.n_in, d.n_out) == (e.n_in, e.n_out) and canonical_of_map(d) == canonical_of_map(e)
+                assert eq_code == (0 if same else 1), (d, e)
+                checked += 1
         assert codes["interp", 2] > 0 and codes["eq", 0] > 0 and codes["eq", 1] > 0
+        assert checked >= 20

@@ -1,6 +1,8 @@
 """Normal forms: extraction, rebuild fidelity, canonicity, and text form."""
 
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,12 +29,15 @@ from zwtick import (
     WSpider,
     ZERO,
     ZSpider,
+    bend_inputs,
     canonical_of_map,
+    choi,
     dagger,
     diagrams_equal,
     first_difference,
     format_nf,
     ground,
+    has_tick,
     id_n,
     instantiate,
     interp,
@@ -43,9 +48,12 @@ from zwtick import (
     nf_to_matrix,
     parse_nf,
     state_operator,
+    subdiagrams,
 )
 from zwtick import Swap, program
+from zwtick.diagram import flatten, fold
 from zwtick.normalform import compare_maps
+from zwtick.semantics import _bend_flat
 from zwtick.rules import _default_samples
 
 from _support import mat_kron, random_hermitian, random_nf, random_state, random_term
@@ -201,10 +209,10 @@ PHASES = (MINUS_ONE, OMEGA)
 SCALES = (Scalar(2), Scalar(Fraction(1, 2)), ONE + OMEGA)
 
 
-def same_arity_term(rng: random.Random, d):
-    """A random tick-free term with d's arity (a random multiple of d if none turns up)."""
+def same_arity_term(rng: random.Random, d, allow_tick: bool = False):
+    """A random term with d's arity, tick-free unless allowed (a random multiple of d if none turns up)."""
     for _ in range(100):
-        e = random_term(rng, n_in=d.n_in, allow_tick=False)
+        e = random_term(rng, n_in=d.n_in, allow_tick=allow_tick)
         if e.n_out == d.n_out:
             return e
     return scaled(Scalar(rng.randint(-3, 3)), d)
@@ -273,21 +281,26 @@ class TestPureRoute:
         assert not diagrams_equal(Id, Tensor(zero, Id))
 
     def test_tick_free_verdict_skips_normal_forms(self, monkeypatch):
-        calls = []
-        real = zwtick.normalform.canonical_of_map
+        calls, built = [], []
+        real, real_nf = zwtick.normalform.canonical_of_map, zwtick.normalform.nf_from_matrix
         monkeypatch.setattr(
             zwtick.normalform, "canonical_of_map", lambda d: calls.append(d) or real(d)
         )
+        monkeypatch.setattr(zwtick.normalform, "nf_from_matrix", lambda m: built.append(m) or real_nf(m))
         equal, explain = compare_maps(WSpider(1, 2), scaled(OMEGA, WSpider(1, 2)))
-        assert equal and explain() is None and calls == []
+        assert equal and explain() is None and calls == [] and built == []
         a, b = ZSpider(HALF, 1, 1), Id
         equal, explain = compare_maps(a, b)
-        assert not equal and calls == []
+        assert not equal and calls == [] and built == []
         assert explain() == first_difference(real(a), real(b)) == (0, 3, HALF, ONE)
         assert calls == [a, b]
+        # A ticked verdict reads the Choi upper triangles: only the witness
+        # builds the two normal forms.
+        built.clear()
+        assert compare_maps(Compose(Tick, Tick), Id)[0] and built == []
         equal, explain = compare_maps(Tick, Id)
-        assert not equal and calls == [a, b, Tick, Id]
-        assert explain() == (0, 3, ZERO, ONE) and len(calls) == 4
+        assert not equal and built == []
+        assert explain() == (0, 3, ZERO, ONE) and len(built) == 2 and calls == [a, b]
 
     def test_tick_free_route_builds_no_program(self, monkeypatch):
         # A tick-free term's pure matrix is swept from its flattened form, so
@@ -341,6 +354,83 @@ class TestPureRoute:
             assert 0 < seen[kind].count(False), kind
         assert seen["scalar"].count(True) > 0
         assert sum(v.count(True) for v in seen.values()) > 100
+
+
+def with_one_z_changed(rng: random.Random, d):
+    """d with one Z spider's parameter r replaced by r + 1, or None when d has none."""
+    count = sum(isinstance(g, ZSpider) for _, g in subdiagrams(d))
+    if not count:
+        return None
+    k = rng.randrange(count)
+
+    def gen(g):
+        nonlocal k
+        if isinstance(g, ZSpider):
+            k -= 1
+            if k == -1:
+                return ZSpider(g.r + ONE, g.n, g.m)
+        return g
+
+    return fold(d, gen, Compose, Tensor)
+
+
+def triangle_pairs(seed: int, count: int) -> list[tuple[object, object]]:
+    """Seeded pairs around `count` terms of up to 3 wires, ticked or not, a
+    quarter of them states: each term beside its multiples by 1, -1, w, i,
+    2 and 1/2, a copy with one Z spider changed and an unrelated term of
+    its arity; then rebuilt normal forms beside their unreduced rebuild, a
+    multiple and another form.  The sides come in random order."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        ticked = i % 2 == 0
+        d = random_state(rng, allow_tick=ticked) if i % 4 == 3 else random_term(rng, allow_tick=ticked)
+        others = [scaled(c, d) for c in (ONE, MINUS_ONE, OMEGA, I, Scalar(2), HALF)]
+        others += [with_one_z_changed(rng, d), same_arity_term(rng, d, ticked)]
+        out += [(d, e) for e in others if e is not None]
+    for _ in range(count // 4):
+        nf = random_nf(rng, rng.randint(0, 2))
+        d = nf_to_diagram(nf)
+        other = nf_to_diagram(random_nf(rng, nf.qubits))
+        out += [(d, nf_to_diagram(nf, unreduced=True)), (d, scaled(OMEGA, d)), (d, other)]
+    return [pair if rng.random() < 0.5 else pair[::-1] for pair in out]
+
+
+class TestChoiTriangles:
+    """Ticked pairs are decided on the upper triangles of the Choi matrices;
+    the verdict and the witness must be the normal-form route's."""
+
+    def test_differential_against_normal_forms(self):
+        shared = {n: _bend_flat(n) for n in range(4)}
+        before = {n: list(flat) for n, flat in shared.items()}
+        seen = Counter()
+        pairs = triangle_pairs(43, 40)
+        assert len(pairs) >= 300
+        for a, b in pairs:
+            equal, explain = compare_maps(a, b)
+            ca, cb = canonical_of_map(a), canonical_of_map(b)
+            assert equal == (ca == cb), (a, b)
+            if not equal:
+                assert explain() == first_difference(ca, cb), (a, b)
+            seen[has_tick(a) or has_tick(b), equal] += 1
+        for d in {d for pair in pairs for d in pair}:
+            assert flatten(bend_inputs(d)) == _bend_flat(d.n_in) + flatten(d)
+        assert all(_bend_flat(n) is shared[n] and shared[n] == before[n] for n in shared)
+        assert min(seen[ticked, equal] for ticked in (True, False) for equal in (True, False)) >= 20, seen
+
+    def test_choi_is_the_bent_state(self):
+        rng = random.Random(44)
+        for _ in range(40):
+            d = random_term(rng)
+            assert choi(d) == state_operator(bend_inputs(d))
+
+    def test_dense_guard_as_the_bent_state(self):
+        d = id_n(13)
+        with pytest.raises(SemanticsError) as want:
+            state_operator(bend_inputs(d))
+        for route in (choi, canonical_of_map, lambda d: compare_maps(d, Tensor(Tick, id_n(12)))):
+            with pytest.raises(SemanticsError, match=re.escape(str(want.value))):
+                route(d)
 
 
 class TestTextForm:
